@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import is_simple, realify
+from .decompose import _is_simple_data, _realify_from_data
 from .errors import NotReal, NotSimple, NotUnimodular
 from .matrix import QMatrix3, require_unimodular
 from .quaternion import DEFAULT_TOL
-from .spectral import jordan_form, minimal_poly_structure
+from .spectral import _minimal_poly_from_data, jordan_form, minimal_poly_structure
 
 
 class Major(str, enum.Enum):
@@ -258,10 +258,10 @@ def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
     unipotent ones, which map to their ellipto counterparts.
     """
     require_unimodular(A, tol)
-    if not is_simple(A, tol):
+    data = jordan_form(A, tol)
+    if not _is_simple_data(data, tol):
         raise NotSimple("matrix is not conjugate to a real matrix")
-    cert = realify(A, tol)
-    b = cert.B
+    b = _realify_from_data(A, data, tol).B
     flipped = False
     if np.linalg.det(b) < 0:
         b = -b
@@ -285,13 +285,11 @@ def classification_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> dict:
         "f": None,
         "x": None,
         "y": None,
-        "d": None,
+        "d": _minimal_poly_from_data(data, tol)[1],
         "jordan": data.to_json_dict(),
     }
-    factors, d = minimal_poly_structure(A, tol)
-    report["d"] = d
-    if is_simple(A, tol):
-        cert = realify(A, tol)
+    if _is_simple_data(data, tol):
+        cert = _realify_from_data(A, data, tol)
         b = cert.B if np.linalg.det(cert.B) > 0 else -cert.B
         pair = TracePair.from_real_matrix(b)
         report["x"] = pair.x

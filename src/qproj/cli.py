@@ -24,8 +24,9 @@ from .decompose import decompose_simple, is_simple, realify
 from .errors import QprojError
 from .generate import DYNAMICAL_TYPES, generate
 from .matrix import QMatrix3, det_h, inverse, normalize_to_sl
-from .quaternion import DEFAULT_TOL
+from .quaternion import DEFAULT_TOL, ClassRep
 from .reversibility import psl_report
+from .spectral import _assemble_jordan
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -271,15 +272,7 @@ def _replay_report(rep, failures):
     if kind == "classification":
         jd = rep["jordan"]
         S = QMatrix3.from_json_dict(jd["S"])
-        J = QMatrix3.zeros()
-        col = 0
-        for blk in jd["blocks"]:
-            lam = complex(blk["re"], blk["im"])
-            for k in range(blk["size"]):
-                J[col + k, col + k] = lam
-                if k > 0:
-                    J[col + k - 1, col + k] = 1.0
-            col += blk["size"]
+        J = _assemble_jordan([(ClassRep(b["re"], b["im"]), b["size"]) for b in jd["blocks"]])
         recon = S @ J @ inverse(S)
         _verify_close((a - recon).norm() / a.norm(), 0, gate, "jordan reconstruction", failures)
         verdict = classification_report(a, tol)

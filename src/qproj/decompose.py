@@ -1,10 +1,10 @@
 """Simple elements: testing, real conjugates, and <= 4-factor decompositions.
 
 An element of SL(3,H) is *simple* when it is conjugate to a real matrix;
-that happens exactly when every non-real eigenvalue class owns an even
-number of Jordan blocks, which in the 3x3 case means all classes are real
-or the matrix is diagonalizable with a single non-real class of
-multiplicity two.
+that happens exactly when the Jordan blocks of every non-real eigenvalue
+class pair up by size, which in the 3x3 case means all classes are real or
+the matrix is diagonalizable with a single non-real class of multiplicity
+two.
 
 Any unimodular element factors into at most four simple elements.  The
 factorization routes on the Jordan shape:
@@ -16,7 +16,8 @@ factorization routes on the Jordan shape:
   general J2 (+) point -> real-part triangular factor x unit route  = 4
 
 Every factor ships with a certificate (T, B): a conjugator T and the real
-matrix B = T^-1 (factor) T it exhibits.
+matrix B = T^-1 (factor) T it exhibits, both read off the factor's
+construction rather than extracted from the factor again.
 """
 
 from __future__ import annotations
@@ -84,29 +85,19 @@ def _rep_is_real(rep: ClassRep, tol: float) -> bool:
     return rep.im <= 1e3 * tol * max(1.0, rep.modulus())
 
 
-def _classes_of(data: JordanData):
-    grouped = {}
-    order = []
-    for rep, size in data.blocks:
-        key = (rep.re, rep.im)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(size)
-    return [(ClassRep(*k), grouped[k]) for k in order]
-
-
 def is_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
-    """True iff A is conjugate to a real matrix (even non-real block counts)."""
+    """True iff A is conjugate to a real matrix (non-real blocks pair up by size)."""
     require_unimodular(A, tol)
     return _is_simple_data(jordan_form(A, tol), tol)
 
 
 def _is_simple_data(data: JordanData, tol: float) -> bool:
-    for rep, sizes in _classes_of(data):
+    # a non-real class is simple only when its blocks pair up by size: one
+    # J2(λ) next to one λ is two blocks, but no real matrix has that shape
+    for rep, sizes in data.class_sizes():
         if _rep_is_real(rep, tol):
             continue
-        if len(sizes) % 2 != 0:
+        if any(sizes.count(size) % 2 for size in sizes):
             return False
     return True
 
@@ -119,12 +110,18 @@ def realify(A: QMatrix3, tol: float = DEFAULT_TOL) -> SimpleCertificate:
     realified by the 2x2 conjugators mapping diag(r e^{it}, r e^{it}) to the
     rotation block [[r cos t, r sin t], [-r sin t, r cos t]].
     """
+    return _realify_from_data(A, None if A.is_real(tol) else jordan_form(A, tol), tol)
+
+
+def _realify_from_data(A: QMatrix3, data: JordanData | None, tol: float) -> SimpleCertificate:
+    """realify(A) given the Jordan data of A; a real A needs none."""
     if A.is_real(tol):
         return SimpleCertificate(QMatrix3.identity(), A.real_part(), 0.0)
+    return _checked(A, _realify_data(A, data, tol))
 
-    data = jordan_form(A, tol)
-    cert = _realify_data(A, data, tol)
-    cert.residual = cert.verify(A, tol)
+
+def _checked(A: QMatrix3, cert: SimpleCertificate) -> SimpleCertificate:
+    cert.residual = cert.verify(A)
     if cert.residual > 1e-5:
         raise CertificateError(
             f"real-conjugate certificate residual {cert.residual:.3e} is out of range"
@@ -134,7 +131,7 @@ def realify(A: QMatrix3, tol: float = DEFAULT_TOL) -> SimpleCertificate:
 
 def _realify_data(A: QMatrix3, data: JordanData, tol: float) -> SimpleCertificate:
     if not _is_simple_data(data, tol):
-        raise NotSimple("matrix has a non-real class with odd block count")
+        raise NotSimple("a non-real class has Jordan blocks that do not pair up by size")
 
     reps = [rep for rep, _ in data.blocks]
     if all(_rep_is_real(rep, tol) for rep in reps):
@@ -154,18 +151,7 @@ def _realify_data(A: QMatrix3, data: JordanData, tol: float) -> SimpleCertificat
     mu = reps[other]
     r = lam.modulus()
     theta = lam.angle()
-
-    # V = (U2 U1)^-1 with U1 = [[1,0],[0,j]], U2 = [[1,1],[i,-i]] satisfies
-    # diag(λ, λ) = V R V^-1 for the rotation block R
-    u1 = QMatrix3.identity()
-    u2 = QMatrix3.identity()
     s0, s1 = (pair_pos, pair_pos + 1)
-    u1[s1, s1] = _J
-    u2[s0, s0] = 1.0
-    u2[s0, s1] = 1.0
-    u2[s1, s0] = 1j
-    u2[s1, s1] = -1j
-    V = inverse(u2 @ u1)
 
     B = np.zeros((3, 3))
     B[s0, s0] = r * math.cos(theta)
@@ -174,7 +160,46 @@ def _realify_data(A: QMatrix3, data: JordanData, tol: float) -> SimpleCertificat
     B[s1, s1] = r * math.cos(theta)
     B[other, other] = mu.re
 
-    return SimpleCertificate(data.S @ V, B)
+    return SimpleCertificate(data.S @ _pair_conjugator(pair_pos, True), B)
+
+
+def _pair_conjugator(s0: int, same: bool) -> QMatrix3:
+    """T with T R T^-1 = diag(λ, λ) (same) or diag(λ, conj λ) in slots s0, s0 + 1.
+
+    R is the rotation block [[Re λ, Im λ], [-Im λ, Re λ]] in those slots; the
+    remaining slot is left fixed.  With U1 = [[1,0],[0,j]] and
+    U2 = [[1,1],[i,-i]], U2 diag(λ, conj λ) U2^-1 = R for every complex λ and
+    U1 diag(λ, λ) U1^-1 = diag(λ, conj λ), so T is U2^-1 or (U2 U1)^-1.
+    """
+    s1 = s0 + 1
+    u2 = QMatrix3.identity()
+    u2[s0, s0] = 1.0
+    u2[s0, s1] = 1.0
+    u2[s1, s0] = 1j
+    u2[s1, s1] = -1j
+    if not same:
+        return inverse(u2)
+    u1 = QMatrix3.identity()
+    u1[s1, s1] = _J
+    return inverse(u2 @ u1)
+
+
+def _pair_factor(C: QMatrix3, s0: int):
+    """(C, T, B) with C = T B T^-1 for a complex diagonal pair factor C.
+
+    Slots s0 and s0 + 1 of C hold λ and either λ or conj λ; the remaining
+    slot is real.
+    """
+    s1 = s0 + 1
+    other = 2 if s0 == 0 else 0
+    lam, mu = C.a[s0, s0], C.a[s1, s1]
+    same = abs(mu - lam) <= abs(mu - lam.conjugate())
+    B = np.zeros((3, 3))
+    B[s0, s0] = B[s1, s1] = lam.real
+    B[s0, s1] = lam.imag
+    B[s1, s0] = -lam.imag
+    B[other, other] = C.a[other, other].real
+    return C, _pair_conjugator(s0, same), B
 
 
 def pair_rotation_split(theta: float, phi: float):
@@ -197,7 +222,7 @@ def _unit_diag_factors(angles):
     p_shift = p + s
     first, second = pair_rotation_split(t, p_shift)
     third = QMatrix3.diag(1.0, cmath.exp(-1j * s), cmath.exp(1j * s))
-    return [first, second, third]
+    return [_pair_factor(first, 0), _pair_factor(second, 0), _pair_factor(third, 1)]
 
 
 def _slot23(d2, d3):
@@ -209,12 +234,31 @@ def _unit_j2_factors(theta, psi):
     et = cmath.exp(1j * theta)
     W = QMatrix3.diag(1.0 / et, et, 1.0)
     Q = QMatrix3.from_complex([[et, 1.0, 0.0], [0.0, 1.0 / et, 0.0], [0.0, 0.0, 1.0]])
+    # Q T_q = T_q B_q with T_q = [e2, Q e2]: B_q is the real companion matrix
+    # of Q's top block (trace 2 cos theta, determinant 1), and cond(T_q) is
+    # about 2.6 for every theta
+    T_q = QMatrix3.from_complex([[0.0, 1.0, 0.0], [1.0, 1.0 / et, 0.0], [0.0, 0.0, 1.0]])
+    B_q = np.array([[0.0, -1.0, 0.0], [1.0, 2.0 * math.cos(theta), 0.0], [0.0, 0.0, 1.0]])
     mu = 0.5 * (2.0 * theta + psi)
     nu = 0.5 * (2.0 * theta - psi)
     R1 = _slot23(cmath.exp(1j * mu), cmath.exp(1j * mu))
     R2 = _slot23(cmath.exp(1j * nu), cmath.exp(-1j * nu))
     W_inv = QMatrix3.diag(et, 1.0 / et, 1.0)
-    return [W @ Q @ W_inv, W @ R1 @ W_inv, W @ R2 @ W_inv]
+    return [
+        (W @ Q @ W_inv, W @ T_q, B_q),
+        _pair_factor(W @ R1 @ W_inv, 1),
+        _pair_factor(W @ R2 @ W_inv, 1),
+    ]
+
+
+def _phase_factor(C: QMatrix3, theta: float, B):
+    """(C, T, B) for C = D B D^-1 with D = diag(1, e^{i theta}, e^{2i theta}).
+
+    Conjugating by D multiplies the superdiagonal of B by e^{-i theta} and
+    leaves the diagonal alone, which is how the triangular factors are built.
+    """
+    e = cmath.exp(1j * theta)
+    return C, QMatrix3.diag(1.0, e, e * e), np.asarray(B, dtype=float)
 
 
 def _unit_j3_factors(theta):
@@ -227,11 +271,20 @@ def _unit_j3_factors(theta):
     f4 = QMatrix3.from_complex(
         [[1.0, 1.0 / et, 0.0], [0.0, 1.0, 1.0 / et], [0.0, 0.0, 1.0]]
     )
-    return [f1, f2, f3, f4]
+    return [
+        _pair_factor(f1, 0),
+        _pair_factor(f2, 1),
+        _pair_factor(f3, 1),
+        _phase_factor(f4, theta, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+    ]
 
 
 def _canonical_factors(data: JordanData, tol: float):
-    """Simple factors for the canonical Jordan matrix of ``data``."""
+    """Simple factors of the canonical Jordan matrix of ``data``.
+
+    Each is a triple (C, T, B) with C = T B T^-1 and B real, read off the
+    construction of C.
+    """
     blocks = data.blocks
     reps = [rep for rep, _ in blocks]
     moduli = [rep.modulus() for rep in reps]
@@ -243,7 +296,7 @@ def _canonical_factors(data: JordanData, tol: float):
         if unit:
             return _unit_diag_factors(angles)
         P = QMatrix3.diag(*moduli)
-        return [P] + _unit_diag_factors(angles)
+        return [(P, QMatrix3.identity(), P.real_part())] + _unit_diag_factors(angles)
 
     if shape == "j2":
         theta = reps[0].angle()
@@ -254,10 +307,9 @@ def _canonical_factors(data: JordanData, tol: float):
         P = QMatrix3.from_complex(
             [[r, cmath.exp(-1j * theta), 0.0], [0.0, r, 0.0], [0.0, 0.0, s]]
         )
+        P_factor = _phase_factor(P, theta, [[r, 1, 0], [0, r, 0], [0, 0, s]])
         # Q = diag(e^{i theta}, e^{i theta}, e^{i psi}) via the unit route
-        q_first, q_second = pair_rotation_split(theta, theta + psi)
-        q_third = _slot23(cmath.exp(-1j * psi), cmath.exp(1j * psi))
-        return [P, q_first, q_second, q_third]
+        return [P_factor] + _unit_diag_factors([theta, theta, psi])
 
     # j3; |λ| = 1 is forced by unimodularity, the general branch is defensive
     theta = reps[0].angle()
@@ -266,9 +318,8 @@ def _canonical_factors(data: JordanData, tol: float):
     r = moduli[0]
     e_inv = cmath.exp(-1j * theta)
     P = QMatrix3.from_complex([[r, e_inv, 0.0], [0.0, r, e_inv], [0.0, 0.0, r]])
-    q_first, q_second = pair_rotation_split(theta, 2.0 * theta)
-    q_third = _slot23(cmath.exp(-1j * theta), cmath.exp(1j * theta))
-    return [P, q_first, q_second, q_third]
+    P_factor = _phase_factor(P, theta, [[r, 1, 0], [0, r, 1], [0, 0, r]])
+    return [P_factor] + _unit_diag_factors([theta, theta, theta])
 
 
 def decompose_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> Decomposition:
@@ -277,24 +328,25 @@ def decompose_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> Decomposition:
     Simple inputs return the length-1 decomposition [A].  Factors are emitted
     in left-to-right product order and conjugated into A's frame, so their
     product reconstructs A itself.  Factors that degenerate to the identity
-    (boundary angles) are dropped.
+    (boundary angles) are dropped.  A factor S C S^-1 carries the certificate
+    (S T, B) of its canonical factor C = T B T^-1.
     """
     require_unimodular(A, tol)
     data = jordan_form(A, tol)
 
     if _is_simple_data(data, tol):
-        cert = realify(A, tol)
-        return Decomposition([A], [cert], 0.0)
+        return Decomposition([A], [_realify_from_data(A, data, tol)], 0.0)
 
     S = data.S
     S_inv = inverse(S)
     factors = []
-    for canon in _canonical_factors(data, tol):
+    certificates = []
+    for canon, T, B in _canonical_factors(data, tol):
         if (canon - QMatrix3.identity()).norm() <= 1e-9:
             continue
-        factors.append(S @ canon @ S_inv)
-
-    certificates = [realify(f, tol) for f in factors]
+        factor = S @ canon @ S_inv
+        factors.append(factor)
+        certificates.append(_checked(factor, SimpleCertificate(S @ T, B)))
 
     product = QMatrix3.identity()
     for f in factors:

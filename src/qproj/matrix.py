@@ -127,7 +127,12 @@ class QMatrix3:
 
     def adjoint(self) -> np.ndarray:
         """Complex adjoint Phi(A) = [[A1, A2], [-conj(A2), conj(A1)]]."""
-        return np.block([[self.a, self.b], [-self.b.conj(), self.a.conj()]])
+        phi = np.empty((6, 6), dtype=complex)
+        phi[:3, :3] = self.a
+        phi[:3, 3:] = self.b
+        phi[3:, :3] = -self.b.conj()
+        phi[3:, 3:] = self.a.conj()
+        return phi
 
     def is_real(self, tol: float = DEFAULT_TOL) -> bool:
         scale = max(1.0, self.norm())

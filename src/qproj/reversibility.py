@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CertificateError, NotReversible, NotStronglyReversible
 from .matrix import QMatrix3, inverse, require_unimodular
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
-from .spectral import JordanData, jordan_form
+from .spectral import JordanData, _vec36, _x_basis, jordan_form
 
 _J = Quaternion(0.0, 0.0, 1.0, 0.0)
 
@@ -238,6 +238,32 @@ def _check(residual: float, what: str, gate: float = 1e-5) -> float:
     return residual
 
 
+def _residual_product(s1: QMatrix3, s2: QMatrix3, A: QMatrix3) -> float:
+    return ((s1 @ s2) - A).norm() / max(A.norm(), 1e-300)
+
+
+def _witness(A, data, shape, g0, target, sign, what):
+    """(g, conjugation residual, square residual) for g0 taken into A's frame.
+
+    Both defining equations, g A g^-1 = target and g^2 = sign * I, are checked.
+    """
+    g = _into_frame(data, shape.perm, g0)
+    conj = _check(_residual_conjugation(g, A, target), f"{what} conjugation")
+    square_what = f"{what} skew-involution" if sign < 0 else f"{what} square"
+    return g, conj, _check(_residual_square(g, sign), square_what)
+
+
+def _skew_pair(A: QMatrix3, s2: QMatrix3):
+    """(s1, product residual, square residual) for s1 = -A s2, so s1 s2 = A."""
+    s1 = -(A @ s2)
+    sq = _residual_square(s1, -1.0)
+    if not sq < 1e-5:
+        raise CertificateError(
+            f"first factor squares to -I only within {sq:.3e}; sign convention violated"
+        )
+    return s1, _check(_residual_product(s1, s2, A), "skew factor product"), sq
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -255,23 +281,14 @@ def reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     shape = _match_reversible_shape(data, tol)
     if shape is None:
         raise NotReversible("Jordan blocks do not pair into a reversible shape")
-    g = _into_frame(data, shape.perm, _skew_reverser_canonical(shape))
-    _check(_residual_conjugation(g, A, inverse(A)), "reverser conjugation")
-    _check(_residual_square(g, -1.0), "reverser skew-involution")
-    return g
+    g0 = _skew_reverser_canonical(shape)
+    return _witness(A, data, shape, g0, inverse(A), -1.0, "reverser")[0]
 
 
 def two_skew_involutions(A: QMatrix3, tol: float = DEFAULT_TOL):
     """(s1, s2) with s1^2 = s2^2 = -I and s1 s2 = A."""
     s2 = reverser(A, tol)
-    s1 = -(A @ s2)
-    sq = _residual_square(s1, -1.0)
-    if not sq < 1e-5:
-        raise CertificateError(
-            f"first factor squares to -I only within {sq:.3e}; sign convention violated"
-        )
-    _check(((s1 @ s2) - A).norm() / max(A.norm(), 1e-300), "skew factor product")
-    return s1, s2
+    return _skew_pair(A, s2)[0], s2
 
 
 def is_strongly_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
@@ -311,10 +328,8 @@ def involution_reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
         raise NotStronglyReversible(
             "no involution reverses this conjugacy class (interior angle present)"
         )
-    g = _into_frame(data, shape.perm, _involution_reverser_canonical(shape, tol))
-    _check(_residual_conjugation(g, A, inverse(A)), "involution conjugation")
-    _check(_residual_square(g, 1.0), "involution square")
-    return g
+    g0 = _involution_reverser_canonical(shape, tol)
+    return _witness(A, data, shape, g0, inverse(A), 1.0, "involution")[0]
 
 
 def is_negative_reversible(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
@@ -330,10 +345,8 @@ def negative_reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     shape = _match_negative_shape(data, tol)
     if shape is None:
         raise NotReversible("Jordan blocks do not pair into a negative-reversible shape")
-    g = _into_frame(data, shape.perm, _negative_reverser_canonical(shape))
-    _check(_residual_conjugation(g, A, -inverse(A)), "negative-reverser conjugation")
-    _check(_residual_square(g, 1.0), "negative-reverser square")
-    return g
+    g0 = _negative_reverser_canonical(shape)
+    return _witness(A, data, shape, g0, -inverse(A), 1.0, "negative-reverser")[0]
 
 
 def reverser_equation_basis(A: QMatrix3, tol: float = DEFAULT_TOL):
@@ -349,24 +362,8 @@ def reverser_equation_basis(A: QMatrix3, tol: float = DEFAULT_TOL):
     def op(m: QMatrix3) -> QMatrix3:
         return m @ A - A_inv @ m
 
-    basis = []
-    cols = []
-    for i in range(3):
-        for j in range(3):
-            for comp in range(4):
-                b = QMatrix3.zeros()
-                vals = [0.0, 0.0, 0.0, 0.0]
-                vals[comp] = 1.0
-                b[i, j] = Quaternion(*vals)
-                basis.append(b)
-                out = op(b)
-                col = []
-                for r in range(3):
-                    for c in range(3):
-                        q = out[r, c]
-                        col.extend([q.w, q.x, q.y, q.z])
-                cols.append(col)
-    mat = np.array(cols).T  # 36 x 36, columns indexed by basis elements
+    basis = _x_basis()
+    mat = np.array([_vec36(op(b)) for b in basis]).T  # 36 x 36, columns indexed by basis elements
     _, s, vh = np.linalg.svd(mat)
     thr = max(1e-8 * s[0], 1e3 * tol)
     null = [vh[k] for k in range(len(s)) if s[k] < thr] + [
@@ -404,37 +401,40 @@ def psl_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> ReversibilityReport:
     """
     require_unimodular(A, tol)
     data = jordan_form(A, tol)
-    rev = _match_reversible_shape(data, tol) is not None
-    strong = _strong_shape(data, tol) is not None if rev else False
-    neg = _match_negative_shape(data, tol) is not None
+    rev_shape = _match_reversible_shape(data, tol)
+    neg_shape = _match_negative_shape(data, tol)
+    rev = rev_shape is not None
+    neg = neg_shape is not None
 
     report = ReversibilityReport(
         reversible_sl=rev,
-        strongly_reversible_sl=strong,
+        strongly_reversible_sl=rev and _strong_shape(data, tol) is not None,
         negative_reversible=neg,
         reversible_psl=rev or neg,
     )
 
     if rev:
-        g = reverser(A, tol)
-        report.reverser = g
+        g0 = _skew_reverser_canonical(rev_shape)
+        g, conj, square = _witness(A, data, rev_shape, g0, inverse(A), -1.0, "reverser")
+        s1, product, square_1 = _skew_pair(A, g)
         report.reverser_kind = "skew-involution"
-        report.residuals["reverser_conjugation"] = _residual_conjugation(g, A, inverse(A))
-        report.residuals["reverser_square"] = _residual_square(g, -1.0)
-        s1, s2 = two_skew_involutions(A, tol)
-        report.psl_involution_pair = (s1, s2)
-        report.residuals["pair_product"] = ((s1 @ s2) - A).norm() / max(A.norm(), 1e-300)
-        report.residuals["pair_square_1"] = _residual_square(s1, -1.0)
-        report.residuals["pair_square_2"] = _residual_square(s2, -1.0)
     elif neg:
-        g = negative_reverser(A, tol)
-        report.reverser = g
+        A_inv = inverse(A)
+        g0 = _negative_reverser_canonical(neg_shape)
+        g, conj, square = _witness(A, data, neg_shape, g0, -A_inv, 1.0, "negative-reverser")
+        s1 = -(inverse(g) @ A_inv)
+        product = _residual_product(s1, g, A)
+        square_1 = _residual_square(s1, -1.0)
         report.reverser_kind = "involution"
-        report.residuals["reverser_conjugation"] = _residual_conjugation(g, A, -inverse(A))
-        report.residuals["reverser_square"] = _residual_square(g, 1.0)
-        p1 = -(inverse(g) @ inverse(A))
-        report.psl_involution_pair = (p1, g)
-        report.residuals["pair_product"] = ((p1 @ g) - A).norm() / max(A.norm(), 1e-300)
-        report.residuals["pair_square_1"] = _residual_square(p1, -1.0)
-        report.residuals["pair_square_2"] = _residual_square(g, 1.0)
+    else:
+        return report
+    report.reverser = g
+    report.psl_involution_pair = (s1, g)
+    report.residuals = {
+        "reverser_conjugation": conj,
+        "reverser_square": square,
+        "pair_product": product,
+        "pair_square_1": square_1,
+        "pair_square_2": square,
+    }
     return report

@@ -53,20 +53,15 @@ class JordanData:
     shape_id: str  # "diag" | "j2" | "j3"
     residual: float
 
-    def classes(self) -> list[EigenClass]:
-        grouped: dict[tuple, list[int]] = {}
-        order = []
+    def class_sizes(self) -> list[tuple[ClassRep, list[int]]]:
+        """Jordan block sizes per eigenvalue class, classes in block order."""
+        grouped: dict[ClassRep, list[int]] = {}
         for rep, size in self.blocks:
-            key = (rep.re, rep.im)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(size)
-        out = []
-        for key in order:
-            sizes = grouped[key]
-            out.append(EigenClass(ClassRep(*key), sum(sizes), len(sizes)))
-        return out
+            grouped.setdefault(rep, []).append(size)
+        return list(grouped.items())
+
+    def classes(self) -> list[EigenClass]:
+        return [EigenClass(rep, sum(sizes), len(sizes)) for rep, sizes in self.class_sizes()]
 
     def jordan_matrix(self) -> QMatrix3:
         return _assemble_jordan(self.blocks)
@@ -720,20 +715,13 @@ def minimal_poly_structure(A: QMatrix3, tol: float = DEFAULT_TOL):
     d = max(degree * power); for real-spectrum matrices d is the largest
     Jordan block size.
     """
-    data = jordan_form(A, tol)
-    top: dict[tuple, int] = {}
-    order = []
-    for rep, size in data.blocks:
-        key = (rep.re, rep.im)
-        if key not in top:
-            order.append(key)
-            top[key] = size
-        else:
-            top[key] = max(top[key], size)
+    return _minimal_poly_from_data(jordan_form(A, tol), tol)
+
+
+def _minimal_poly_from_data(data: JordanData, tol: float):
     factors = []
-    for key in order:
-        rep = ClassRep(*key)
+    for rep, sizes in data.class_sizes():
         real = rep.im <= 1e3 * tol * max(1.0, rep.modulus())
-        factors.append((1 if real else 2, top[key]))
+        factors.append((1 if real else 2, max(sizes)))
     d = max(degree * power for degree, power in factors)
     return factors, d

@@ -7,6 +7,7 @@ Seeds are fixed so the suite is reproducible.
 import time
 
 import numpy as np
+import pytest
 
 from qproj import (
     QMatrix3,
@@ -39,6 +40,8 @@ from qproj.generate import (
     strong_shape,
 )
 from oracles import classify_real_by_roots, cubic_discriminant_from_roots
+
+pytestmark = pytest.mark.acceptance
 
 I3 = QMatrix3.identity()
 

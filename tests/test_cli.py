@@ -1,11 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qproj import QMatrix3
 from qproj.cli import main
-from qproj.generate import DYNAMICAL_TYPES, generate
+from qproj.generate import (
+    DYNAMICAL_TYPES,
+    conjugated,
+    generate,
+    negative_shape,
+    nonstrong_shape,
+)
 
 
 @pytest.fixture
@@ -172,3 +179,16 @@ def test_all_gen_types_roundtrip(runner, tmp_path):
         # verify understands generated payloads too
         res = runner.invoke(main, ["verify", str(path)])
         assert res.exit_code == 0, f"verify gen {type_name}: {res.output}"
+
+
+def test_unpaired_nonreal_blocks_classify_and_decompose(runner, tmp_path):
+    rng = np.random.default_rng(3)
+    for canon in (nonstrong_shape("7", rng), negative_shape("iii", rng)):
+        path = write_matrix(tmp_path, conjugated(canon, rng)[0])
+        for cmd in ("classify", "decompose"):
+            res = runner.invoke(main, [cmd, path])
+            assert res.exit_code == 0, f"{cmd}: {res.output}"
+            report_path = tmp_path / f"{cmd}-report.json"
+            report_path.write_text(res.output)
+            res = runner.invoke(main, ["verify", str(report_path)])
+            assert res.exit_code == 0, f"verify {cmd}: {res.output}"

@@ -4,6 +4,7 @@ import pytest
 from qproj import (
     NotSimple,
     QMatrix3,
+    classification_report,
     decompose_simple,
     det_h,
     inverse,
@@ -173,3 +174,18 @@ def test_decomposition_serialization(rng):
     for f in back:
         prod = prod @ f
     assert (prod - a).norm() / a.norm() < 1e-7
+
+
+@pytest.mark.parametrize("canon", [j2(e(1.1), e(1.1)), j2(1j, 1j)], ids=["J2(l)+l", "J2(i)+i"])
+def test_unpaired_nonreal_blocks_are_not_simple(canon, rng):
+    for a in (canon, conjugated(canon, rng)[0]):
+        assert not is_simple(a)
+        rep = classification_report(a)
+        assert rep["minor"] == "ElliptoParabolic"
+        assert rep["f"] is None
+        dec = decompose_simple(a)
+        assert len(dec) == 3
+        assert (dec.product() - a).norm() / a.norm() < 1e-8
+        for f, cert in zip(dec.factors, dec.certificates):
+            assert is_simple(f)
+            assert cert.residual < 1e-8
