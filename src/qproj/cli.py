@@ -20,13 +20,13 @@ import numpy as np
 
 from . import __version__
 from .classify import classification_report
-from .decompose import decompose_simple, is_simple, realify
+from .decompose import _is_simple_data, _realify_from_data, decompose_simple, is_simple
 from .errors import QprojError
 from .generate import DYNAMICAL_TYPES, generate
 from .matrix import QMatrix3, det_h, inverse, normalize_to_sl
 from .quaternion import DEFAULT_TOL, ClassRep
 from .reversibility import psl_report
-from .spectral import _assemble_jordan
+from .spectral import _assemble_jordan, jordan_form
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -216,10 +216,11 @@ def simple_check_cmd(tol, as_json, path):
     tol = tol if tol is not None else _default_tol()
 
     def worker(a, tol):
-        simple = is_simple(a, tol)
+        data = jordan_form(a, tol)
+        simple = _is_simple_data(data, tol)
         rep = {"kind": "simple-check", "simple": simple, "certificate": None}
         if simple:
-            rep["certificate"] = realify(a, tol).to_json_dict()
+            rep["certificate"] = _realify_from_data(a, data, tol).to_json_dict()
         return rep
 
     def text(rep):
@@ -249,7 +250,7 @@ def gen_cmd(type_name, seed, as_json):
     _wrap_errors(run)
 
 
-def _verify_close(actual, expected, gate, label, failures):
+def _verify_close(actual, gate, label, failures):
     if not actual <= gate:
         failures.append(f"{label}: residual {actual:.3e} exceeds {gate:.1e}")
 
@@ -274,7 +275,7 @@ def _replay_report(rep, failures):
         S = QMatrix3.from_json_dict(jd["S"])
         J = _assemble_jordan([(ClassRep(b["re"], b["im"]), b["size"]) for b in jd["blocks"]])
         recon = S @ J @ inverse(S)
-        _verify_close((a - recon).norm() / a.norm(), 0, gate, "jordan reconstruction", failures)
+        _verify_close((a - recon).norm() / a.norm(), gate, "jordan reconstruction", failures)
         verdict = classification_report(a, tol)
         if (verdict["major"], verdict["minor"]) != (rep["major"], rep["minor"]):
             failures.append(
@@ -288,21 +289,21 @@ def _replay_report(rep, failures):
             a_inv = inverse(a)
             target = a_inv if rep["reversible_sl"] else -1.0 * a_inv
             _verify_close(
-                (g @ a @ inverse(g) - target).norm() / target.norm(), 0, gate,
+                (g @ a @ inverse(g) - target).norm() / target.norm(), gate,
                 "reverser conjugation", failures,
             )
             sign = -1.0 if rep["reverser_kind"] == "skew-involution" else 1.0
-            _verify_close((g @ g - sign * ident).norm(), 0, gate, "reverser square", failures)
+            _verify_close((g @ g - sign * ident).norm(), gate, "reverser square", failures)
         if rep["psl_involution_pair"] is not None:
             p1 = QMatrix3.from_json_dict(rep["psl_involution_pair"][0])
             p2 = QMatrix3.from_json_dict(rep["psl_involution_pair"][1])
             prod = p1 @ p2
             ok = min((prod - a).norm(), (prod + a).norm()) / a.norm()
-            _verify_close(ok, 0, gate, "pair product", failures)
+            _verify_close(ok, gate, "pair product", failures)
             for k, p in enumerate((p1, p2)):
                 sq = p @ p
                 res = min((sq - ident).norm(), (sq + ident).norm())
-                _verify_close(res, 0, gate, f"pair square {k + 1}", failures)
+                _verify_close(res, gate, f"pair square {k + 1}", failures)
     elif kind == "decomposition":
         factors = [QMatrix3.from_json_dict(f) for f in rep["factors"]]
         if len(factors) > 4:
@@ -310,13 +311,13 @@ def _replay_report(rep, failures):
         prod = QMatrix3.identity()
         for f in factors:
             prod = prod @ f
-        _verify_close((prod - a).norm() / a.norm(), 0, gate, "factor product", failures)
+        _verify_close((prod - a).norm() / a.norm(), gate, "factor product", failures)
         for k, (f, cert) in enumerate(zip(factors, rep["certificates"])):
             T = QMatrix3.from_json_dict(cert["T"])
             B = QMatrix3.from_real(np.array(cert["B"], dtype=float))
             recon = T @ B @ inverse(T)
             _verify_close(
-                (recon - f).norm() / max(f.norm(), 1e-300), 0, gate,
+                (recon - f).norm() / max(f.norm(), 1e-300), gate,
                 f"factor {k} real conjugate", failures,
             )
     elif kind == "simple-check":
@@ -328,7 +329,7 @@ def _replay_report(rep, failures):
             T = QMatrix3.from_json_dict(cert["T"])
             B = QMatrix3.from_real(np.array(cert["B"], dtype=float))
             recon = T @ B @ inverse(T)
-            _verify_close((recon - a).norm() / a.norm(), 0, gate, "real conjugate", failures)
+            _verify_close((recon - a).norm() / a.norm(), gate, "real conjugate", failures)
     else:
         failures.append(f"unknown report kind {kind!r}")
 

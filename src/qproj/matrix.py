@@ -17,6 +17,12 @@ from .quaternion import DEFAULT_TOL, Quaternion
 _SHAPE = (3, 3)
 
 
+def _qmul(a1, b1, a2, b2):
+    """Complex blocks of (A1 + B1 j)(A2 + B2 j); broadcasts over stacks of blocks."""
+    # (A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j
+    return a1 @ a2 - b1 @ b2.conj(), a1 @ b2 + b1 @ a2.conj()
+
+
 class QMatrix3:
     """A 3x3 matrix over the quaternions acting on column vectors.
 
@@ -99,10 +105,7 @@ class QMatrix3:
         return QMatrix3(-self.a, -self.b)
 
     def __matmul__(self, other: "QMatrix3") -> "QMatrix3":
-        # (A1 + A2 j)(B1 + B2 j) = (A1 B1 - A2 conj(B2)) + (A1 B2 + A2 conj(B1)) j
-        a = self.a @ other.a - self.b @ other.b.conj()
-        b = self.a @ other.b + self.b @ other.a.conj()
-        return QMatrix3(a, b)
+        return QMatrix3(*_qmul(self.a, self.b, other.a, other.b))
 
     def __mul__(self, scalar) -> "QMatrix3":
         """Left multiplication by a central (real) scalar."""

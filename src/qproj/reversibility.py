@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CertificateError, NotReversible, NotStronglyReversible
 from .matrix import QMatrix3, inverse, require_unimodular
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
-from .spectral import JordanData, _vec36, _x_basis, jordan_form
+from .spectral import JordanData, _sylvester_op, _unvec36, jordan_form
 
 _J = Quaternion(0.0, 0.0, 1.0, 0.0)
 
@@ -170,7 +170,7 @@ def _skew_reverser_canonical(shape: _Shape) -> QMatrix3:
     return g
 
 
-def _involution_reverser_canonical(shape: _Shape, tol: float) -> QMatrix3:
+def _involution_reverser_canonical(shape: _Shape) -> QMatrix3:
     g = QMatrix3.zeros()
     if shape.kind in ("diag-unit", "diag-pair"):
         # pair in slots 0, 1; boundary singleton in slot 2
@@ -328,7 +328,7 @@ def involution_reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
         raise NotStronglyReversible(
             "no involution reverses this conjugacy class (interior angle present)"
         )
-    g0 = _involution_reverser_canonical(shape, tol)
+    g0 = _involution_reverser_canonical(shape)
     return _witness(A, data, shape, g0, inverse(A), 1.0, "involution")[0]
 
 
@@ -357,36 +357,22 @@ def reverser_equation_basis(A: QMatrix3, tol: float = DEFAULT_TOL):
     the shape classifiers: for the non-strongly-reversible shapes no solution
     is an involution, which tests sample from this space.
     """
-    A_inv = inverse(A)
+    return [_unvec36(row) for row in _reverser_null_rows(A, tol)]
 
-    def op(m: QMatrix3) -> QMatrix3:
-        return m @ A - A_inv @ m
 
-    basis = _x_basis()
-    mat = np.array([_vec36(op(b)) for b in basis]).T  # 36 x 36, columns indexed by basis elements
-    _, s, vh = np.linalg.svd(mat)
-    thr = max(1e-8 * s[0], 1e3 * tol)
-    null = [vh[k] for k in range(len(s)) if s[k] < thr] + [
-        vh[k] for k in range(mat.shape[1] - len(s))
-    ]
-    solutions = []
-    for coeffs in null:
-        g = QMatrix3.zeros()
-        for coeff, b in zip(coeffs, basis):
-            g = g + float(coeff) * b
-        solutions.append(g)
-    return solutions
+def _reverser_null_rows(A: QMatrix3, tol: float) -> np.ndarray:
+    """The basis of reverser_equation_basis as rows of _vec36 coordinates."""
+    # X -> (-A^-1) X - X (-A) = X A - A^-1 X
+    _, s, vh = np.linalg.svd(_sylvester_op(-inverse(A), -A))
+    return vh[s < max(1e-8 * s[0], 1e3 * tol)]
 
 
 def random_reverser_solution(A: QMatrix3, rng, tol: float = DEFAULT_TOL) -> QMatrix3:
     """A random unit-norm element of the solution space of g A = A^-1 g."""
-    basis = reverser_equation_basis(A, tol)
-    if not basis:
+    rows = _reverser_null_rows(A, tol)
+    if not len(rows):
         return QMatrix3.zeros()
-    coeffs = rng.standard_normal(len(basis))
-    g = QMatrix3.zeros()
-    for c, b in zip(coeffs, basis):
-        g = g + float(c) * b
+    g = _unvec36(rng.standard_normal(len(rows)) @ rows)
     n = g.norm()
     return g * (1.0 / n) if n > 0 else g
 

@@ -25,12 +25,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditioned, LiftFailure, Singular, SpectralFailure
-from .matrix import QMatrix3, det_h, inverse
+from .matrix import QMatrix3, _qmul, det_h, inverse
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 
 # Accept a candidate immediately when its relative residual is this good;
 # otherwise all candidates are scored and the best one wins.
 _EARLY_ACCEPT = 1e-10
+# Gauss-Newton steps of the Sylvester polish at most.
+_POLISH_ITERATIONS = 16
 # Largest eigenvalue-gap (relative to spectral scale) that clustering may bridge.
 _MERGE_CAP = 3e-2
 
@@ -115,9 +117,8 @@ def _partitions_from_points(pts, tol_abs, scale):
     an odd-sized cluster cannot be conjugate-closed and are dropped.
     """
     n = len(pts)
-    dists = np.array(
-        [[np.hypot(*(pts[i] - pts[j])) for j in range(n)] for i in range(n)]
-    )
+    diff = pts[:, None] - pts[None, :]
+    dists = np.hypot(diff[..., 0], diff[..., 1])
     base = max(10.0 * tol_abs, 1e4 * np.finfo(float).eps * scale)
     levels = [base]
     gaps = sorted({d for i in range(n) for d in dists[i, i + 1 :] if base < d <= _MERGE_CAP * scale})
@@ -356,7 +357,7 @@ def _realness_options(eigs, clusters, level, scale):
     return options
 
 
-def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, scale, realness):
+def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness):
     pts = _class_points(eigs)
     specs = []
     for cluster, real_class in zip(clusters, realness):
@@ -370,9 +371,8 @@ def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, scale, realnes
     # assign every adjoint eigenvalue to its nearest class centroid; counts
     # must reproduce the clustering or the candidate is inconsistent
     centroids = np.array([spec[3] for spec in specs])
-    assign = np.array(
-        [int(np.argmin(np.hypot(*(centroids - pts[i]).T))) for i in range(len(eigs))]
-    )
+    diff = centroids[None, :] - pts[:, None]
+    assign = np.argmin(np.hypot(diff[..., 0], diff[..., 1]), axis=1)
     for c, cluster in enumerate(clusters):
         if sorted(np.nonzero(assign == c)[0].tolist()) != sorted(cluster):
             raise _CandidateFailed("eigenvalue assignment disagrees with clustering")
@@ -487,28 +487,29 @@ def _vec36(m: QMatrix3):
     return np.stack([m.a.real, m.a.imag, m.b.real, m.b.imag], axis=-1).ravel()
 
 
-def _x_basis():
-    basis = []
-    for i in range(3):
-        for j in range(3):
-            for comp in range(4):
-                b = QMatrix3.zeros()
-                vals = [0.0, 0.0, 0.0, 0.0]
-                vals[comp] = 1.0
-                b[i, j] = Quaternion(*vals)
-                basis.append(b)
-    return basis
+def _blocks36(v):
+    """Complex blocks (a, b) with _vec36 coordinates v; broadcasts over stacks."""
+    z = np.reshape(v, (*np.shape(v)[:-1], 3, 3, 4))
+    return z[..., 0] + 1j * z[..., 1], z[..., 2] + 1j * z[..., 3]
 
 
-def _class_column_masks(blocks):
-    """Column index sets of S grouped by eigenvalue class."""
-    masks: dict[tuple, list[int]] = {}
-    col = 0
-    for rep, size in blocks:
-        key = (rep.re, rep.im)
-        masks.setdefault(key, []).extend(range(col, col + size))
-        col += size
-    return list(masks.values())
+def _unvec36(v) -> QMatrix3:
+    """Inverse of _vec36."""
+    return QMatrix3(*_blocks36(v))
+
+
+# The 36 real unit directions of H^{3x3} as a stack of blocks, in _vec36 order.
+_DIRECTIONS = _blocks36(np.eye(36))
+_DIRECTIONS[0].setflags(write=False)
+_DIRECTIONS[1].setflags(write=False)
+
+
+def _sylvester_op(L: QMatrix3, R: QMatrix3) -> np.ndarray:
+    """36x36 real matrix of X -> L X - X R in _vec36 coordinates."""
+    la, lb = _qmul(L.a, L.b, *_DIRECTIONS)
+    ra, rb = _qmul(*_DIRECTIONS, R.a, R.b)
+    a, b = la - ra, lb - rb
+    return np.stack([a.real, a.imag, b.real, b.imag], axis=-1).reshape(36, 36).T
 
 
 def _fold_negative_classes(blocks, S):
@@ -533,7 +534,7 @@ def _fold_negative_classes(blocks, S):
     return fixed, S.scale_columns(scalars)
 
 
-def _sylvester_polish(A: QMatrix3, data: JordanData, max_iter=16):
+def _sylvester_polish(A: QMatrix3, data: JordanData):
     """Gauss-Newton refinement of (S, class representatives).
 
     Solves min ||R + JX - XJ - dJ||_F over quaternionic X and per-class
@@ -542,48 +543,35 @@ def _sylvester_polish(A: QMatrix3, data: JordanData, max_iter=16):
     well-conditioned candidate with a slightly wrong representative (e.g. a
     real reading of a tiny-angle class) slide onto the correct orbit.
     """
-    basis = _x_basis()
     best = data
 
-    for _ in range(max_iter):
+    for _ in range(_POLISH_ITERATIONS):
         J = best.jordan_matrix()
-        masks = _class_column_masks(best.blocks)
-        shift_dirs = []
-        for mask in masks:
-            for unit in (1.0, 1j):
-                d = QMatrix3.zeros()
-                for k in mask:
-                    d[k, k] = Quaternion.from_scalar(unit)
-                shift_dirs.append((mask, unit, d))
+        # class of every block, classes numbered in block order
+        classes: dict[ClassRep, int] = {}
+        block_class = [classes.setdefault(rep, len(classes)) for rep, _ in best.blocks]
+        column_class = np.repeat(block_class, [size for _, size in best.blocks])
+        # dJ per class: Re shift on the real direction, Im shift on the i
+        # direction of each diagonal entry (k, k), i.e. coordinates 16k, 16k + 1
+        shift = np.zeros((36, 2 * len(classes)))
+        diagonal = 16 * np.arange(3)
+        shift[diagonal, 2 * column_class] = 1.0
+        shift[diagonal + 1, 2 * column_class + 1] = 1.0
         try:
             S_inv = inverse(best.S, tol=1e-300)
         except Singular:
             return best
         R = (S_inv @ A @ best.S) - J
-        cols = [_vec36(J @ b - b @ J) for b in basis]
-        cols.extend(_vec36(-1.0 * d) for _, _, d in shift_dirs)
-        op = np.column_stack(cols)
+        op = np.hstack([_sylvester_op(J, J), -shift])
         sol, *_ = np.linalg.lstsq(op, -_vec36(R), rcond=None)
-
-        X = QMatrix3.zeros()
-        for coeff, b in zip(sol[: len(basis)], basis):
-            X = X + float(coeff) * b
-        shifts = sol[len(basis) :]
+        X = _unvec36(sol[:36])
+        shifts = sol[36:].reshape(-1, 2)
 
         def stepped(fraction):
-            new_blocks = list(best.blocks)
-            col = 0
-            ranges = []
-            for _, size in best.blocks:
-                ranges.append((col, col + size))
-                col += size
-            for (mask, unit, _), coeff in zip(shift_dirs, shifts):
-                delta = complex(unit) * float(coeff) * fraction
-                for bi, (lo, _) in enumerate(ranges):
-                    if lo in mask:
-                        rep, size = new_blocks[bi]
-                        lam = complex(rep.re, rep.im) + delta
-                        new_blocks[bi] = (ClassRep(lam.real, lam.imag), size)
+            new_blocks = []
+            for (rep, size), c in zip(best.blocks, block_class):
+                d_re, d_im = shifts[c] * fraction
+                new_blocks.append((ClassRep(rep.re + float(d_re), rep.im + float(d_im)), size))
             folded_blocks, s_candidate = _fold_negative_classes(
                 new_blocks, best.S @ (QMatrix3.identity() + fraction * X)
             )
@@ -646,9 +634,7 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     for clusters, level in partitions:
         for realness in itertools.product(*_realness_options(eigs, clusters, level, scale)):
             try:
-                data = _extract_candidate(
-                    A, T0, Z0, eigs, clusters, level, tol_abs, scale, realness
-                )
+                data = _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness)
             except _CandidateFailed:
                 continue
             if 1e-12 < data.residual <= 1e-1:

@@ -144,3 +144,22 @@ def classify_real_by_roots(a: np.ndarray, tol: float = 1e-3) -> Minor:
 def char_poly_from_diag(diag6) -> np.ndarray:
     """Monic degree-6 coefficients from explicit adjoint eigenvalues."""
     return np.real_if_close(np.poly(np.asarray(diag6, dtype=complex)), tol=1e6)
+
+
+def sylvester_matrix(L: QMatrix3, R: QMatrix3) -> np.ndarray:
+    """36x36 real matrix of X -> L X - X R, one column per real unit direction.
+
+    Columns run over entries (i, j) in row-major order and, within an entry,
+    over the components 1, i, j, k; rows use the same coordinates.
+    """
+    cols = []
+    for i in range(3):
+        for j in range(3):
+            for comp in range(4):
+                e = QMatrix3.zeros()
+                unit = [0.0, 0.0, 0.0, 0.0]
+                unit[comp] = 1.0
+                e[i, j] = Quaternion(*unit)
+                image = L @ e - e @ R
+                cols.append([c for r in range(3) for s in range(3) for c in image[r, s].to_list()])
+    return np.array(cols).T

@@ -4,12 +4,15 @@
 call made through any module's import is counted.
 """
 
+import json
 import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from qproj import classification_report, decompose_simple, psl_report, spectral
+from qproj import QMatrix3, classification_report, decompose_simple, psl_report, spectral
+from qproj.cli import main
 from qproj.generate import conjugated, generate, negative_shape, reversible_shape
 
 
@@ -59,3 +62,11 @@ def test_one_extraction_per_decomposition(jordan_calls, type_name):
     for f, cert in zip(dec.factors, dec.certificates):
         assert cert.residual < 1e-8
         assert cert.verify(f) == cert.residual
+
+
+def test_one_extraction_per_simple_check(jordan_calls):
+    a, _ = conjugated(QMatrix3.diag(1j, 1j, 1), np.random.default_rng(3))
+    res = CliRunner().invoke(main, ["simple-check", "-"], input=json.dumps(a.to_json_dict()))
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["simple"] is True
+    assert len(jordan_calls) == 1

@@ -27,6 +27,7 @@ from qproj.generate import (
     reversible_shape,
     strong_shape,
 )
+from qproj.spectral import _vec36
 
 J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)
@@ -252,3 +253,15 @@ def test_two_skew_sign_guard():
     a = QMatrix3.diag(2, 0.5, 1)
     s1, s2 = two_skew_involutions(a)
     assert ((s1 @ s2) - a).norm() < 1e-9
+
+
+@pytest.mark.parametrize("sampler,kind", [(nonstrong_shape, "7"), (reversible_shape, "iii")])
+def test_reverser_equation_basis_solves_and_is_orthonormal(rng, sampler, kind):
+    a, _ = conjugated(sampler(kind, rng), rng)
+    a_inv = inverse(a)
+    basis = reverser_equation_basis(a)
+    assert basis
+    for g in basis:
+        assert (g @ a - a_inv @ g).norm() <= 1e-9 * max(1.0, a.norm())
+    coords = np.array([_vec36(g) for g in basis])
+    assert np.allclose(coords @ coords.T, np.eye(len(basis)), atol=1e-12)

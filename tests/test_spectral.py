@@ -15,6 +15,10 @@ from qproj import (
     right_eigenvalues,
 )
 from qproj.generate import conjugated, random_conjugator
+from qproj.spectral import _sylvester_op, _unvec36, _vec36
+
+from oracles import sylvester_matrix
+from test_matrix import random_qmatrix
 
 J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)
@@ -210,3 +214,21 @@ def test_jordan_serialization(rng):
     assert d["shape"] == "diag"
     assert len(d["blocks"]) == 3
     assert QMatrix3.from_json_dict(d["S"]).isclose(data.S)
+
+
+def test_sylvester_op_matches_direction_loop(rng):
+    pairs = [(random_qmatrix(rng), random_qmatrix(rng)) for _ in range(5)]
+    for shape in (j2(e(0.8), e(2.0)), j3(2 * e(1.4))):
+        jm = jordan_form(shape).jordan_matrix()
+        pairs.append((jm, jm))
+    for L, R in pairs:
+        assert np.array_equal(_sylvester_op(L, R), sylvester_matrix(L, R))
+
+
+def test_unvec36_roundtrip(rng):
+    for _ in range(5):
+        m = random_qmatrix(rng)
+        back = _unvec36(_vec36(m))
+        assert np.array_equal(back.a, m.a) and np.array_equal(back.b, m.b)
+        v = rng.standard_normal(36)
+        assert np.array_equal(_vec36(_unvec36(v)), v)
