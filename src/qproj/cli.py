@@ -21,9 +21,10 @@ import numpy as np
 from . import __version__
 from .classify import classification_report
 from .decompose import _is_simple_data, _realify_from_data, decompose_simple, is_simple
-from .errors import QprojError
+from .errors import CertificateError, QprojError
 from .generate import DYNAMICAL_TYPES, generate
-from .matrix import QMatrix3, det_h, inverse, normalize_to_sl
+from .matrix import (QMatrix3, check_certificate, conjugation_residual, det_h, inverse,
+                     normalize_to_sl, product_residual, replay_gate, square_residual)
 from .quaternion import DEFAULT_TOL, ClassRep
 from .reversibility import psl_report
 from .spectral import _assemble_jordan, jordan_form
@@ -250,15 +251,16 @@ def gen_cmd(type_name, seed, as_json):
     _wrap_errors(run)
 
 
-def _verify_close(actual, gate, label, failures):
-    if not actual <= gate:
-        failures.append(f"{label}: residual {actual:.3e} exceeds {gate:.1e}")
-
-
 def _replay_report(rep, failures):
     kind = rep.get("kind")
     tol = float(rep.get("tolerance", DEFAULT_TOL))
-    gate = max(1e-8, 1e3 * tol)
+
+    def check(residual, what):
+        try:
+            check_certificate(residual, what, replay_gate(tol))
+        except CertificateError as exc:
+            failures.append(str(exc))
+
     if kind == "generated":
         a = QMatrix3.from_json_dict(rep)
         verdict = classification_report(a, tol)
@@ -269,13 +271,13 @@ def _replay_report(rep, failures):
         failures.append(f"report of kind {kind!r} carries no input matrix")
         return
     a = QMatrix3.from_json_dict(rep["input"])
+    real_conjugates = []  # (what, matrix, certificate JSON)
 
     if kind == "classification":
         jd = rep["jordan"]
         S = QMatrix3.from_json_dict(jd["S"])
         J = _assemble_jordan([(ClassRep(b["re"], b["im"]), b["size"]) for b in jd["blocks"]])
-        recon = S @ J @ inverse(S)
-        _verify_close((a - recon).norm() / a.norm(), gate, "jordan reconstruction", failures)
+        check(conjugation_residual(S, J, a), "jordan reconstruction")
         verdict = classification_report(a, tol)
         if (verdict["major"], verdict["minor"]) != (rep["major"], rep["minor"]):
             failures.append(
@@ -283,55 +285,41 @@ def _replay_report(rep, failures):
                 f"{verdict['major']}/{verdict['minor']}"
             )
     elif kind == "reversibility":
-        ident = QMatrix3.identity()
+        # the signs the library certifies: g^2 = -I for a skew-involution and
+        # +I for an involution, s1^2 = -I, and s1 s2 = A (not -A)
+        sign = -1.0 if rep["reverser_kind"] == "skew-involution" else 1.0
         if rep["reverser"] is not None:
             g = QMatrix3.from_json_dict(rep["reverser"])
-            a_inv = inverse(a)
-            target = a_inv if rep["reversible_sl"] else -1.0 * a_inv
-            _verify_close(
-                (g @ a @ inverse(g) - target).norm() / target.norm(), gate,
-                "reverser conjugation", failures,
-            )
-            sign = -1.0 if rep["reverser_kind"] == "skew-involution" else 1.0
-            _verify_close((g @ g - sign * ident).norm(), gate, "reverser square", failures)
+            target = inverse(a) if rep["reversible_sl"] else -inverse(a)
+            check(conjugation_residual(g, a, target), "reverser conjugation")
+            check(square_residual(g, sign), "reverser square")
         if rep["psl_involution_pair"] is not None:
-            p1 = QMatrix3.from_json_dict(rep["psl_involution_pair"][0])
-            p2 = QMatrix3.from_json_dict(rep["psl_involution_pair"][1])
-            prod = p1 @ p2
-            ok = min((prod - a).norm(), (prod + a).norm()) / a.norm()
-            _verify_close(ok, gate, "pair product", failures)
-            for k, p in enumerate((p1, p2)):
-                sq = p @ p
-                res = min((sq - ident).norm(), (sq + ident).norm())
-                _verify_close(res, gate, f"pair square {k + 1}", failures)
+            s1, s2 = (QMatrix3.from_json_dict(m) for m in rep["psl_involution_pair"])
+            check(product_residual([s1, s2], a), "pair product")
+            check(square_residual(s1, -1.0), "pair square 1")
+            check(square_residual(s2, sign), "pair square 2")
     elif kind == "decomposition":
         factors = [QMatrix3.from_json_dict(f) for f in rep["factors"]]
         if len(factors) > 4:
             failures.append(f"{len(factors)} factors exceed the bound of four")
-        prod = QMatrix3.identity()
-        for f in factors:
-            prod = prod @ f
-        _verify_close((prod - a).norm() / a.norm(), gate, "factor product", failures)
-        for k, (f, cert) in enumerate(zip(factors, rep["certificates"])):
-            T = QMatrix3.from_json_dict(cert["T"])
-            B = QMatrix3.from_real(np.array(cert["B"], dtype=float))
-            recon = T @ B @ inverse(T)
-            _verify_close(
-                (recon - f).norm() / max(f.norm(), 1e-300), gate,
-                f"factor {k} real conjugate", failures,
-            )
+        check(product_residual(factors, a), "factor product")
+        real_conjugates = [
+            (f"factor {k} real conjugate", f, cert)
+            for k, (f, cert) in enumerate(zip(factors, rep["certificates"]))
+        ]
     elif kind == "simple-check":
         simple = is_simple(a, tol)
         if simple != rep["simple"]:
             failures.append(f"simple-check flag {rep['simple']} recomputed as {simple}")
         if rep["certificate"] is not None:
-            cert = rep["certificate"]
-            T = QMatrix3.from_json_dict(cert["T"])
-            B = QMatrix3.from_real(np.array(cert["B"], dtype=float))
-            recon = T @ B @ inverse(T)
-            _verify_close((recon - a).norm() / a.norm(), gate, "real conjugate", failures)
+            real_conjugates = [("real conjugate", a, rep["certificate"])]
     else:
         failures.append(f"unknown report kind {kind!r}")
+
+    for what, m, cert in real_conjugates:
+        T = QMatrix3.from_json_dict(cert["T"])
+        B = QMatrix3.from_real(np.array(cert["B"], dtype=float))
+        check(conjugation_residual(T, B, m), what)
 
 
 @main.command("verify")

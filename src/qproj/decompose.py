@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateError, NotSimple
-from .matrix import QMatrix3, inverse, require_unimodular
-from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
+from .errors import NotSimple
+from .matrix import (QMatrix3, check_certificate, conjugation_residual, inverse, product_residual,
+                     require_unimodular)
+from .quaternion import DEFAULT_TOL, Quaternion
 from .spectral import JordanData, jordan_form
 
 _J = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -45,8 +46,7 @@ class SimpleCertificate:
     residual: float = 0.0
 
     def verify(self, A: QMatrix3, tol: float = DEFAULT_TOL) -> float:
-        recon = self.T @ QMatrix3.from_real(self.B) @ inverse(self.T)
-        return (A - recon).norm() / max(A.norm(), 1e-300)
+        return conjugation_residual(self.T, QMatrix3.from_real(self.B), A)
 
     def to_json_dict(self) -> dict:
         return {
@@ -81,10 +81,6 @@ class Decomposition:
         }
 
 
-def _rep_is_real(rep: ClassRep, tol: float) -> bool:
-    return rep.im <= 1e3 * tol * max(1.0, rep.modulus())
-
-
 def is_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
     """True iff A is conjugate to a real matrix (non-real blocks pair up by size)."""
     require_unimodular(A, tol)
@@ -95,7 +91,7 @@ def _is_simple_data(data: JordanData, tol: float) -> bool:
     # a non-real class is simple only when its blocks pair up by size: one
     # J2(λ) next to one λ is two blocks, but no real matrix has that shape
     for rep, sizes in data.class_sizes():
-        if _rep_is_real(rep, tol):
+        if rep.is_real(tol):
             continue
         if any(sizes.count(size) % 2 for size in sizes):
             return False
@@ -121,11 +117,7 @@ def _realify_from_data(A: QMatrix3, data: JordanData | None, tol: float) -> Simp
 
 
 def _checked(A: QMatrix3, cert: SimpleCertificate) -> SimpleCertificate:
-    cert.residual = cert.verify(A)
-    if cert.residual > 1e-5:
-        raise CertificateError(
-            f"real-conjugate certificate residual {cert.residual:.3e} is out of range"
-        )
+    cert.residual = check_certificate(cert.verify(A), "real-conjugate certificate")
     return cert
 
 
@@ -134,14 +126,14 @@ def _realify_data(A: QMatrix3, data: JordanData, tol: float) -> SimpleCertificat
         raise NotSimple("a non-real class has Jordan blocks that do not pair up by size")
 
     reps = [rep for rep, _ in data.blocks]
-    if all(_rep_is_real(rep, tol) for rep in reps):
+    if all(rep.is_real(tol) for rep in reps):
         B = data.jordan_matrix().real_part()
         return SimpleCertificate(data.S, B)
 
     # diag(λ, λ, μ) with λ non-real: the pair occupies adjacent columns
     pair_pos = None
     for k in range(2):
-        if not _rep_is_real(reps[k], tol) and reps[k].isclose(reps[k + 1], 1e3 * tol):
+        if not reps[k].is_real(tol) and reps[k].isclose(reps[k + 1], 1e3 * tol):
             pair_pos = k
             break
     if pair_pos is None:
@@ -288,7 +280,7 @@ def _canonical_factors(data: JordanData, tol: float):
     blocks = data.blocks
     reps = [rep for rep, _ in blocks]
     moduli = [rep.modulus() for rep in reps]
-    unit = all(abs(m - 1.0) <= 1e3 * tol * max(1.0, m) for m in moduli)
+    unit = all(rep.is_unit(tol) for rep in reps)
     shape = data.shape_id
 
     if shape == "diag":
@@ -348,12 +340,5 @@ def decompose_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> Decomposition:
         factors.append(factor)
         certificates.append(_checked(factor, SimpleCertificate(S @ T, B)))
 
-    product = QMatrix3.identity()
-    for f in factors:
-        product = product @ f
-    residual = (A - product).norm() / max(A.norm(), 1e-300)
-    if residual > 1e-5:
-        raise CertificateError(
-            f"factor product residual {residual:.3e} is out of range"
-        )
+    residual = check_certificate(product_residual(factors, A), "factor product")
     return Decomposition(factors, certificates, residual)

@@ -9,12 +9,18 @@ conditioning of standard complex dense routines.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import NonRealCoefficient, NotUnimodular, Singular
+from .errors import CertificateError, NonRealCoefficient, NotUnimodular, Singular
 from .quaternion import DEFAULT_TOL, Quaternion
 
 _SHAPE = (3, 3)
+
+# A witness is returned only when its residual is below BUILD_GATE; `qproj
+# verify` replays a report made at tolerance tol against replay_gate(tol).
+BUILD_GATE = 1e-5
 
 
 def _qmul(a1, b1, a2, b2):
@@ -154,24 +160,42 @@ class QMatrix3:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "matrix": [[self[i, j].to_list() for j in range(3)] for i in range(3)]
-        }
+        return {"matrix": _vec36(self).reshape(3, 3, 4).tolist()}
 
     @classmethod
     def from_json_dict(cls, data) -> "QMatrix3":
-        rows = data["matrix"]
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("matrix must be 3x3")
-        return cls.from_entries(
-            [[Quaternion.from_list(rows[i][j]) for j in range(3)] for i in range(3)]
-        )
+        entries = np.array(data["matrix"])
+        # a JSON null or string would become NaN or parse as a number under
+        # dtype=float, so only an all-numeric array is accepted
+        if entries.shape != (3, 3, 4) or entries.dtype.kind not in "iuf":
+            raise ValueError("matrix must be 3x3 with [w, x, y, z] number entries")
+        return _unvec36(entries.ravel())
 
     def __repr__(self):
         rows = ",\n  ".join(
             "[" + ", ".join(repr(self[i, j]) for j in range(3)) + "]" for i in range(3)
         )
         return f"QMatrix3([\n  {rows}\n])"
+
+
+def _vec36(m: QMatrix3):
+    """The 36 real coordinates of m: (w, x, y, z) of each entry, row by row."""
+    return np.stack([m.a.real, m.a.imag, m.b.real, m.b.imag], axis=-1).ravel()
+
+
+def _blocks36(v):
+    """Complex blocks (a, b) with _vec36 coordinates v; broadcasts over stacks.
+
+    The (re, im) pairs are viewed as complex numbers: re + 1j * im would turn
+    an imaginary -0.0 into +0.0.
+    """
+    z = np.array(v, dtype=float).reshape(*np.shape(v)[:-1], 3, 3, 2, 2).view(complex)
+    return z[..., 0, 0].copy(), z[..., 1, 0].copy()
+
+
+def _unvec36(v) -> QMatrix3:
+    """Inverse of _vec36."""
+    return QMatrix3(*_blocks36(v))
 
 
 class CharPoly6:
@@ -236,9 +260,47 @@ def inverse(m: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     """Inverse through the complex adjoint; raises Singular near det_h = 0."""
     phi = m.adjoint()
     d = abs(np.linalg.det(phi))
-    if d <= tol:
+    if not d > tol:
         raise Singular(f"det_h = {d:.3e} is below tolerance")
     return QMatrix3.from_adjoint(np.linalg.inv(phi))
+
+
+def conjugation_residual(T: QMatrix3, B: QMatrix3, M: QMatrix3) -> float:
+    """||T B T^-1 - M|| / ||M||, or inf when T is singular.
+
+    Serves every conjugacy certificate: a Jordan similarity (S, J, A), a real
+    conjugate (T, B, factor) and a reverser (g, A, +-A^-1).
+    """
+    try:
+        T_inv = inverse(T, tol=1e-300)
+    except Singular:
+        return math.inf
+    return ((T @ B @ T_inv) - M).norm() / max(M.norm(), 1e-300)
+
+
+def square_residual(g: QMatrix3, sign: float) -> float:
+    """||g^2 - sign * I||, absolute: g^2 = +-I fixes the scale of g."""
+    return ((g @ g) - sign * QMatrix3.identity()).norm()
+
+
+def product_residual(factors, A: QMatrix3) -> float:
+    """||f_1 ... f_k - A|| / ||A||."""
+    product = QMatrix3.identity()
+    for f in factors:
+        product = product @ f
+    return (product - A).norm() / max(A.norm(), 1e-300)
+
+
+def replay_gate(tol: float) -> float:
+    """The gate `qproj verify` applies to a report made at tolerance tol."""
+    return max(1e-8, 1e3 * tol)
+
+
+def check_certificate(residual: float, what: str, gate: float = BUILD_GATE) -> float:
+    """Return residual, or raise CertificateError unless residual < gate (NaN fails)."""
+    if not residual < gate:
+        raise CertificateError(f"{what} residual {residual:.3e} exceeds {gate:.1e}")
+    return residual
 
 
 def normalize_to_sl(m: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
@@ -248,7 +310,7 @@ def normalize_to_sl(m: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     involving A survive the rescaling unchanged.
     """
     d = det_h(m)
-    if d <= tol:
+    if not d > tol:
         raise Singular(f"det_h = {d:.3e} is below tolerance")
     return m * (d ** (-1.0 / 6.0))
 
@@ -256,7 +318,7 @@ def normalize_to_sl(m: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
 def require_unimodular(m: QMatrix3, tol: float = DEFAULT_TOL) -> None:
     """Raise NotUnimodular unless det_h(m) = 1 within 1e3 * tol."""
     d = det_h(m)
-    if abs(d - 1.0) > 1e3 * max(tol, 1e-12):
+    if not abs(d - 1.0) <= 1e3 * max(tol, 1e-12):
         raise NotUnimodular(f"det_h = {d:.9f}, expected 1 (within {1e3 * tol:.1e})")
 
 

@@ -148,6 +148,15 @@ class ClassRep(NamedTuple):
         """Principal angle in [0, pi] (atan2 with im >= 0)."""
         return math.atan2(self.im, self.re)
 
+    def is_real(self, tol: float = DEFAULT_TOL) -> bool:
+        """True when the class lies on the real axis, within 1e3 * tol * max(1, |λ|)."""
+        return self.im <= 1e3 * tol * max(1.0, self.modulus())
+
+    def is_unit(self, tol: float = DEFAULT_TOL) -> bool:
+        """True when |λ| = 1, within 1e3 * tol * max(1, |λ|)."""
+        m = self.modulus()
+        return abs(m - 1.0) <= 1e3 * tol * max(1.0, m)
+
     def isclose(self, other: "ClassRep", tol: float = DEFAULT_TOL) -> bool:
         scale = max(1.0, self.modulus(), other.modulus())
         return abs(self.re - other.re) <= tol * scale and abs(self.im - other.im) <= tol * scale

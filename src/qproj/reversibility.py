@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificateError, NotReversible, NotStronglyReversible
-from .matrix import QMatrix3, inverse, require_unimodular
+from .errors import NotReversible, NotStronglyReversible
+from .matrix import (QMatrix3, check_certificate, conjugation_residual, inverse, product_residual,
+                     require_unimodular, square_residual)
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 from .spectral import JordanData, _sylvester_op, _unvec36, jordan_form
 
@@ -71,10 +72,6 @@ class ReversibilityReport:
 # shape detection on Jordan data
 
 
-def _unit(rep: ClassRep, tol: float) -> bool:
-    return abs(rep.modulus() - 1.0) <= 1e3 * tol * max(1.0, rep.modulus())
-
-
 def _boundary_angle(rep: ClassRep, tol: float) -> bool:
     """True when the class angle lies in {0, pi} within tolerance."""
     theta = rep.angle()
@@ -95,22 +92,22 @@ def _match_reversible_shape(data: JordanData, tol: float) -> _Shape | None:
     reps = [rep for rep, _ in blocks]
 
     if data.shape_id == "diag":
-        if all(_unit(rep, tol) for rep in reps):
+        if all(rep.is_unit(tol) for rep in reps):
             return _Shape("diag-unit", [0, 1, 2], reps)
         # need {a, a^-1} with |a| != 1 plus a unit singleton
         for p in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             a, b, c = reps[p[0]], reps[p[1]], reps[p[2]]
-            if _unit(c, tol) and not _unit(a, tol) and b.isclose(a.inverse_class(), 1e3 * tol):
+            if c.is_unit(tol) and not a.is_unit(tol) and b.isclose(a.inverse_class(), 1e3 * tol):
                 return _Shape("diag-pair", list(p), [a, b, c])
         return None
 
     if data.shape_id == "j2":
-        if all(_unit(rep, tol) for rep in reps):
+        if all(rep.is_unit(tol) for rep in reps):
             return _Shape("j2", [0, 1, 2], reps)
         return None
 
     # j3
-    if _unit(reps[0], tol):
+    if reps[0].is_unit(tol):
         return _Shape("j3", [0, 1, 2], reps)
     return None
 
@@ -223,45 +220,20 @@ def _into_frame(data: JordanData, perm, g0: QMatrix3) -> QMatrix3:
     return frame @ g0 @ PT @ inverse(data.S)
 
 
-def _residual_conjugation(g: QMatrix3, A: QMatrix3, target: QMatrix3) -> float:
-    lhs = g @ A @ inverse(g)
-    return (lhs - target).norm() / max(target.norm(), 1e-300)
-
-
-def _residual_square(g: QMatrix3, sign: float) -> float:
-    return (g @ g - sign * QMatrix3.identity()).norm() / math.sqrt(3.0)
-
-
-def _check(residual: float, what: str, gate: float = 1e-5) -> float:
-    if not residual < gate:
-        raise CertificateError(f"{what} residual {residual:.3e} exceeds {gate:.0e}")
-    return residual
-
-
-def _residual_product(s1: QMatrix3, s2: QMatrix3, A: QMatrix3) -> float:
-    return ((s1 @ s2) - A).norm() / max(A.norm(), 1e-300)
-
-
 def _witness(A, data, shape, g0, target, sign, what):
     """(g, conjugation residual, square residual) for g0 taken into A's frame.
 
     Both defining equations, g A g^-1 = target and g^2 = sign * I, are checked.
     """
     g = _into_frame(data, shape.perm, g0)
-    conj = _check(_residual_conjugation(g, A, target), f"{what} conjugation")
-    square_what = f"{what} skew-involution" if sign < 0 else f"{what} square"
-    return g, conj, _check(_residual_square(g, sign), square_what)
+    conj = check_certificate(conjugation_residual(g, A, target), f"{what} conjugation")
+    return g, conj, check_certificate(square_residual(g, sign), f"{what} square")
 
 
-def _skew_pair(A: QMatrix3, s2: QMatrix3):
-    """(s1, product residual, square residual) for s1 = -A s2, so s1 s2 = A."""
-    s1 = -(A @ s2)
-    sq = _residual_square(s1, -1.0)
-    if not sq < 1e-5:
-        raise CertificateError(
-            f"first factor squares to -I only within {sq:.3e}; sign convention violated"
-        )
-    return s1, _check(_residual_product(s1, s2, A), "skew factor product"), sq
+def _checked_pair(A: QMatrix3, s1: QMatrix3, s2: QMatrix3):
+    """(product residual, square residual) of a pair with s1 s2 = A and s1^2 = -I."""
+    product = check_certificate(product_residual([s1, s2], A), "pair product")
+    return product, check_certificate(square_residual(s1, -1.0), "pair square 1")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +260,9 @@ def reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
 def two_skew_involutions(A: QMatrix3, tol: float = DEFAULT_TOL):
     """(s1, s2) with s1^2 = s2^2 = -I and s1 s2 = A."""
     s2 = reverser(A, tol)
-    return _skew_pair(A, s2)[0], s2
+    s1 = -(A @ s2)
+    _checked_pair(A, s1, s2)
+    return s1, s2
 
 
 def is_strongly_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
@@ -402,18 +376,17 @@ def psl_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> ReversibilityReport:
     if rev:
         g0 = _skew_reverser_canonical(rev_shape)
         g, conj, square = _witness(A, data, rev_shape, g0, inverse(A), -1.0, "reverser")
-        s1, product, square_1 = _skew_pair(A, g)
+        s1 = -(A @ g)
         report.reverser_kind = "skew-involution"
     elif neg:
         A_inv = inverse(A)
         g0 = _negative_reverser_canonical(neg_shape)
         g, conj, square = _witness(A, data, neg_shape, g0, -A_inv, 1.0, "negative-reverser")
         s1 = -(inverse(g) @ A_inv)
-        product = _residual_product(s1, g, A)
-        square_1 = _residual_square(s1, -1.0)
         report.reverser_kind = "involution"
     else:
         return report
+    product, square_1 = _checked_pair(A, s1, g)
     report.reverser = g
     report.psl_involution_pair = (s1, g)
     report.residuals = {

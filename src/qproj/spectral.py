@@ -25,7 +25,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditioned, LiftFailure, Singular, SpectralFailure
-from .matrix import QMatrix3, _qmul, det_h, inverse
+from .matrix import (QMatrix3, _blocks36, _qmul, _unvec36, _vec36, conjugation_residual, det_h,
+                     inverse)
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 
 # Accept a candidate immediately when its relative residual is this good;
@@ -119,30 +120,27 @@ def _partitions_from_points(pts, tol_abs, scale):
     n = len(pts)
     diff = pts[:, None] - pts[None, :]
     dists = np.hypot(diff[..., 0], diff[..., 1])
+    pairs = sorted((dists[i, j], i, j) for i in range(n) for j in range(i + 1, n))
     base = max(10.0 * tol_abs, 1e4 * np.finfo(float).eps * scale)
     levels = [base]
-    gaps = sorted({d for i in range(n) for d in dists[i, i + 1 :] if base < d <= _MERGE_CAP * scale})
+    gaps = sorted({d for d, _, _ in pairs if base < d <= _MERGE_CAP * scale})
     levels.extend(g * (1 + 1e-9) + base for g in gaps)
 
+    # levels rise, so each one merges the pairs the previous one left out
+    label = list(range(n))
+    merged = 0
     seen = set()
     out = []
     for level in levels:
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dists[i, j] <= level:
-                    parent[find(i)] = find(j)
+        while merged < len(pairs) and pairs[merged][0] <= level:
+            _, i, j = pairs[merged]
+            keep, drop = label[i], label[j]
+            label = [keep if k == drop else k for k in label]
+            merged += 1
         groups: dict[int, list[int]] = {}
         for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        clusters = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+            groups.setdefault(label[i], []).append(i)
+        clusters = tuple(sorted(tuple(g) for g in groups.values()))
         if clusters in seen:
             continue
         seen.add(clusters)
@@ -440,7 +438,7 @@ def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness):
     data = JordanData(
         blocks=blocks, S=_normalize_similarity(S, blocks), shape_id=_shape_id(blocks), residual=np.inf
     )
-    data.residual = _reconstruction_residual(A, data)
+    data.residual = conjugation_residual(data.S, data.jordan_matrix(), A)
     return data
 
 
@@ -469,33 +467,8 @@ def _normalize_similarity(S: QMatrix3, blocks) -> QMatrix3:
     return S.scale_columns(scalars)
 
 
-def _reconstruction_residual(A: QMatrix3, data: JordanData) -> float:
-    J = data.jordan_matrix()
-    try:
-        S_inv = inverse(data.S, tol=1e-300)
-    except Singular:
-        return np.inf
-    recon = data.S @ J @ S_inv
-    return (A - recon).norm() / max(A.norm(), 1e-300)
-
-
 # ---------------------------------------------------------------------------
 # Sylvester polish
-
-
-def _vec36(m: QMatrix3):
-    return np.stack([m.a.real, m.a.imag, m.b.real, m.b.imag], axis=-1).ravel()
-
-
-def _blocks36(v):
-    """Complex blocks (a, b) with _vec36 coordinates v; broadcasts over stacks."""
-    z = np.reshape(v, (*np.shape(v)[:-1], 3, 3, 4))
-    return z[..., 0] + 1j * z[..., 1], z[..., 2] + 1j * z[..., 3]
-
-
-def _unvec36(v) -> QMatrix3:
-    """Inverse of _vec36."""
-    return QMatrix3(*_blocks36(v))
 
 
 # The 36 real unit directions of H^{3x3} as a stack of blocks, in _vec36 order.
@@ -581,7 +554,7 @@ def _sylvester_polish(A: QMatrix3, data: JordanData):
                 shape_id=best.shape_id,
                 residual=np.inf,
             )
-            cand.residual = _reconstruction_residual(A, cand)
+            cand.residual = conjugation_residual(cand.S, cand.jordan_matrix(), A)
             return cand
 
         # Gauss-Newton overshoots near the defective orbit; backtrack
@@ -605,7 +578,7 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     Raises IllConditioned when no candidate clustering reconstructs A within
     1e3 * tol relative residual (the best achieved residual is reported).
     """
-    if det_h(A) <= tol:
+    if not det_h(A) > tol:
         raise Singular("jordan_form requires an invertible matrix")
     phi = A.adjoint()
     try:
@@ -650,7 +623,7 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
         raise SpectralFailure("no eigenvalue clustering produced a Jordan structure")
 
     target = 1e3 * tol
-    if best.residual > target:
+    if not best.residual <= target:
         raise IllConditioned(
             f"Jordan reconstruction residual {best.residual:.3e} exceeds {target:.1e}",
             residual=best.residual,
@@ -707,7 +680,6 @@ def minimal_poly_structure(A: QMatrix3, tol: float = DEFAULT_TOL):
 def _minimal_poly_from_data(data: JordanData, tol: float):
     factors = []
     for rep, sizes in data.class_sizes():
-        real = rep.im <= 1e3 * tol * max(1.0, rep.modulus())
-        factors.append((1 if real else 2, max(sizes)))
+        factors.append((1 if rep.is_real(tol) else 2, max(sizes)))
     d = max(degree * power for degree, power in factors)
     return factors, d

@@ -163,3 +163,40 @@ def sylvester_matrix(L: QMatrix3, R: QMatrix3) -> np.ndarray:
                 image = L @ e - e @ R
                 cols.append([c for r in range(3) for s in range(3) for c in image[r, s].to_list()])
     return np.array(cols).T
+
+
+def partitions_per_level(pts, tol_abs, scale, merge_cap):
+    """Single-linkage partitions of the points, one fresh union-find per level.
+
+    The reference for spectral._partitions_from_points: the same levels,
+    deduplication and odd-cluster filtering, with no state carried between
+    levels.
+    """
+    n = len(pts)
+    dists = np.array([[np.hypot(*(pts[i] - pts[j])) for j in range(n)] for i in range(n)])
+    base = max(10.0 * tol_abs, 1e4 * np.finfo(float).eps * scale)
+    gaps = sorted({dists[i, j] for i in range(n) for j in range(i + 1, n)
+                   if base < dists[i, j] <= merge_cap * scale})
+    seen = set()
+    out = []
+    for level in [base] + [g * (1 + 1e-9) + base for g in gaps]:
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i in range(n):
+            for j in range(i + 1, n):
+                if dists[i, j] <= level:
+                    parent[find(i)] = find(j)
+        groups = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(i)
+        clusters = tuple(sorted(tuple(g) for g in groups.values()))
+        if clusters not in seen:
+            seen.add(clusters)
+            if not any(len(c) % 2 for c in clusters):
+                out.append((clusters, level))
+    return out

@@ -82,15 +82,59 @@ def test_verify_accepts_own_reports(runner, tmp_path, rng):
         assert res.exit_code == 0, f"verify {cmd}: {res.output}"
 
 
-def test_verify_rejects_tampered_report(runner, tmp_path):
+# (command, path to one certificate of the report, the entry set in it)
+TAMPERINGS = {
+    "jordan-S": ("classify", ("jordan", "S", "matrix", 0, 1), [9.0, 0.0, 0.0, 0.0]),
+    "reverser": ("reversibility", ("reverser", "matrix", 0, 0), [9.0, 0.0, 0.0, 0.0]),
+    "pair-s1": (
+        "reversibility", ("psl_involution_pair", 0, "matrix", 0, 1), [9.0, 0.0, 0.0, 0.0]
+    ),
+    "factor-B": ("decompose", ("certificates", 0, "B", 0, 0), 9.0),
+    "simple-T": (
+        "simple-check", ("certificate", "T", "matrix", 0, 1), [9.0, 0.0, 0.0, 0.0]
+    ),
+}
+
+
+def replay(runner, tmp_path, rep):
+    path = tmp_path / "replayed.json"
+    path.write_text(json.dumps(rep))
+    return runner.invoke(main, ["verify", str(path)])
+
+
+@pytest.mark.parametrize("name", list(TAMPERINGS))
+def test_verify_rejects_tampered_report(runner, tmp_path, name):
+    command, keys, entry = TAMPERINGS[name]
     path = write_matrix(tmp_path, QMatrix3.diag(2.0, 0.5, 1.0))
-    res = runner.invoke(main, ["reversibility", path])
+    res = runner.invoke(main, [command, path])
     rep = json.loads(res.output)
-    rep["reverser"]["matrix"][0][0] = [9.0, 0.0, 0.0, 0.0]
-    bad = tmp_path / "tampered.json"
-    bad.write_text(json.dumps(rep))
-    res = runner.invoke(main, ["verify", str(bad)])
+    assert replay(runner, tmp_path, rep).exit_code == 0
+    target = rep
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = entry
+    assert replay(runner, tmp_path, rep).exit_code == 4
+
+
+def test_verify_rejects_pair_multiplying_to_minus_a(runner, tmp_path):
+    # (-s1) s2 = -A: -A is the same element of PSL(3,H), but the library
+    # certifies s1 s2 = A, and verify replays exactly that
+    path = write_matrix(tmp_path, QMatrix3.diag(2.0, 0.5, 1.0))
+    rep = json.loads(runner.invoke(main, ["reversibility", path]).output)
+    s1 = rep["psl_involution_pair"][0]["matrix"]
+    rep["psl_involution_pair"][0]["matrix"] = [[[-c for c in q] for q in row] for row in s1]
+    res = replay(runner, tmp_path, rep)
     assert res.exit_code == 4
+    assert "pair product" in res.stderr
+
+
+def test_verify_rejects_singular_similarity(runner, tmp_path):
+    path = write_matrix(tmp_path, QMatrix3.diag(2.0, 0.5, 1.0))
+    rep = json.loads(runner.invoke(main, ["classify", path]).output)
+    rep["jordan"]["S"] = QMatrix3.zeros().to_json_dict()
+    res = replay(runner, tmp_path, rep)
+    assert res.exit_code == 4
+    assert "jordan reconstruction residual inf" in res.stderr
 
 
 def test_parse_error_exit_code(runner, tmp_path):
@@ -99,6 +143,11 @@ def test_parse_error_exit_code(runner, tmp_path):
     res = runner.invoke(main, ["classify", str(bad)])
     assert res.exit_code == 2
     bad.write_text(json.dumps({"matrix": [[1, 2], [3, 4]]}))
+    res = runner.invoke(main, ["classify", str(bad)])
+    assert res.exit_code == 2
+    payload = QMatrix3.identity().to_json_dict()
+    payload["matrix"][1][2][3] = None
+    bad.write_text(json.dumps(payload))
     res = runner.invoke(main, ["classify", str(bad)])
     assert res.exit_code == 2
 

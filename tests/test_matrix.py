@@ -4,6 +4,11 @@ import pytest
 from qproj import (
     CharPoly6,
     NotUnimodular,
+    classification_report,
+    decompose_simple,
+    dynamical_type,
+    is_simple,
+    psl_report,
     QMatrix3,
     Quaternion,
     Singular,
@@ -191,6 +196,30 @@ def test_entry_access_and_serialization(rng):
     q = Quaternion(1, 2, 3, 4)
     m[0, 2] = q
     assert m[0, 2] == q
+
+
+def test_serialization_keeps_signed_zeros_and_entry_layout(rng):
+    m = random_qmatrix(rng)
+    m.a[0, 1] = complex(1.5, -0.0)
+    m.b[2, 2] = complex(-0.0, -0.0)
+    d = m.to_json_dict()
+    assert d == {"matrix": [[m[i, j].to_list() for j in range(3)] for i in range(3)]}
+    back = QMatrix3.from_json_dict(d)
+    assert np.array_equal(back.a.view(float), m.a.view(float))
+    assert np.signbit(back.a.imag[0, 1]) and np.signbit(back.b[2, 2].real)
+    assert np.signbit(back.b.imag[2, 2])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_raise_typed_errors(bad):
+    m = QMatrix3.diag(2.0, 0.5, 1.0)
+    m.a[0, 1] = bad
+    for fn in (dynamical_type, classification_report, psl_report, decompose_simple, is_simple):
+        with pytest.raises(NotUnimodular):
+            fn(m)
+    with pytest.raises(Singular):
+        inverse(m)
 
 
 def test_charpoly_serialization():

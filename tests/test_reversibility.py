@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qproj import (
+    CertificateError,
     NotReversible,
     NotStronglyReversible,
     QMatrix3,
@@ -27,6 +28,7 @@ from qproj.generate import (
     reversible_shape,
     strong_shape,
 )
+from qproj import reversibility
 from qproj.spectral import _vec36
 
 J = Quaternion(0, 0, 1)
@@ -253,6 +255,15 @@ def test_two_skew_sign_guard():
     a = QMatrix3.diag(2, 0.5, 1)
     s1, s2 = two_skew_involutions(a)
     assert ((s1 @ s2) - a).norm() < 1e-9
+
+
+def test_negative_branch_pair_is_gated(rng, monkeypatch):
+    a, _ = conjugated(negative_shape("ii", rng), rng)
+    assert not is_reversible_sl(a) and is_negative_reversible(a)
+    assert psl_report(a).residuals["pair_product"] < 1e-8
+    monkeypatch.setattr(reversibility, "product_residual", lambda factors, target: 1.0)
+    with pytest.raises(CertificateError, match="pair product"):
+        psl_report(a)
 
 
 @pytest.mark.parametrize("sampler,kind", [(nonstrong_shape, "7"), (reversible_shape, "iii")])

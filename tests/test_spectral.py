@@ -15,9 +15,17 @@ from qproj import (
     right_eigenvalues,
 )
 from qproj.generate import conjugated, random_conjugator
-from qproj.spectral import _sylvester_op, _unvec36, _vec36
+from qproj.generate import generate
+from qproj.spectral import (
+    _MERGE_CAP,
+    _class_points,
+    _partitions_from_points,
+    _sylvester_op,
+    _unvec36,
+    _vec36,
+)
 
-from oracles import sylvester_matrix
+from oracles import partitions_per_level, sylvester_matrix
 from test_matrix import random_qmatrix
 
 J = Quaternion(0, 0, 1)
@@ -232,3 +240,22 @@ def test_unvec36_roundtrip(rng):
         assert np.array_equal(back.a, m.a) and np.array_equal(back.b, m.b)
         v = rng.standard_normal(36)
         assert np.array_equal(_vec36(_unvec36(v)), v)
+
+
+def test_partitions_match_per_level_union_find(rng):
+    point_sets = []
+    for type_name in ("vertical-translation", "ellipto-parabolic", "loxo-parabolic",
+                      "identity", "regular-elliptic"):
+        for seed in range(3):
+            eigs = np.linalg.eigvals(generate(type_name, seed=seed).matrix.adjoint())
+            point_sets.append(_class_points(eigs))
+    for _ in range(20):
+        # three tight clusters of two at random spacings exercise every merge order
+        centres = rng.uniform(-1.0, 1.0, (3, 2))
+        spread = 10.0 ** rng.uniform(-8, -2, (3, 1))
+        point_sets.append(np.repeat(centres, 2, axis=0) + np.repeat(spread, 2, axis=0)
+                          * rng.standard_normal((6, 2)))
+    for pts in point_sets:
+        for tol_abs in (1e-9, 1e-4):
+            got = _partitions_from_points(pts, tol_abs, 1.0)
+            assert got == partitions_per_level(pts, tol_abs, 1.0, _MERGE_CAP)
