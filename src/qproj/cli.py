@@ -5,13 +5,14 @@ array of them; output mirrors the input arity and preserves order.  Every
 report embeds the input matrix and the tolerance so `qproj verify` can replay
 all certificates offline.
 
-Exit codes: 0 success, 2 parse error, 3 precondition failure, 4 certificate
-verification failure.
+Exit codes: 0 success, 2 parse or usage error, 3 precondition failure,
+4 certificate verification failure.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -42,17 +43,31 @@ class _CliFailure(Exception):
         self.code = code
 
 
+def _usable_tol(value: float) -> bool:
+    """A tolerance must be a finite number above zero."""
+    return math.isfinite(value) and value > 0
+
+
 def _default_tol() -> float:
     env = os.environ.get("QPROJ_TOL")
     if env:
         try:
             value = float(env)
-            if value > 0:
-                return value
         except ValueError:
-            pass
+            value = math.nan
+        if _usable_tol(value):
+            return value
         click.echo(f"warning: ignoring invalid QPROJ_TOL={env!r}", err=True)
     return DEFAULT_TOL
+
+
+def _resolve_tol(ctx, param, value):
+    """--tol callback: a usable value, or QPROJ_TOL / the default when absent."""
+    if value is None:
+        return _default_tol()
+    if not _usable_tol(value):
+        raise click.BadParameter(f"{value!r} is not a finite number above zero")
+    return value
 
 
 def _read_payload(path: str):
@@ -129,7 +144,8 @@ def _wrap_errors(fn):
 
 
 _tol_option = click.option(
-    "--tol", type=float, default=None, help="Tolerance (default 1e-9 or QPROJ_TOL)."
+    "--tol", type=float, default=None, callback=_resolve_tol,
+    help="Tolerance, finite and > 0 (default 1e-9 or QPROJ_TOL).",
 )
 _json_flag = click.option(
     "--json/--text", "as_json", default=True, help="Output format (default JSON)."
@@ -149,7 +165,6 @@ def main():
 @_path_argument
 def classify_cmd(tol, as_json, path):
     """Dynamical-type classification report."""
-    tol = tol if tol is not None else _default_tol()
 
     def worker(a, tol):
         rep = classification_report(a, tol)
@@ -171,7 +186,6 @@ def classify_cmd(tol, as_json, path):
 @_path_argument
 def reversibility_cmd(tol, as_json, path):
     """Reversibility flags and certified witnesses."""
-    tol = tol if tol is not None else _default_tol()
 
     def worker(a, tol):
         rep = psl_report(a, tol).to_json_dict()
@@ -195,7 +209,6 @@ def reversibility_cmd(tol, as_json, path):
 @_path_argument
 def decompose_cmd(tol, as_json, path):
     """Decomposition into at most four simple factors with certificates."""
-    tol = tol if tol is not None else _default_tol()
 
     def worker(a, tol):
         rep = decompose_simple(a, tol).to_json_dict()
@@ -214,7 +227,6 @@ def decompose_cmd(tol, as_json, path):
 @_path_argument
 def simple_check_cmd(tol, as_json, path):
     """Simplicity test plus real-conjugate certificate when simple."""
-    tol = tol if tol is not None else _default_tol()
 
     def worker(a, tol):
         data = jordan_form(a, tol)

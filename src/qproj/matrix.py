@@ -120,15 +120,10 @@ class QMatrix3:
 
     __rmul__ = __mul__
 
-    def scale_columns(self, scalars) -> "QMatrix3":
-        """Right-multiply column k by the quaternion scalars[k]."""
-        out = QMatrix3.zeros()
-        for j, s in enumerate(scalars):
-            sa, sb = Quaternion.from_scalar(s).complex_pair()
-            # column j of A * diag(s): (a + b j)(sa + sb j)
-            out.a[:, j] = self.a[:, j] * sa - self.b[:, j] * np.conj(sb)
-            out.b[:, j] = self.a[:, j] * sb + self.b[:, j] * np.conj(sa)
-        return out
+    def scale_columns(self, sa, sb) -> "QMatrix3":
+        """Right-multiply column k by the quaternion sa[k] + sb[k] j."""
+        # A diag(s) column by column: (a + b j)(sa + sb j)
+        return QMatrix3(self.a * sa - self.b * np.conj(sb), self.a * sb + self.b * np.conj(sa))
 
     def norm(self) -> float:
         """Frobenius norm with quaternionic entry moduli."""

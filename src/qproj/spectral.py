@@ -119,8 +119,8 @@ def _partitions_from_points(pts, tol_abs, scale):
     """
     n = len(pts)
     diff = pts[:, None] - pts[None, :]
-    dists = np.hypot(diff[..., 0], diff[..., 1])
-    pairs = sorted((dists[i, j], i, j) for i in range(n) for j in range(i + 1, n))
+    dists = np.hypot(diff[..., 0], diff[..., 1]).tolist()
+    pairs = sorted((dists[i][j], i, j) for i in range(n) for j in range(i + 1, n))
     base = max(10.0 * tol_abs, 1e4 * np.finfo(float).eps * scale)
     levels = [base]
     gaps = sorted({d for d, _, _ in pairs if base < d <= _MERGE_CAP * scale})
@@ -332,57 +332,71 @@ def _reorder_schur(T0, Z0, mask):
     return ts, qs
 
 
-def _realness_options(eigs, clusters, level, scale):
+def _cluster_summary(pts, clusters):
+    """Centroid (re, |im|) and radius of every cluster, as floats.
+
+    The sums run in numpy's order for a mean over axis 0, and abs(complex)
+    is the same libm hypot as np.hypot, so the values equal the array forms.
+    """
+    summary = []
+    for cluster in clusters:
+        re, im = pts[cluster[0]]
+        for i in cluster[1:]:
+            re += pts[i][0]
+            im += pts[i][1]
+        re /= len(cluster)
+        im /= len(cluster)
+        radius = max(abs(complex(pts[i][0] - re, pts[i][1] - im)) for i in cluster)
+        summary.append((re, im, radius))
+    return summary
+
+
+def _nearest_centroid(pts, summary):
+    """Index of the nearest cluster centroid for every point, first on ties."""
+    return [
+        min(range(len(summary)), key=lambda c: abs(complex(summary[c][0] - x, summary[c][1] - y)))
+        for x, y in pts
+    ]
+
+
+def _realness_options(summary, level, scale):
     """Per-cluster interpretations to try: real axis class or conjugate pair.
 
     A defective real eigenvalue perturbs into a tight conjugate pair, so a
     small centroid imaginary part is ambiguous; both readings are produced
     (complex first, the reconstruction residual arbitrates).
     """
-    pts = _class_points(eigs)
     ambiguous_band = max(1e-3 * scale, 10.0 * level)
     options = []
-    for cluster in clusters:
-        idxs = list(cluster)
-        centroid = pts[idxs].mean(axis=0)
-        radius = max(np.hypot(*(pts[i] - centroid)) for i in idxs)
-        if centroid[1] <= max(4.0 * radius, level):
+    for _, im, radius in summary:
+        if im <= max(4.0 * radius, level):
             options.append((True,))
-        elif centroid[1] <= ambiguous_band:
+        elif im <= ambiguous_band:
             options.append((False, True))
         else:
             options.append((False,))
     return options
 
 
+def _single_block(alg, N, floor):
+    """True when a class can only be one block of size 1.
+
+    The chain search would then return the size list (1,) and the lead e0,
+    up to a sign that _normalize_similarity removes, so the class takes the
+    first column of its Schur basis directly.
+    """
+    return alg == 1 and not np.linalg.norm(N) > floor
+
+
 def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness):
-    pts = _class_points(eigs)
-    specs = []
-    for cluster, real_class in zip(clusters, realness):
-        idxs = list(cluster)
-        alg = len(idxs) // 2
-        centroid = pts[idxs].mean(axis=0)
-        rep_im = 0.0 if real_class else centroid[1]
-        lam = complex(centroid[0], rep_im)
-        specs.append((lam, alg, real_class, centroid))
-
-    # assign every adjoint eigenvalue to its nearest class centroid; counts
-    # must reproduce the clustering or the candidate is inconsistent
-    centroids = np.array([spec[3] for spec in specs])
-    diff = centroids[None, :] - pts[:, None]
-    assign = np.argmin(np.hypot(diff[..., 0], diff[..., 1]), axis=1)
-    for c, cluster in enumerate(clusters):
-        if sorted(np.nonzero(assign == c)[0].tolist()) != sorted(cluster):
-            raise _CandidateFailed("eigenvalue assignment disagrees with clustering")
-
     blocks = []
     columns = []  # per block, list of (u, w) complex pairs
-    for c, (lam, alg, real_class, _) in enumerate(specs):
-        members = np.nonzero(assign == c)[0]
+    for cluster, real_class in zip(clusters, realness):
+        alg = len(cluster) // 2
         if real_class:
-            mask = members
+            mask = list(cluster)
         else:
-            mask = np.array([i for i in members if eigs[i].imag > 0])
+            mask = [i for i in cluster if eigs[i].imag > 0]
         want = 2 * alg if real_class else alg
         if len(mask) != want:
             raise _CandidateFailed("conjugate halves of the class are unbalanced")
@@ -396,13 +410,18 @@ def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness):
             lam_c = lam_c.conjugate()
         N = M - lam_c * np.eye(want)
 
+        floor = max(2.0 * level, tol_abs)
+        rep = ClassRep(lam_c.real, abs(lam_c.imag))
+        if _single_block(alg, N, floor):
+            blocks.append((rep, 1))
+            columns.append([_lift_to_quaternionic(Z1[:, 0])])
+            continue
+
         def tau(c, Z1=Z1):
             full = Z1 @ c
             tfull = np.concatenate([full[3:].conj(), -full[:3].conj()])
             return Z1.conj().T @ tfull
 
-        floor = max(2.0 * level, tol_abs)
-        rep = ClassRep(lam_c.real, abs(lam_c.imag))
         for sizes in _candidate_size_lists(N, alg, real_class, floor):
             try:
                 chains = _class_chains(N, list(sizes), real_class, tau, floor)
@@ -450,21 +469,22 @@ def _normalize_similarity(S: QMatrix3, blocks) -> QMatrix3:
     block), so each block's eigenvector column is normalized and its first
     non-negligible complex coordinate rotated to the positive real axis.
     """
-    scalars = []
-    col = 0
-    for _, size in blocks:
-        u = S.a[:, col]
-        w = S.b[:, col]
-        nrm = math.sqrt(float(np.sum(np.abs(u) ** 2) + np.sum(np.abs(w) ** 2)))
+    sizes = [size for _, size in blocks]
+    heads = list(itertools.accumulate([0] + sizes[:-1]))
+    stacked = np.concatenate([S.a[:, heads], S.b[:, heads]]).T  # (u, w) of each eigenvector
+    mag = np.abs(stacked)
+    norms = np.sqrt(np.sum(mag[:, :3] ** 2, axis=1) + np.sum(mag[:, 3:] ** 2, axis=1))
+    leads = np.argmax(mag >= 0.5 * np.max(mag, axis=1, keepdims=True), axis=1)
+    gauge = []
+    for row, nrm, first in zip(stacked, norms.tolist(), leads.tolist()):
         h = 1.0 + 0j
         if nrm > 0.0:
-            stacked = np.concatenate([u, w])
-            cutoff = 0.5 * float(np.max(np.abs(stacked)))
-            lead = next(v for v in stacked if abs(v) >= cutoff)
+            # complex128 scalar division: array or Python complex division
+            # rounds the last bit differently and would change S
+            lead = row[first]
             h = (lead / abs(lead)).conjugate() / nrm
-        scalars.extend([h] * size)
-        col += size
-    return S.scale_columns(scalars)
+        gauge.append(h)
+    return S.scale_columns(np.repeat(gauge, sizes), np.zeros(3, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +512,10 @@ def _fold_negative_classes(blocks, S):
     representative convention im >= 0 is restored without disturbing
     A = S J S^-1.
     """
-    j_unit = Quaternion(0.0, 0.0, 1.0, 0.0)
-    scalars = [1.0] * 3
-    fixed = []
-    col = 0
-    for rep, size in blocks:
-        if rep.im < 0.0:
-            for k in range(col, col + size):
-                scalars[k] = j_unit
-            fixed.append((ClassRep(rep.re, -rep.im), size))
-        else:
-            fixed.append((rep, size))
-        col += size
-    return fixed, S.scale_columns(scalars)
+    flip = np.repeat([rep.im < 0.0 for rep, _ in blocks], [size for _, size in blocks])
+    fixed = [(ClassRep(rep.re, -rep.im), size) if rep.im < 0.0 else (rep, size)
+             for rep, size in blocks]
+    return fixed, S.scale_columns(np.where(flip, 0j, 1 + 0j), np.where(flip, 1 + 0j, 0j))
 
 
 def _sylvester_polish(A: QMatrix3, data: JordanData):
@@ -589,7 +600,8 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     scale = max(1.0, float(np.max(np.abs(eigs))))
     tol_abs = tol * scale
 
-    partitions = _partitions_from_points(_class_points(eigs), tol_abs, scale)
+    pts = _class_points(eigs)
+    partitions = _partitions_from_points(pts, tol_abs, scale)
     if not partitions:
         raise SpectralFailure("adjoint eigenvalues admit no conjugate-closed clustering")
 
@@ -604,8 +616,15 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
 
     best = None
     best_score = np.inf
+    points = pts.tolist()
     for clusters, level in partitions:
-        for realness in itertools.product(*_realness_options(eigs, clusters, level, scale)):
+        summary = _cluster_summary(points, clusters)
+        # every adjoint eigenvalue must lie nearest its own cluster's centroid,
+        # or no reading of this partition is consistent
+        assign = _nearest_centroid(points, summary)
+        if any(assign[i] != c for c, cluster in enumerate(clusters) for i in cluster):
+            continue
+        for realness in itertools.product(*_realness_options(summary, level, scale)):
             try:
                 data = _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness)
             except _CandidateFailed:

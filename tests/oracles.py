@@ -5,6 +5,8 @@ paths: linear solves for quaternion division, determinants of hand-built 6x6
 arrays, root-based cubic classification, and so on.
 """
 
+import math
+
 import numpy as np
 
 from qproj import Minor, QMatrix3, Quaternion
@@ -200,3 +202,80 @@ def partitions_per_level(pts, tol_abs, scale, merge_cap):
             if not any(len(c) % 2 for c in clusters):
                 out.append((clusters, level))
     return out
+
+
+def cluster_summary_numpy(pts, clusters):
+    """Centroid and radius of every cluster: the mean of its points and the
+    largest np.hypot distance from it.  The reference for
+    spectral._cluster_summary.
+    """
+    out = []
+    for cluster in clusters:
+        idxs = list(cluster)
+        centroid = pts[idxs].mean(axis=0)
+        out.append((centroid, max(np.hypot(*(pts[i] - centroid)) for i in idxs)))
+    return out
+
+
+def cluster_readings_numpy(pts, clusters, level, scale):
+    """Per-cluster real/complex readings from numpy centroids and radii.
+
+    The reference for spectral._realness_options over _cluster_summary.
+    """
+    ambiguous_band = max(1e-3 * scale, 10.0 * level)
+    options = []
+    for centroid, radius in cluster_summary_numpy(pts, clusters):
+        if centroid[1] <= max(4.0 * radius, level):
+            options.append((True,))
+        elif centroid[1] <= ambiguous_band:
+            options.append((False, True))
+        else:
+            options.append((False,))
+    return options
+
+
+def nearest_centroid_numpy(pts, clusters):
+    """Index of the nearest cluster centroid for every point, by np.argmin.
+
+    The reference for spectral._nearest_centroid.
+    """
+    centroids = np.array([centroid for centroid, _ in cluster_summary_numpy(pts, clusters)])
+    diff = centroids[None, :] - pts[:, None]
+    return np.argmin(np.hypot(diff[..., 0], diff[..., 1]), axis=1).tolist()
+
+
+def scale_columns_loop(m: QMatrix3, scalars) -> QMatrix3:
+    """Right-multiply column k of m by the quaternion scalars[k], one column at a time.
+
+    The reference for QMatrix3.scale_columns.
+    """
+    out = QMatrix3.zeros()
+    for j, s in enumerate(scalars):
+        sa, sb = Quaternion.from_scalar(s).complex_pair()
+        out.a[:, j] = m.a[:, j] * sa - m.b[:, j] * np.conj(sb)
+        out.b[:, j] = m.a[:, j] * sb + m.b[:, j] * np.conj(sa)
+    return out
+
+
+def normalize_similarity_loop(S: QMatrix3, blocks) -> QMatrix3:
+    """Per-block gauge of the similarity, one eigenvector column at a time.
+
+    The reference for spectral._normalize_similarity: each block's chain is
+    scaled by conj(lead / |lead|) / |eigenvector|, lead being the first
+    coordinate of at least half the largest modulus.
+    """
+    scalars = []
+    col = 0
+    for _, size in blocks:
+        u = S.a[:, col]
+        w = S.b[:, col]
+        nrm = math.sqrt(float(np.sum(np.abs(u) ** 2) + np.sum(np.abs(w) ** 2)))
+        h = 1.0 + 0j
+        if nrm > 0.0:
+            stacked = np.concatenate([u, w])
+            cutoff = 0.5 * float(np.max(np.abs(stacked)))
+            lead = next(v for v in stacked if abs(v) >= cutoff)
+            h = (lead / abs(lead)).conjugate() / nrm
+        scalars.extend([h] * size)
+        col += size
+    return scale_columns_loop(S, scalars)

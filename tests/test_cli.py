@@ -241,3 +241,29 @@ def test_unpaired_nonreal_blocks_classify_and_decompose(runner, tmp_path):
             report_path.write_text(res.output)
             res = runner.invoke(main, ["verify", str(report_path)])
             assert res.exit_code == 0, f"verify {cmd}: {res.output}"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose", "simple-check"])
+def test_unusable_tol_is_usage_error(runner, tmp_path, cmd, value):
+    path = write_matrix(tmp_path, generate("regular-elliptic", seed=1).matrix)
+    res = runner.invoke(main, [cmd, "--tol", value, path])
+    assert res.exit_code == 2, res.output
+    assert "finite number above zero" in res.stderr
+
+
+def test_unreachable_tol_is_precondition_failure(runner, tmp_path):
+    path = write_matrix(tmp_path, generate("regular-elliptic", seed=1).matrix)
+    res = runner.invoke(main, ["classify", "--tol", "1e-30", path])
+    assert res.exit_code == 3
+    assert "IllConditioned" in res.stderr
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1", "tight"])
+def test_unusable_env_tolerance_falls_back(runner, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("QPROJ_TOL", value)
+    path = write_matrix(tmp_path, generate("regular-elliptic", seed=1).matrix)
+    res = runner.invoke(main, ["classify", path])
+    assert res.exit_code == 0, res.output
+    assert f"ignoring invalid QPROJ_TOL={value!r}" in res.stderr
+    assert json.loads(res.stdout)["tolerance"] == 1e-9

@@ -14,18 +14,33 @@ from qproj import (
     minimal_poly_structure,
     right_eigenvalues,
 )
-from qproj.generate import conjugated, random_conjugator
-from qproj.generate import generate
+from qproj import spectral
+from qproj.generate import (
+    DYNAMICAL_TYPES,
+    conjugated,
+    generate,
+    negative_shape,
+    nonreversible_shape,
+    nonstrong_shape,
+    random_conjugator,
+    reversible_shape,
+    strong_shape,
+)
 from qproj.spectral import (
     _MERGE_CAP,
     _class_points,
+    _cluster_summary,
+    _nearest_centroid,
     _partitions_from_points,
+    _realness_options,
     _sylvester_op,
     _unvec36,
     _vec36,
 )
 
-from oracles import partitions_per_level, sylvester_matrix
+from oracles import (cluster_readings_numpy, cluster_summary_numpy, nearest_centroid_numpy,
+                     normalize_similarity_loop, partitions_per_level, scale_columns_loop,
+                     sylvester_matrix)
 from test_matrix import random_qmatrix
 
 J = Quaternion(0, 0, 1)
@@ -259,3 +274,109 @@ def test_partitions_match_per_level_union_find(rng):
         for tol_abs in (1e-9, 1e-4):
             got = _partitions_from_points(pts, tol_abs, 1.0)
             assert got == partitions_per_level(pts, tol_abs, 1.0, _MERGE_CAP)
+
+
+SHAPE_SAMPLERS = (
+    (reversible_shape, ("i", "ii", "iii", "iv")),
+    (strong_shape, ("i", "ii", "iii", "iv")),
+    (nonstrong_shape, ("1", "2", "3", "5", "6", "7", "8")),
+    (negative_shape, ("i", "ii", "iii", "iv")),
+    (nonreversible_shape, ("1", "2")),
+)
+
+
+def type_and_shape_samples():
+    """Seeded samples of every generator type and shape family, canonical and conjugated."""
+    rng = np.random.default_rng(11)
+    mats = []
+    for type_name in DYNAMICAL_TYPES:
+        for seed in range(3):
+            inst = generate(type_name, seed=seed)
+            mats += [inst.matrix, inst.canonical]
+    for sampler, kinds in SHAPE_SAMPLERS:
+        for kind in kinds:
+            for _ in range(2):
+                canon = sampler(kind, rng)
+                mats += [conjugated(canon, rng)[0], canon]
+    return mats
+
+
+def test_single_block_shortcut_matches_chain_search(monkeypatch):
+    samples = type_and_shape_samples()
+    taken = []
+    single_block = spectral._single_block
+
+    def recording(alg, N, floor):
+        hit = single_block(alg, N, floor)
+        taken.append((hit, N.shape[0]))
+        return hit
+
+    monkeypatch.setattr(spectral, "_single_block", recording)
+    fast = [jordan_form(m) for m in samples]
+    monkeypatch.setattr(spectral, "_single_block", lambda alg, N, floor: False)
+    searched = [jordan_form(m) for m in samples]
+    # both real (2-dim subspace) and non-real (1-dim) classes take the shortcut
+    assert {dim for hit, dim in taken if hit} == {1, 2}
+    for got, want in zip(fast, searched):
+        assert got.blocks == want.blocks
+        assert got.S.a.tobytes() == want.S.a.tobytes()
+        assert got.S.b.tobytes() == want.S.b.tobytes()
+        assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+
+
+def test_cluster_summaries_match_numpy(rng):
+    point_sets = []
+    for m in type_and_shape_samples():
+        point_sets.append(_class_points(np.linalg.eigvals(m.adjoint())))
+    for _ in range(40):
+        # three pairs at random heights above the real axis and random widths,
+        # so that every reading occurs
+        centres = np.column_stack([rng.uniform(-1.0, 1.0, 3), 10.0 ** rng.uniform(-6, 0, 3)])
+        spread = 10.0 ** rng.uniform(-8, -1, (3, 1))
+        pts = np.repeat(centres, 2, axis=0) + np.repeat(spread, 2, axis=0) * rng.standard_normal((6, 2))
+        pts[:, 1] = np.abs(pts[:, 1])
+        point_sets.append(pts)
+    readings = set()
+    misassigned = 0
+    for pts in point_sets:
+        scale = max(1.0, float(np.max(np.hypot(pts[:, 0], pts[:, 1]))))
+        points = pts.tolist()
+        cases = [case for tol_abs in (1e-9, 1e-4)
+                 for case in _partitions_from_points(pts, tol_abs, scale)]
+        # arbitrary pairings put points nearer another cluster's centroid, and
+        # on the exact repeated eigenvalues of canonical forms they tie
+        order = rng.permutation(6).tolist()
+        cases.append(((tuple(order[:2]), tuple(order[2:4]), tuple(order[4:])), 1e-6))
+        cases.append(((tuple(order[:2]), tuple(order[2:])), 1e-3))
+        for clusters, level in cases:
+            summary = _cluster_summary(points, clusters)
+            assert summary == [(c[0], c[1], r) for c, r in cluster_summary_numpy(pts, clusters)]
+            got = _realness_options(summary, level, scale)
+            assert got == cluster_readings_numpy(pts, clusters, level, scale)
+            assign = _nearest_centroid(points, summary)
+            assert assign == nearest_centroid_numpy(pts, clusters)
+            readings.update(got)
+            misassigned += any(assign[i] != c for c, cluster in enumerate(clusters) for i in cluster)
+    assert readings == {(True,), (False, True), (False,)}
+    assert misassigned > 0
+
+
+def test_gauge_and_fold_match_column_loop(rng):
+    j_unit = Quaternion(0.0, 0.0, 1.0, 0.0)
+    for t in range(300):
+        a = random_qmatrix(rng, scale=10.0 ** rng.uniform(-3, 3))
+        # exact and signed zeros, and a zero eigenvector column, keep their signs
+        a.a[rng.random((3, 3)) < 0.3] = 0.0
+        a.b.imag[rng.random((3, 3)) < 0.3] = -0.0
+        if t % 10 == 0:
+            a.a[:, 0] = a.b[:, 0] = 0.0
+        sizes = ([1, 1, 1], [2, 1], [1, 2], [3])[t % 4]
+        blocks = [(ClassRep(*rng.standard_normal(2)), size) for size in sizes]
+        got = spectral._normalize_similarity(a, blocks)
+        want = normalize_similarity_loop(a, blocks)
+        assert got.a.tobytes() == want.a.tobytes() and got.b.tobytes() == want.b.tobytes()
+        folded, got = spectral._fold_negative_classes(blocks, a)
+        flips = [rep.im < 0.0 for rep, size in blocks for _ in range(size)]
+        want = scale_columns_loop(a, [j_unit if f else 1.0 for f in flips])
+        assert got.a.tobytes() == want.a.tobytes() and got.b.tobytes() == want.b.tobytes()
+        assert folded == [(ClassRep(rep.re, abs(rep.im)), size) for rep, size in blocks]
