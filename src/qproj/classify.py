@@ -280,8 +280,7 @@ def classification_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> dict:
     data = jordan_form(A, tol)
     verdict = _classify_from_jordan(data, tol)
     report = {
-        "major": verdict.major.value,
-        "minor": verdict.minor.value,
+        **verdict.to_json_dict(),
         "f": None,
         "x": None,
         "y": None,

@@ -29,12 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSimple
-from .matrix import (QMatrix3, check_certificate, conjugation_residual, inverse, product_residual,
-                     require_unimodular)
-from .quaternion import DEFAULT_TOL, Quaternion
+from .matrix import (QMatrix3, _build_gate, check_certificate, conjugation_residual, inverse,
+                     product_residual, require_unimodular)
+from .quaternion import DEFAULT_TOL
 from .spectral import JordanData, jordan_form
-
-_J = Quaternion(0.0, 0.0, 1.0, 0.0)
 
 
 @dataclass
@@ -45,7 +43,7 @@ class SimpleCertificate:
     B: np.ndarray
     residual: float = 0.0
 
-    def verify(self, A: QMatrix3, tol: float = DEFAULT_TOL) -> float:
+    def verify(self, A: QMatrix3) -> float:
         return conjugation_residual(self.T, QMatrix3.from_real(self.B), A)
 
     def to_json_dict(self) -> dict:
@@ -113,11 +111,12 @@ def _realify_from_data(A: QMatrix3, data: JordanData | None, tol: float) -> Simp
     """realify(A) given the Jordan data of A; a real A needs none."""
     if A.is_real(tol):
         return SimpleCertificate(QMatrix3.identity(), A.real_part(), 0.0)
-    return _checked(A, _realify_data(A, data, tol))
+    return _checked(A, _realify_data(A, data, tol), tol)
 
 
-def _checked(A: QMatrix3, cert: SimpleCertificate) -> SimpleCertificate:
-    cert.residual = check_certificate(cert.verify(A), "real-conjugate certificate")
+def _checked(A: QMatrix3, cert: SimpleCertificate, tol: float) -> SimpleCertificate:
+    cert.residual = check_certificate(cert.verify(A), "real-conjugate certificate",
+                                      _build_gate(tol))
     return cert
 
 
@@ -161,19 +160,19 @@ def _pair_conjugator(s0: int, same: bool) -> QMatrix3:
     R is the rotation block [[Re λ, Im λ], [-Im λ, Re λ]] in those slots; the
     remaining slot is left fixed.  With U1 = [[1,0],[0,j]] and
     U2 = [[1,1],[i,-i]], U2 diag(λ, conj λ) U2^-1 = R for every complex λ and
-    U1 diag(λ, λ) U1^-1 = diag(λ, conj λ), so T is U2^-1 or (U2 U1)^-1.
+    U1 diag(λ, λ) U1^-1 = diag(λ, conj λ), so T is U2^-1 = [[1, -i], [1, i]] / 2
+    or (U2 U1)^-1 = [[1, -i], [-j, k]] / 2.
     """
     s1 = s0 + 1
-    u2 = QMatrix3.identity()
-    u2[s0, s0] = 1.0
-    u2[s0, s1] = 1.0
-    u2[s1, s0] = 1j
-    u2[s1, s1] = -1j
-    if not same:
-        return inverse(u2)
-    u1 = QMatrix3.identity()
-    u1[s1, s1] = _J
-    return inverse(u2 @ u1)
+    a = np.eye(3, dtype=complex)
+    b = np.zeros((3, 3), dtype=complex)
+    a[s0, s0], a[s0, s1] = 0.5, complex(0.0, -0.5)
+    if same:
+        a[s1, s1] = 0.0
+        b[s1, s0], b[s1, s1] = -0.5, 0.5j
+    else:
+        a[s1, s0], a[s1, s1] = 0.5, 0.5j
+    return QMatrix3(a, b)
 
 
 def _pair_factor(C: QMatrix3, s0: int):
@@ -338,7 +337,7 @@ def decompose_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> Decomposition:
             continue
         factor = S @ canon @ S_inv
         factors.append(factor)
-        certificates.append(_checked(factor, SimpleCertificate(S @ T, B)))
+        certificates.append(_checked(factor, SimpleCertificate(S @ T, B), tol))
 
-    residual = check_certificate(product_residual(factors, A), "factor product")
+    residual = check_certificate(product_residual(factors, A), "factor product", _build_gate(tol))
     return Decomposition(factors, certificates, residual)

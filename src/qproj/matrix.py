@@ -18,8 +18,10 @@ from .quaternion import DEFAULT_TOL, Quaternion
 
 _SHAPE = (3, 3)
 
-# A witness is returned only when its residual is below BUILD_GATE; `qproj
-# verify` replays a report made at tolerance tol against replay_gate(tol).
+# A witness built at tolerance tol is returned only when its residual is below
+# _build_gate(tol), the smaller of BUILD_GATE and replay_gate(tol); `qproj
+# verify` replays the report against replay_gate(tol), so it accepts every
+# witness the library returns.
 BUILD_GATE = 1e-5
 
 
@@ -289,6 +291,11 @@ def product_residual(factors, A: QMatrix3) -> float:
 def replay_gate(tol: float) -> float:
     """The gate `qproj verify` applies to a report made at tolerance tol."""
     return max(1e-8, 1e3 * tol)
+
+
+def _build_gate(tol: float) -> float:
+    """The gate a witness built at tolerance tol must pass: never looser than replay."""
+    return min(BUILD_GATE, replay_gate(tol))
 
 
 def check_certificate(residual: float, what: str, gate: float = BUILD_GATE) -> float:

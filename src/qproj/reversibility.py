@@ -23,21 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotReversible, NotStronglyReversible
-from .matrix import (QMatrix3, check_certificate, conjugation_residual, inverse, product_residual,
-                     require_unimodular, square_residual)
-from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
+from .matrix import (QMatrix3, _build_gate, check_certificate, conjugation_residual, inverse,
+                     product_residual, require_unimodular, square_residual)
+from .quaternion import DEFAULT_TOL, ClassRep
 from .spectral import JordanData, _sylvester_op, _unvec36, jordan_form
-
-_J = Quaternion(0.0, 0.0, 1.0, 0.0)
-
-
-def _cq(z) -> Quaternion:
-    return Quaternion.from_complex_pair(complex(z), 0j)
-
-
-def _jq(z) -> Quaternion:
-    """The quaternion z * j for complex z."""
-    return Quaternion.from_complex_pair(0j, complex(z))
 
 
 @dataclass
@@ -69,7 +58,17 @@ class ReversibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# shape detection on Jordan data
+# one matcher per relation: Jordan data -> (perm, g0) or None, where g0 is the
+# published closed-form witness for the canonical Jordan matrix J and perm[k]
+# is the Jordan slot that provides canonical slot k
+
+_ID = (0, 1, 2)
+# slot orders that put a pair in canonical slots 0, 1 and a singleton in slot 2
+_PAIR_ORDERS = (_ID, (0, 2, 1), (1, 2, 0))
+_ALL_ORDERS = _PAIR_ORDERS + ((1, 0, 2), (2, 0, 1), (2, 1, 0))
+_ZERO = np.zeros((3, 3))
+_SWAP = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+_FLIP = np.diag([1.0, -1.0, 1.0])
 
 
 def _boundary_angle(rep: ClassRep, tol: float) -> bool:
@@ -78,162 +77,103 @@ def _boundary_angle(rep: ClassRep, tol: float) -> bool:
     return min(abs(theta), abs(math.pi - theta)) <= 1e3 * tol
 
 
-@dataclass
-class _Shape:
-    """Routing data: which canonical reversible shape A matches."""
-
-    kind: str  # "diag-unit" | "diag-pair" | "j2" | "j3"
-    perm: list  # perm[k] = Jordan slot providing canonical slot k
-    reps: list  # canonical-slot class representatives
-
-
-def _match_reversible_shape(data: JordanData, tol: float) -> _Shape | None:
-    blocks = data.blocks
-    reps = [rep for rep, _ in blocks]
-
-    if data.shape_id == "diag":
-        if all(rep.is_unit(tol) for rep in reps):
-            return _Shape("diag-unit", [0, 1, 2], reps)
-        # need {a, a^-1} with |a| != 1 plus a unit singleton
-        for p in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            a, b, c = reps[p[0]], reps[p[1]], reps[p[2]]
-            if c.is_unit(tol) and not a.is_unit(tol) and b.isclose(a.inverse_class(), 1e3 * tol):
-                return _Shape("diag-pair", list(p), [a, b, c])
-        return None
-
-    if data.shape_id == "j2":
-        if all(rep.is_unit(tol) for rep in reps):
-            return _Shape("j2", [0, 1, 2], reps)
-        return None
-
-    # j3
-    if reps[0].is_unit(tol):
-        return _Shape("j3", [0, 1, 2], reps)
+def _inverse_pair(reps, tol: float):
+    """The slot order (a, a^-1, c) of a diagonal shape with |a| != 1 and |c| = 1."""
+    for p in _PAIR_ORDERS:
+        a, b, c = (reps[k] for k in p)
+        if c.is_unit(tol) and not a.is_unit(tol) and b.isclose(a.inverse_class(), 1e3 * tol):
+            return p
     return None
 
 
-def _match_negative_shape(data: JordanData, tol: float) -> _Shape | None:
-    """Shapes conjugate to -A^-1: pairs {a, -a^-1} or singletons in [i]."""
-    blocks = data.blocks
-    reps = [rep for rep, _ in blocks]
-    i_rep = ClassRep(0.0, 1.0)
+def _match_skew_involution(data: JordanData, tol: float):
+    """(perm, g0) with g0 J g0^-1 = J^-1 and g0^2 = -I, or None: A ~ A^-1.
 
-    def is_i(rep):
-        return rep.isclose(i_rep, 1e3 * tol)
-
+    Blocks either pair up as {a, a^-1} with |a| != 1 or stand alone with
+    |a| = 1; only a diagonal shape has room for a pair.
+    """
+    reps = [rep for rep, _ in data.blocks]
+    unit = all(rep.is_unit(tol) for rep in reps)
     if data.shape_id == "diag":
-        if all(is_i(rep) for rep in reps):
-            return _Shape("neg-diag", [0, 1, 2], reps)
-        for p in ((0, 1, 2), (0, 2, 1), (1, 2, 0), (1, 0, 2), (2, 0, 1), (2, 1, 0)):
-            a, b, c = reps[p[0]], reps[p[1]], reps[p[2]]
-            if is_i(c) and b.isclose(a.negated_inverse_class(), 1e3 * tol):
-                return _Shape("neg-diag", list(p), [a, b, c])
+        if unit:
+            return _ID, QMatrix3(_ZERO, np.eye(3))  # diag(j, j, j)
+        p = _inverse_pair(reps, tol)
+        return None if p is None else (p, QMatrix3(_ZERO, _SWAP))
+    if not unit:
         return None
-
+    theta = reps[0].angle()
     if data.shape_id == "j2":
-        if is_i(reps[0]) and is_i(reps[1]):
-            return _Shape("neg-j2", [0, 1, 2], reps)
+        return _ID, QMatrix3(_ZERO, np.diag([-cmath.exp(-2j * theta), 1.0, 1.0]))
+    return _ID, QMatrix3(_ZERO, [[cmath.exp(-4j * theta), cmath.exp(-3j * theta), 0.0],
+                                 [0.0, -cmath.exp(-2j * theta), 0.0], [0.0, 0.0, 1.0]])
+
+
+def _match_involution(data: JordanData, tol: float):
+    """(perm, g0) with g0 J g0^-1 = J^-1 and g0^2 = I, or None: A strongly reversible.
+
+    A subset of the skew-involution shapes: the classes that stand alone
+    have angle 0 or pi, and two equal unit classes may pair up.
+    """
+    reps = [rep for rep, _ in data.blocks]
+    if data.shape_id == "diag":
+        if all(rep.is_unit(tol) for rep in reps):  # two equal classes pair up
+            p = next((p for p in _PAIR_ORDERS if reps[p[0]].isclose(reps[p[1]], 1e3 * tol)
+                      and _boundary_angle(reps[p[2]], tol)), None)
+        else:
+            p = _inverse_pair(reps, tol)
+        if p is None or not _boundary_angle(reps[p[2]], tol):
+            return None
+        # [[0, j, 0], [-j, 0, 0], [0, 0, 1]]; -j is the negated quaternion j, zeros -0.0
+        return p, QMatrix3([[0.0, 0.0, 0.0], [-0j, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                           [[0.0, 1.0, 0.0], [complex(-1.0, -0.0), 0.0, 0.0], [0.0, 0.0, 0.0]])
+    if not all(rep.is_unit(tol) and _boundary_angle(rep, tol) for rep in reps):
         return None
-
-    if is_i(reps[0]):
-        return _Shape("neg-j3", [0, 1, 2], reps)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# canonical witnesses (the published closed forms)
+    if data.shape_id == "j2":
+        return _ID, QMatrix3(_FLIP, _ZERO)
+    sign = 1.0 if abs(reps[0].angle()) <= math.pi / 2 else -1.0
+    return _ID, QMatrix3([[1.0, sign, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]], _ZERO)
 
 
-def _skew_reverser_canonical(shape: _Shape) -> QMatrix3:
-    g = QMatrix3.zeros()
-    if shape.kind == "diag-unit":
-        for k in range(3):
-            g[k, k] = _J
-    elif shape.kind == "diag-pair":
-        g[0, 1] = _J
-        g[1, 0] = _J
-        g[2, 2] = _J
-    elif shape.kind == "j2":
-        theta = shape.reps[0].angle()
-        g[0, 0] = _jq(-cmath.exp(-2j * theta))
-        g[1, 1] = _J
-        g[2, 2] = _J
-    else:  # j3
-        theta = shape.reps[0].angle()
-        g[0, 0] = _jq(cmath.exp(-4j * theta))
-        g[0, 1] = _jq(cmath.exp(-3j * theta))
-        g[1, 1] = _jq(-cmath.exp(-2j * theta))
-        g[2, 2] = _J
-    return g
+def _match_negative_involution(data: JordanData, tol: float):
+    """(perm, g0) with g0 J g0^-1 = -J^-1 and g0^2 = I, or None: A ~ -A^-1.
+
+    Blocks pair up as {a, -a^-1} or stand alone in the class of i.
+    """
+    reps = [rep for rep, _ in data.blocks]
+    in_i = [rep.isclose(ClassRep(0.0, 1.0), 1e3 * tol) for rep in reps]
+    if data.shape_id == "diag":
+        for p in _ALL_ORDERS:  # the first order is the identity, taken when all are in [i]
+            a, b, _ = (reps[k] for k in p)
+            if all(in_i) or (in_i[p[2]] and b.isclose(a.negated_inverse_class(), 1e3 * tol)):
+                return p, QMatrix3(_SWAP, _ZERO)
+        return None
+    if not all(in_i):
+        return None
+    if data.shape_id == "j2":
+        return _ID, QMatrix3(_FLIP, _ZERO)
+    # complex(0.0, -1.0), not -1j, whose real part -0.0 would flip zero signs in g
+    return _ID, QMatrix3([[1.0, complex(0.0, -1.0), 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+                         _ZERO)
 
 
-def _involution_reverser_canonical(shape: _Shape) -> QMatrix3:
-    g = QMatrix3.zeros()
-    if shape.kind in ("diag-unit", "diag-pair"):
-        # pair in slots 0, 1; boundary singleton in slot 2
-        g[0, 1] = _J
-        g[1, 0] = -_J
-        g[2, 2] = 1.0
-    elif shape.kind == "j2":
-        g[0, 0] = 1.0
-        g[1, 1] = -1.0
-        g[2, 2] = 1.0
-    else:  # j3 with boundary angle
-        sign = 1.0 if abs(shape.reps[0].angle()) <= math.pi / 2 else -1.0
-        g[0, 0] = 1.0
-        g[0, 1] = sign
-        g[1, 1] = -1.0
-        g[2, 2] = 1.0
-    return g
-
-
-def _negative_reverser_canonical(shape: _Shape) -> QMatrix3:
-    g = QMatrix3.zeros()
-    if shape.kind == "neg-diag":
-        g[0, 1] = 1.0
-        g[1, 0] = 1.0
-        g[2, 2] = 1.0
-    elif shape.kind == "neg-j2":
-        g[0, 0] = 1.0
-        g[1, 1] = -1.0
-        g[2, 2] = 1.0
-    else:  # neg-j3
-        g[0, 0] = 1.0
-        g[0, 1] = Quaternion(0.0, -1.0)
-        g[1, 1] = -1.0
-        g[2, 2] = 1.0
-    return g
-
-
-def _perm_matrix(perm) -> QMatrix3:
-    p = np.zeros((3, 3))
-    for canonical_slot, jordan_slot in enumerate(perm):
-        p[jordan_slot, canonical_slot] = 1.0
-    return QMatrix3.from_real(p)
-
-
-def _into_frame(data: JordanData, perm, g0: QMatrix3) -> QMatrix3:
-    """Conjugate a canonical witness into A's frame: S P g0 P^T S^-1."""
-    P = _perm_matrix(perm)
-    PT = _perm_matrix([perm.index(k) for k in range(3)])
-    frame = data.S @ P
-    return frame @ g0 @ PT @ inverse(data.S)
-
-
-def _witness(A, data, shape, g0, target, sign, what):
-    """(g, conjugation residual, square residual) for g0 taken into A's frame.
+def _witness(A, data, match, target, sign, what, tol):
+    """(g, conjugation residual, square residual) for g = S P g0 P^T S^-1, P of perm.
 
     Both defining equations, g A g^-1 = target and g^2 = sign * I, are checked.
     """
-    g = _into_frame(data, shape.perm, g0)
-    conj = check_certificate(conjugation_residual(g, A, target), f"{what} conjugation")
-    return g, conj, check_certificate(square_residual(g, sign), f"{what} square")
+    perm, g0 = match
+    p = np.eye(3)[:, list(perm)]
+    g = data.S @ QMatrix3.from_real(p) @ g0 @ QMatrix3.from_real(p.T) @ inverse(data.S)
+    gate = _build_gate(tol)
+    conj = check_certificate(conjugation_residual(g, A, target), f"{what} conjugation", gate)
+    return g, conj, check_certificate(square_residual(g, sign), f"{what} square", gate)
 
 
-def _checked_pair(A: QMatrix3, s1: QMatrix3, s2: QMatrix3):
+def _checked_pair(A: QMatrix3, s1: QMatrix3, s2: QMatrix3, tol: float):
     """(product residual, square residual) of a pair with s1 s2 = A and s1^2 = -I."""
-    product = check_certificate(product_residual([s1, s2], A), "pair product")
-    return product, check_certificate(square_residual(s1, -1.0), "pair square 1")
+    gate = _build_gate(tol)
+    product = check_certificate(product_residual([s1, s2], A), "pair product", gate)
+    return product, check_certificate(square_residual(s1, -1.0), "pair square 1", gate)
 
 
 # ---------------------------------------------------------------------------
@@ -243,84 +183,59 @@ def _checked_pair(A: QMatrix3, s1: QMatrix3, s2: QMatrix3):
 def is_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
     """True iff A is conjugate to A^-1 in SL(3,H)."""
     require_unimodular(A, tol)
-    return _match_reversible_shape(jordan_form(A, tol), tol) is not None
+    return _match_skew_involution(jordan_form(A, tol), tol) is not None
 
 
 def reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     """A skew-involution g with g A g^-1 = A^-1, certificate-checked."""
     require_unimodular(A, tol)
     data = jordan_form(A, tol)
-    shape = _match_reversible_shape(data, tol)
-    if shape is None:
+    match = _match_skew_involution(data, tol)
+    if match is None:
         raise NotReversible("Jordan blocks do not pair into a reversible shape")
-    g0 = _skew_reverser_canonical(shape)
-    return _witness(A, data, shape, g0, inverse(A), -1.0, "reverser")[0]
+    return _witness(A, data, match, inverse(A), -1.0, "reverser", tol)[0]
 
 
 def two_skew_involutions(A: QMatrix3, tol: float = DEFAULT_TOL):
     """(s1, s2) with s1^2 = s2^2 = -I and s1 s2 = A."""
     s2 = reverser(A, tol)
     s1 = -(A @ s2)
-    _checked_pair(A, s1, s2)
+    _checked_pair(A, s1, s2, tol)
     return s1, s2
 
 
 def is_strongly_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
     """True iff some involution reverses A (boundary-angle shapes)."""
     require_unimodular(A, tol)
-    data = jordan_form(A, tol)
-    return _strong_shape(data, tol) is not None
-
-
-def _strong_shape(data: JordanData, tol: float) -> _Shape | None:
-    shape = _match_reversible_shape(data, tol)
-    if shape is None:
-        return None
-    reps = shape.reps
-    if shape.kind == "diag-unit":
-        # need two equal angles and the remaining one in {0, pi}
-        for p in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            a, b, c = reps[p[0]], reps[p[1]], reps[p[2]]
-            if a.isclose(b, 1e3 * tol) and _boundary_angle(c, tol):
-                jordan_slots = [shape.perm[k] for k in p]
-                return _Shape("diag-unit", jordan_slots, [a, b, c])
-        return None
-    if shape.kind == "diag-pair":
-        return shape if _boundary_angle(reps[2], tol) else None
-    if shape.kind == "j2":
-        ok = _boundary_angle(reps[0], tol) and _boundary_angle(reps[1], tol)
-        return shape if ok else None
-    return shape if _boundary_angle(reps[0], tol) else None  # j3
+    return _match_involution(jordan_form(A, tol), tol) is not None
 
 
 def involution_reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     """An involution g with g A g^-1 = A^-1, certificate-checked."""
     require_unimodular(A, tol)
     data = jordan_form(A, tol)
-    shape = _strong_shape(data, tol)
-    if shape is None:
+    match = _match_involution(data, tol)
+    if match is None:
         raise NotStronglyReversible(
             "no involution reverses this conjugacy class (interior angle present)"
         )
-    g0 = _involution_reverser_canonical(shape)
-    return _witness(A, data, shape, g0, inverse(A), 1.0, "involution")[0]
+    return _witness(A, data, match, inverse(A), 1.0, "involution", tol)[0]
 
 
 def is_negative_reversible(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
     """True iff g A g^-1 = -A^-1 has a solution in SL(3,H)."""
     require_unimodular(A, tol)
-    return _match_negative_shape(jordan_form(A, tol), tol) is not None
+    return _match_negative_involution(jordan_form(A, tol), tol) is not None
 
 
 def negative_reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     """An involution g with g A g^-1 = -A^-1, certificate-checked."""
     require_unimodular(A, tol)
     data = jordan_form(A, tol)
-    shape = _match_negative_shape(data, tol)
-    if shape is None:
+    match = _match_negative_involution(data, tol)
+    if match is None:
         raise NotReversible("Jordan blocks do not pair into a negative-reversible shape")
-    g0 = _negative_reverser_canonical(shape)
-    return _witness(A, data, shape, g0, -inverse(A), 1.0, "negative-reverser")[0]
+    return _witness(A, data, match, -inverse(A), 1.0, "negative-reverser", tol)[0]
 
 
 def reverser_equation_basis(A: QMatrix3, tol: float = DEFAULT_TOL):
@@ -361,32 +276,26 @@ def psl_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> ReversibilityReport:
     """
     require_unimodular(A, tol)
     data = jordan_form(A, tol)
-    rev_shape = _match_reversible_shape(data, tol)
-    neg_shape = _match_negative_shape(data, tol)
-    rev = rev_shape is not None
-    neg = neg_shape is not None
-
+    skew = _match_skew_involution(data, tol)
+    neg = _match_negative_involution(data, tol)
     report = ReversibilityReport(
-        reversible_sl=rev,
-        strongly_reversible_sl=rev and _strong_shape(data, tol) is not None,
-        negative_reversible=neg,
-        reversible_psl=rev or neg,
+        reversible_sl=skew is not None,
+        strongly_reversible_sl=_match_involution(data, tol) is not None,
+        negative_reversible=neg is not None,
+        reversible_psl=skew is not None or neg is not None,
     )
-
-    if rev:
-        g0 = _skew_reverser_canonical(rev_shape)
-        g, conj, square = _witness(A, data, rev_shape, g0, inverse(A), -1.0, "reverser")
+    if skew is not None:
+        g, conj, square = _witness(A, data, skew, inverse(A), -1.0, "reverser", tol)
         s1 = -(A @ g)
         report.reverser_kind = "skew-involution"
-    elif neg:
+    elif neg is not None:
         A_inv = inverse(A)
-        g0 = _negative_reverser_canonical(neg_shape)
-        g, conj, square = _witness(A, data, neg_shape, g0, -A_inv, 1.0, "negative-reverser")
+        g, conj, square = _witness(A, data, neg, -A_inv, 1.0, "negative-reverser", tol)
         s1 = -(inverse(g) @ A_inv)
         report.reverser_kind = "involution"
     else:
         return report
-    product, square_1 = _checked_pair(A, s1, g)
+    product, square_1 = _checked_pair(A, s1, g, tol)
     report.reverser = g
     report.psl_involution_pair = (s1, g)
     report.residuals = {

@@ -7,6 +7,7 @@ from qproj import (
     NotStronglyReversible,
     QMatrix3,
     Quaternion,
+    decompose_simple,
     inverse,
     involution_reverser,
     is_negative_reversible,
@@ -22,13 +23,15 @@ from qproj import (
 )
 from qproj.generate import (
     conjugated,
+    generate,
     negative_shape,
     nonreversible_shape,
     nonstrong_shape,
     reversible_shape,
     strong_shape,
 )
-from qproj import reversibility
+from qproj import decompose, reversibility
+from qproj.matrix import conjugation_residual, square_residual
 from qproj.spectral import _vec36
 
 J = Quaternion(0, 0, 1)
@@ -101,6 +104,10 @@ def test_strong_examples():
     a = j2(1, 1)
     assert is_strongly_reversible_sl(a)
     assert involution_reverser(a).isclose(QMatrix3.diag(1, -1, 1))
+    # not reversible at all, so not strongly reversible either
+    assert not is_strongly_reversible_sl(j2(2, 0.25))
+    with pytest.raises(NotStronglyReversible):
+        involution_reverser(j2(2, 0.25))
 
 
 def test_involution_reverser_closed_forms():
@@ -140,6 +147,14 @@ def test_negative_reversible_examples():
     g = negative_reverser(j3(1j))
     assert g.isclose(QMatrix3.from_complex([[1, -1j, 0], [0, -1, 0], [0, 0, 1]]))
     assert not is_negative_reversible(QMatrix3.diag(e(np.pi / 3), e(np.pi / 4), e(np.pi / 5)))
+    with pytest.raises(NotReversible):
+        negative_reverser(QMatrix3.diag(e(np.pi / 3), e(np.pi / 4), e(np.pi / 5)))
+    # every class in [i]: the pair order is the identity and the witness exact
+    a = QMatrix3.diag(1j, 1j, 1j)
+    assert is_negative_reversible(a)
+    g = negative_reverser(a)
+    assert conjugation_residual(g, a, -inverse(a)) == 0.0
+    assert square_residual(g, 1.0) == 0.0
 
 
 def test_negative_reverser_random(rng):
@@ -276,3 +291,24 @@ def test_reverser_equation_basis_solves_and_is_orthonormal(rng, sampler, kind):
         assert (g @ a - a_inv @ g).norm() <= 1e-9 * max(1.0, a.norm())
     coords = np.array([_vec36(g) for g in basis])
     assert np.allclose(coords @ coords.T, np.eye(len(basis)), atol=1e-12)
+
+
+def test_random_reverser_solution_of_empty_space_is_zero(rng):
+    g = random_reverser_solution(nonreversible_shape("1", rng), rng)
+    assert g.norm() == 0.0
+
+
+def test_library_gate_is_no_looser_than_replay_gate(rng, monkeypatch):
+    # a witness with residual 5e-6 would fail `qproj verify` at tol 1e-9
+    # (replay gate 1e-6), so the library must not return it; at tol 1e-7 the
+    # replay gate is 1e-4 and the build gate 1e-5 lets it through
+    rev, _ = conjugated(reversible_shape("ii", rng), rng)
+    elliptic = generate("regular-elliptic", rng=rng).matrix
+    monkeypatch.setattr(reversibility, "square_residual", lambda g, sign: 5e-6)
+    monkeypatch.setattr(decompose, "conjugation_residual", lambda T, B, M: 5e-6)
+    with pytest.raises(CertificateError, match="reverser square"):
+        psl_report(rev, 1e-9)
+    with pytest.raises(CertificateError, match="real-conjugate"):
+        decompose_simple(elliptic, 1e-9)
+    assert psl_report(rev, 1e-7).residuals["reverser_square"] == 5e-6
+    assert all(c.residual == 5e-6 for c in decompose_simple(elliptic, 1e-7).certificates)
