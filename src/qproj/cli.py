@@ -25,7 +25,7 @@ from .decompose import _is_simple_data, _realify_from_data, decompose_simple, is
 from .errors import CertificateError, QprojError
 from .generate import DYNAMICAL_TYPES, generate
 from .matrix import (QMatrix3, check_certificate, conjugation_residual, det_h, inverse,
-                     normalize_to_sl, product_residual, replay_gate, square_residual)
+                     is_unimodular, normalize_to_sl, product_residual, replay_gate, square_residual)
 from .quaternion import DEFAULT_TOL, ClassRep
 from .reversibility import psl_report
 from .spectral import _assemble_jordan, jordan_form
@@ -98,16 +98,12 @@ def _parse_matrices(payload):
 
 def _ensure_unimodular(m: QMatrix3, tol: float) -> QMatrix3:
     d = det_h(m)
-    if abs(d - 1.0) <= 1e3 * tol:
+    if is_unimodular(d, tol):
         return m
     if abs(d - 1.0) < _AUTO_NORMALIZE_WINDOW:
-        click.echo(
-            f"warning: det_h = {d:.9f}; auto-normalizing to SL(3,H)", err=True
-        )
-        return normalize_to_sl(m, tol)
-    raise _CliFailure(
-        f"det_h = {d:.6f} is too far from 1 to auto-normalize", EXIT_PRECONDITION
-    )
+        click.echo(f"warning: det_h = {d:.9f}; auto-normalizing to SL(3,H)", err=True)
+        return normalize_to_sl(m)
+    raise _CliFailure(f"det_h = {d:.6f} is too far from 1 to auto-normalize", EXIT_PRECONDITION)
 
 
 def _emit(reports, was_batch, as_json, text_fn):

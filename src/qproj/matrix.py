@@ -24,6 +24,8 @@ _SHAPE = (3, 3)
 # witness the library returns.
 BUILD_GATE = 1e-5
 
+COND_LIMIT = 1e13  # Phi(A) counts as singular once its 1-norm condition number reaches this
+
 
 def _qmul(a1, b1, a2, b2):
     """Complex blocks of (A1 + B1 j)(A2 + B2 j); broadcasts over stacks of blocks."""
@@ -253,13 +255,21 @@ def char_poly_h(m: QMatrix3, tol: float = DEFAULT_TOL) -> CharPoly6:
     return CharPoly6(coeffs)
 
 
-def inverse(m: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
-    """Inverse through the complex adjoint; raises Singular near det_h = 0."""
-    phi = m.adjoint()
-    d = abs(np.linalg.det(phi))
-    if not d > tol:
-        raise Singular(f"det_h = {d:.3e} is below tolerance")
-    return QMatrix3.from_adjoint(np.linalg.inv(phi))
+def _invert_adjoint(phi: np.ndarray) -> np.ndarray:
+    """Phi^-1; raises Singular unless ||Phi||_1 ||Phi^-1||_1 is below COND_LIMIT."""
+    try:
+        phi_inv = np.linalg.inv(phi)
+    except np.linalg.LinAlgError as exc:
+        raise Singular(f"adjoint is singular: {exc}") from exc
+    cond = np.abs(phi).sum(axis=0).max() * np.abs(phi_inv).sum(axis=0).max()
+    if not cond < COND_LIMIT:
+        raise Singular(f"cond_1 of the adjoint is {cond:.3e}, not below {COND_LIMIT:.0e}")
+    return phi_inv
+
+
+def inverse(m: QMatrix3) -> QMatrix3:
+    """Inverse through the complex adjoint; raises Singular when cond_1 Phi >= COND_LIMIT."""
+    return QMatrix3.from_adjoint(_invert_adjoint(m.adjoint()))
 
 
 def conjugation_residual(T: QMatrix3, B: QMatrix3, M: QMatrix3) -> float:
@@ -269,10 +279,9 @@ def conjugation_residual(T: QMatrix3, B: QMatrix3, M: QMatrix3) -> float:
     conjugate (T, B, factor) and a reverser (g, A, +-A^-1).
     """
     try:
-        T_inv = inverse(T, tol=1e-300)
+        return ((T @ B @ inverse(T)) - M).norm() / max(M.norm(), 1e-300)
     except Singular:
         return math.inf
-    return ((T @ B @ T_inv) - M).norm() / max(M.norm(), 1e-300)
 
 
 def square_residual(g: QMatrix3, sign: float) -> float:
@@ -305,22 +314,27 @@ def check_certificate(residual: float, what: str, gate: float = BUILD_GATE) -> f
     return residual
 
 
-def normalize_to_sl(m: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
+def normalize_to_sl(m: QMatrix3) -> QMatrix3:
     """Rescale by det_h(A)^(-1/6) so the result lies in SL(3,H).
 
     The central scalar a*I3 commutes with everything, so conjugacy relations
     involving A survive the rescaling unchanged.
     """
     d = det_h(m)
-    if not d > tol:
-        raise Singular(f"det_h = {d:.3e} is below tolerance")
+    if not d > 0.0:
+        raise Singular(f"det_h = {d:.3e} has no sixth root to rescale by")
     return m * (d ** (-1.0 / 6.0))
 
 
+def is_unimodular(d: float, tol: float) -> bool:
+    """True iff the determinant d equals 1 within 1e3 * max(tol, 1e-12)."""
+    return abs(d - 1.0) <= 1e3 * max(tol, 1e-12)
+
+
 def require_unimodular(m: QMatrix3, tol: float = DEFAULT_TOL) -> None:
-    """Raise NotUnimodular unless det_h(m) = 1 within 1e3 * tol."""
+    """Raise NotUnimodular unless is_unimodular(det_h(m), tol)."""
     d = det_h(m)
-    if not abs(d - 1.0) <= 1e3 * max(tol, 1e-12):
+    if not is_unimodular(d, tol):
         raise NotUnimodular(f"det_h = {d:.9f}, expected 1 (within {1e3 * tol:.1e})")
 
 

@@ -291,7 +291,7 @@ def psl_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> ReversibilityReport:
     elif neg is not None:
         A_inv = inverse(A)
         g, conj, square = _witness(A, data, neg, -A_inv, 1.0, "negative-reverser", tol)
-        s1 = -(inverse(g) @ A_inv)
+        s1 = -(g @ A_inv)  # g^-1 = g: g^2 = I is certified above
         report.reverser_kind = "involution"
     else:
         return report

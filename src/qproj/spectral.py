@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import IllConditioned, LiftFailure, Singular, SpectralFailure
-from .matrix import (QMatrix3, _blocks36, _qmul, _unvec36, _vec36, conjugation_residual, det_h,
-                     inverse)
+from .errors import IllConditioned, LiftFailure, SpectralFailure
+from .matrix import (QMatrix3, _blocks36, _invert_adjoint, _qmul, _unvec36, _vec36,
+                     conjugation_residual, inverse)
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 
 # Accept a candidate immediately when its relative residual is this good;
@@ -449,11 +449,6 @@ def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness):
     if col != 3:
         raise _CandidateFailed("chain columns do not fill H^3")
 
-    phi_s = S.adjoint()
-    sv = np.linalg.svd(phi_s, compute_uv=False)
-    if sv[-1] < 1e-13 * sv[0]:
-        raise _CandidateFailed("similarity transform numerically singular")
-
     data = JordanData(
         blocks=blocks, S=_normalize_similarity(S, blocks), shape_id=_shape_id(blocks), residual=np.inf
     )
@@ -541,11 +536,7 @@ def _sylvester_polish(A: QMatrix3, data: JordanData):
         diagonal = 16 * np.arange(3)
         shift[diagonal, 2 * column_class] = 1.0
         shift[diagonal + 1, 2 * column_class + 1] = 1.0
-        try:
-            S_inv = inverse(best.S, tol=1e-300)
-        except Singular:
-            return best
-        R = (S_inv @ A @ best.S) - J
+        R = (inverse(best.S) @ A @ best.S) - J
         op = np.hstack([_sylvester_op(J, J), -shift])
         sol, *_ = np.linalg.lstsq(op, -_vec36(R), rcond=None)
         X = _unvec36(sol[:36])
@@ -589,9 +580,8 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     Raises IllConditioned when no candidate clustering reconstructs A within
     1e3 * tol relative residual (the best achieved residual is reported).
     """
-    if not det_h(A) > tol:
-        raise Singular("jordan_form requires an invertible matrix")
     phi = A.adjoint()
+    _invert_adjoint(phi)  # raises Singular
     try:
         T0, Z0 = sla.schur(phi, output="complex")
     except sla.LinAlgError as exc:

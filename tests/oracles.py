@@ -279,3 +279,25 @@ def normalize_similarity_loop(S: QMatrix3, blocks) -> QMatrix3:
         scalars.extend([h] * size)
         col += size
     return scale_columns_loop(S, scalars)
+
+
+def _unitary(rng) -> QMatrix3:
+    """exp(K) for a random quaternionic skew-Hermitian K, through eigh of i Phi(K)."""
+    x = QMatrix3(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+                 rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    phi = x.adjoint() - x.adjoint().conj().T  # Phi(X - X*), skew-Hermitian
+    w, v = np.linalg.eigh(1j * phi)
+    return QMatrix3.from_adjoint((v * np.exp(-1j * w)) @ v.conj().T)
+
+
+def conditioned_conjugator(c: float, rng):
+    """(g, g^-1) with g = U1 diag(sqrt(c), 1, 1/sqrt(c)) U2 in SL(3,H) and cond Phi(g) = c.
+
+    U1 and U2 are unitary, so g^-1 = U2* diag(1/sqrt(c), 1, sqrt(c)) U1* is
+    written in closed form, with no call to the library's inverse.
+    """
+    u1, u2 = _unitary(rng), _unitary(rng)
+    star = lambda u: QMatrix3.from_adjoint(u.adjoint().conj().T)
+    r = math.sqrt(c)
+    g = u1 @ QMatrix3.diag(r, 1.0, 1.0 / r) @ u2
+    return g, star(u2) @ QMatrix3.diag(1.0 / r, 1.0, r) @ star(u1)

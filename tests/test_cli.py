@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qproj import QMatrix3
+from qproj import QMatrix3, classification_report
 from qproj.cli import main
 from qproj.generate import (
     DYNAMICAL_TYPES,
@@ -164,6 +164,17 @@ def test_auto_normalization_warns(runner, tmp_path):
     res = runner.invoke(main, ["classify", str(path)])
     assert res.exit_code == 0, res.output
     assert "auto-normalizing" in res.stderr
+
+
+def test_tight_tol_keeps_a_matrix_the_library_accepts(runner, tmp_path):
+    # det_h - 1 = 3e-10 passes require_unimodular at tol 1e-13, whose gate is
+    # floored at 1e3 * 1e-12, so the CLI must not re-normalize it either
+    m = QMatrix3.diag(2.0, 0.5, 1.0) * (1.0 + 5e-11)
+    classification_report(m, 1e-13)
+    res = runner.invoke(main, ["classify", "--tol", "1e-13", write_matrix(tmp_path, m)])
+    assert res.exit_code == 0, res.output
+    assert "auto-normalizing" not in res.stderr
+    assert json.loads(res.stdout)["input"] == m.to_json_dict()
 
 
 def test_stdin_input(runner):

@@ -19,6 +19,7 @@ from qproj import (
     self_dual_check,
 )
 from qproj.generate import random_conjugator
+from qproj.spectral import jordan_form
 from oracles import adjoint_of, char_poly_from_diag, gauss_inverse
 
 J = Quaternion(0, 0, 1)
@@ -105,6 +106,20 @@ def test_inverse_matches_elimination_oracle(rng):
 def test_inverse_singular_raises():
     with pytest.raises(Singular):
         inverse(QMatrix3.zeros())
+    # det_h = 1, but cond_1 Phi = 1e14 is past the relative bound
+    m = QMatrix3.diag(1e-7, 1.0, 1e7)
+    assert det_h(m) == pytest.approx(1.0)
+    with pytest.raises(Singular):
+        inverse(m)
+
+
+def test_small_scalar_matrix_is_invertible():
+    # cond Phi = 1 although det_h = 0.03^6 = 7.3e-10: invertibility is relative
+    m = 0.03 * QMatrix3.identity()
+    assert inverse(m).isclose(QMatrix3.diag(1 / 0.03, 1 / 0.03, 1 / 0.03))
+    assert normalize_to_sl(m).isclose(QMatrix3.identity())
+    data = jordan_form(m)
+    assert [(rep.re, rep.im, size) for rep, size in data.blocks] == [(0.03, 0.0, 1)] * 3
 
 
 def test_normalize_examples():

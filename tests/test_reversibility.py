@@ -6,7 +6,9 @@ from qproj import (
     NotReversible,
     NotStronglyReversible,
     QMatrix3,
+    QprojError,
     Quaternion,
+    Singular,
     decompose_simple,
     inverse,
     involution_reverser,
@@ -31,8 +33,9 @@ from qproj.generate import (
     strong_shape,
 )
 from qproj import decompose, reversibility
-from qproj.matrix import conjugation_residual, square_residual
+from qproj.matrix import conjugation_residual, replay_gate, square_residual
 from qproj.spectral import _vec36
+from oracles import conditioned_conjugator
 
 J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)
@@ -279,6 +282,29 @@ def test_negative_branch_pair_is_gated(rng, monkeypatch):
     monkeypatch.setattr(reversibility, "product_residual", lambda factors, target: 1.0)
     with pytest.raises(CertificateError, match="pair product"):
         psl_report(a)
+
+
+def test_negative_branch_pair_uses_the_involution_itself(rng):
+    # g^2 = I is certified, so the pair is (-g A^-1, g): g is not inverted
+    a, _ = conjugated(negative_shape("ii", rng), rng)
+    s1, g = psl_report(a).psl_involution_pair
+    assert np.array_equal(s1.adjoint(), (-(g @ inverse(a))).adjoint())
+
+
+def test_translation_under_ill_conditioned_conjugator_is_never_singular(rng):
+    # cond Phi(g) = 3.6e4 puts det_h of the unit-column similarity S far
+    # below 1e-9; the report must be certified or fail a certificate, never
+    # reject S as singular
+    for _ in range(6):
+        g, g_inv = conditioned_conjugator(3.6e4, rng)
+        a = g @ j3(1.0) @ g_inv
+        try:
+            rep = psl_report(a)
+        except QprojError as exc:
+            assert not isinstance(exc, Singular), exc
+            continue
+        assert rep.reversible_sl and rep.reverser_kind == "skew-involution"
+        assert max(rep.residuals.values()) < replay_gate(1e-9)
 
 
 @pytest.mark.parametrize("sampler,kind", [(nonstrong_shape, "7"), (reversible_shape, "iii")])
