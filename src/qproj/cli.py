@@ -5,6 +5,17 @@ array of them; output mirrors the input arity and preserves order.  Every
 report embeds the input matrix and the tolerance so `qproj verify` can replay
 all certificates offline.
 
+Output contract: every JSON document the CLI prints is one line,
+`json.dumps(document, sort_keys=True)` (default separators, keys sorted,
+floats as Python's shortest round-trip repr), so stdout equals
+`json.dumps(json.loads(stdout), sort_keys=True) + "\n"`.  `_emit` is the only
+place that decides this.  `--text` prints one human-readable line per report
+instead; `python -m json.tool` pretty-prints a JSON report.
+
+`qproj verify` judges every certificate by replay_gate of its own `--tol`.
+A report's `tolerance` only replays the verdicts made at it (the dynamical
+type, the simplicity flag).
+
 Exit codes: 0 success, 2 parse or usage error, 3 precondition failure,
 4 certificate verification failure.
 """
@@ -107,9 +118,11 @@ def _ensure_unimodular(m: QMatrix3, tol: float) -> QMatrix3:
 
 
 def _emit(reports, was_batch, as_json, text_fn):
+    """Print the reports: the one place that decides the output format."""
     if as_json:
         payload = reports if was_batch else reports[0]
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        # compact: pretty-printing would drop json from its C encoder to Python
+        click.echo(json.dumps(payload, sort_keys=True))
     else:
         for rep in reports:
             click.echo(text_fn(rep))
@@ -251,27 +264,29 @@ def gen_cmd(type_name, seed, as_json):
         rep = inst.to_json_dict()
         rep["kind"] = "generated"
         rep["seed"] = seed
-        if as_json:
-            click.echo(json.dumps(rep, indent=2, sort_keys=True))
-        else:
-            click.echo(f"{type_name} instance (seed {seed})")
+        _emit([rep], False, as_json, lambda _: f"{type_name} instance (seed {seed})")
 
     _wrap_errors(run)
 
 
-def _replay_report(rep, failures):
+def _replay_report(rep, failures, tol):
+    """Replay one report's certificates against replay_gate(tol), verify's own
+    tolerance; the report's `tolerance` only rebuilds its verdicts."""
     kind = rep.get("kind")
-    tol = float(rep.get("tolerance", DEFAULT_TOL))
+    gate = replay_gate(tol)
+    report_tol = float(rep.get("tolerance", tol))
+    if not _usable_tol(report_tol):
+        raise ValueError(f"tolerance {report_tol!r} is not a finite number above zero")
 
     def check(residual, what):
         try:
-            check_certificate(residual, what, replay_gate(tol))
+            check_certificate(residual, what, gate)
         except CertificateError as exc:
             failures.append(str(exc))
 
     if kind == "generated":
         a = QMatrix3.from_json_dict(rep)
-        verdict = classification_report(a, tol)
+        verdict = classification_report(a, report_tol)
         if verdict["minor"] != rep["type"]:
             failures.append(f"generated label {rep['type']} reclassified as {verdict['minor']}")
         return
@@ -286,7 +301,7 @@ def _replay_report(rep, failures):
         S = QMatrix3.from_json_dict(jd["S"])
         J = _assemble_jordan([(ClassRep(b["re"], b["im"]), b["size"]) for b in jd["blocks"]])
         check(conjugation_residual(S, J, a), "jordan reconstruction")
-        verdict = classification_report(a, tol)
+        verdict = classification_report(a, report_tol)
         if (verdict["major"], verdict["minor"]) != (rep["major"], rep["minor"]):
             failures.append(
                 f"classification {rep['major']}/{rep['minor']} reclassified as "
@@ -316,7 +331,7 @@ def _replay_report(rep, failures):
             for k, (f, cert) in enumerate(zip(factors, rep["certificates"]))
         ]
     elif kind == "simple-check":
-        simple = is_simple(a, tol)
+        simple = is_simple(a, report_tol)
         if simple != rep["simple"]:
             failures.append(f"simple-check flag {rep['simple']} recomputed as {simple}")
         if rep["certificate"] is not None:
@@ -331,8 +346,9 @@ def _replay_report(rep, failures):
 
 
 @main.command("verify")
+@_tol_option
 @_path_argument
-def verify_cmd(path):
+def verify_cmd(tol, path):
     """Re-check every certificate in a report file; exit 0 iff all pass."""
 
     def run():
@@ -344,7 +360,7 @@ def verify_cmd(path):
                 raise _CliFailure(f"entry {k} is not a report object", EXIT_PARSE)
             before = len(failures)
             try:
-                _replay_report(rep, failures)
+                _replay_report(rep, failures, tol)
             except (KeyError, TypeError, ValueError) as exc:
                 raise _CliFailure(f"entry {k}: malformed report: {exc}", EXIT_PARSE) from exc
             status = "ok" if len(failures) == before else "FAIL"

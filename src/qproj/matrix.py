@@ -326,16 +326,21 @@ def normalize_to_sl(m: QMatrix3) -> QMatrix3:
     return m * (d ** (-1.0 / 6.0))
 
 
+def unimodular_gate(tol: float) -> float:
+    """The largest |det_h - 1| that is_unimodular accepts at tol."""
+    return 1e3 * max(tol, 1e-12)
+
+
 def is_unimodular(d: float, tol: float) -> bool:
-    """True iff the determinant d equals 1 within 1e3 * max(tol, 1e-12)."""
-    return abs(d - 1.0) <= 1e3 * max(tol, 1e-12)
+    """True iff the determinant d equals 1 within unimodular_gate(tol)."""
+    return abs(d - 1.0) <= unimodular_gate(tol)
 
 
 def require_unimodular(m: QMatrix3, tol: float = DEFAULT_TOL) -> None:
     """Raise NotUnimodular unless is_unimodular(det_h(m), tol)."""
     d = det_h(m)
     if not is_unimodular(d, tol):
-        raise NotUnimodular(f"det_h = {d:.9f}, expected 1 (within {1e3 * tol:.1e})")
+        raise NotUnimodular(f"det_h = {d:.9f}, expected 1 (within {unimodular_gate(tol):.1e})")
 
 
 def self_dual_check(m: QMatrix3, tol: float = DEFAULT_TOL) -> bool:

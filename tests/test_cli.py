@@ -116,6 +116,38 @@ def test_verify_rejects_tampered_report(runner, tmp_path, name):
     assert replay(runner, tmp_path, rep).exit_code == 4
 
 
+def test_verify_judges_by_its_own_tolerance(runner, tmp_path):
+    path = write_matrix(tmp_path, QMatrix3.diag(2.0, 0.5, 1.0))
+    rep = json.loads(runner.invoke(main, ["reversibility", path]).output)
+    rep["reverser"]["matrix"][0][0][0] += 1e-2
+    assert replay(runner, tmp_path, rep).exit_code == 4
+    # a report's tolerance rebuilds verdicts; it does not loosen the gate
+    rep["tolerance"] = 1e-3
+    assert replay(runner, tmp_path, rep).exit_code == 4
+    res = runner.invoke(main, ["verify", "--tol", "1e-3", str(tmp_path / "replayed.json")])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose", "simple-check"])
+def test_verify_tol_replays_reports_made_at_that_tol(runner, tmp_path, cmd):
+    path = write_matrix(tmp_path, generate("ellipto-translation", seed=1).matrix)
+    res = runner.invoke(main, [cmd, "--tol", "1e-7", path])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["tolerance"] == 1e-7
+    res = runner.invoke(main, ["verify", "--tol", "1e-7", "-"], input=res.stdout)
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1.0, "tight"])
+def test_verify_rejects_unusable_report_tolerance(runner, tmp_path, value):
+    path = write_matrix(tmp_path, QMatrix3.diag(2.0, 0.5, 1.0))
+    rep = json.loads(runner.invoke(main, ["classify", path]).output)
+    rep["tolerance"] = value
+    res = replay(runner, tmp_path, rep)
+    assert res.exit_code == 2, res.output
+    assert "malformed report" in res.stderr
+
+
 def test_verify_rejects_pair_multiplying_to_minus_a(runner, tmp_path):
     # (-s1) s2 = -A: -A is the same element of PSL(3,H), but the library
     # certifies s1 s2 = A, and verify replays exactly that
@@ -205,9 +237,38 @@ def test_batch_order_preserved(runner, tmp_path, rng):
 
 def test_text_output(runner, tmp_path):
     path = write_matrix(tmp_path, QMatrix3.diag(2.0, 0.5, 1.0))
-    res = runner.invoke(main, ["classify", "--text", path])
-    assert res.exit_code == 0
-    assert "RegularLoxodromic" in res.output
+    lines = {
+        ("classify", path): "Loxodromic / RegularLoxodromic  f=0.5625 x=3.5 y=3.5 d=1\n",
+        ("reversibility", path): "reversible_sl=True strongly_reversible_sl=True "
+        "negative_reversible=False reversible_psl=True\n",
+        ("decompose", path): "1 simple factors, residual 0.00e+00\n",
+        ("simple-check", path): "simple\n",
+        ("gen", "--type", "homothety", "--seed", "11"): "homothety instance (seed 11)\n",
+    }
+    for args, line in lines.items():
+        res = runner.invoke(main, [*args, "--text"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == line
+
+
+def compact(stdout):
+    return json.dumps(json.loads(stdout), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["object", "array"])
+@pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose", "simple-check"])
+def test_json_output_is_one_compact_line(runner, cmd, batch):
+    mats = [QMatrix3.diag(2.0, 0.5, 1.0), j2(1.0, 1.0)]
+    payload = [m.to_json_dict() for m in mats] if batch else mats[0].to_json_dict()
+    res = runner.invoke(main, [cmd, "-"], input=json.dumps(payload))
+    assert res.exit_code == 0, res.output
+    assert res.stdout == compact(res.stdout)
+
+
+def test_gen_output_is_one_compact_line(runner):
+    res = runner.invoke(main, ["gen", "--type", "homothety", "--seed", "11"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == compact(res.stdout)
 
 
 def test_env_tolerance(runner, tmp_path, monkeypatch):
@@ -255,7 +316,7 @@ def test_unpaired_nonreal_blocks_classify_and_decompose(runner, tmp_path):
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
-@pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose", "simple-check"])
+@pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose", "simple-check", "verify"])
 def test_unusable_tol_is_usage_error(runner, tmp_path, cmd, value):
     path = write_matrix(tmp_path, generate("regular-elliptic", seed=1).matrix)
     res = runner.invoke(main, [cmd, "--tol", value, path])

@@ -19,6 +19,7 @@ from qproj import (
     self_dual_check,
 )
 from qproj.generate import random_conjugator
+from qproj.matrix import require_unimodular
 from qproj.spectral import jordan_form
 from oracles import adjoint_of, char_poly_from_diag, gauss_inverse
 
@@ -188,6 +189,13 @@ def test_self_dual_examples():
 def test_self_dual_requires_unimodular():
     with pytest.raises(NotUnimodular):
         self_dual_check(QMatrix3.diag(2, 2, 2))
+
+
+def test_not_unimodular_message_names_the_gate_applied():
+    # det_h - 1 = 3e-9; at tol 1e-13 the gate is floored at 1e3 * 1e-12
+    m = QMatrix3.diag(2.0, 0.5, 1.0) * (1.0 + 5e-10)
+    with pytest.raises(NotUnimodular, match=r"within 1\.0e-09\)"):
+        require_unimodular(m, 1e-13)
 
 
 def test_matmul_associative_identity(rng):
