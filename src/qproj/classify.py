@@ -16,7 +16,7 @@ import numpy as np
 
 from .decompose import _is_simple_data, _realify_from_data
 from .errors import NotReal, NotSimple, NotUnimodular
-from .matrix import QMatrix3, is_unimodular, require_unimodular
+from .matrix import QMatrix3, is_unimodular, require_unimodular, unimodular_gate
 from .quaternion import DEFAULT_TOL
 from .spectral import _minimal_poly_from_data, jordan_form, minimal_poly_structure
 
@@ -154,7 +154,6 @@ def dynamical_type(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
 
 
 def _as_real_sl3(a, tol):
-    arr = np.asarray(a)
     if isinstance(a, QMatrix3):
         if not a.is_real(max(tol, 1e-12) * 1e3):
             raise NotReal("matrix has non-real entries")
@@ -181,7 +180,7 @@ def classify_sl3r(a, tol: float = DEFAULT_TOL) -> DynType:
     arr = _as_real_sl3(a, tol)
     d_real = float(np.linalg.det(arr))
     if not is_unimodular(d_real, tol):
-        raise NotUnimodular(f"det = {d_real:.9f}, expected 1")
+        raise NotUnimodular(f"det = {d_real:.9f}, expected 1 (within {unimodular_gate(tol):.1e})")
 
     pair = TracePair.from_real_matrix(arr)
     x, y = pair.x, pair.y

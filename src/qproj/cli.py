@@ -31,7 +31,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .classify import classification_report
+from .classify import classification_report, dynamical_type
 from .decompose import _is_simple_data, _realify_from_data, decompose_simple, is_simple
 from .errors import CertificateError, QprojError
 from .generate import DYNAMICAL_TYPES, generate
@@ -286,7 +286,7 @@ def _replay_report(rep, failures, tol):
 
     if kind == "generated":
         a = QMatrix3.from_json_dict(rep)
-        verdict = classification_report(a, report_tol)
+        verdict = dynamical_type(a, report_tol).to_json_dict()
         if verdict["minor"] != rep["type"]:
             failures.append(f"generated label {rep['type']} reclassified as {verdict['minor']}")
         return
@@ -301,7 +301,7 @@ def _replay_report(rep, failures, tol):
         S = QMatrix3.from_json_dict(jd["S"])
         J = _assemble_jordan([(ClassRep(b["re"], b["im"]), b["size"]) for b in jd["blocks"]])
         check(conjugation_residual(S, J, a), "jordan reconstruction")
-        verdict = classification_report(a, report_tol)
+        verdict = dynamical_type(a, report_tol).to_json_dict()
         if (verdict["major"], verdict["minor"]) != (rep["major"], rep["minor"]):
             failures.append(
                 f"classification {rep['major']}/{rep['minor']} reclassified as "

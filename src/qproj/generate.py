@@ -37,26 +37,26 @@ def _e(t: float) -> complex:
     return cmath.exp(1j * t)
 
 
-def random_conjugator(rng: np.random.Generator, cond_cap: float = COND_CAP) -> QMatrix3:
-    """Random element of SL(3,H) with adjoint condition number <= cond_cap."""
+def random_conjugator(rng: np.random.Generator) -> QMatrix3:
+    """Random element of SL(3,H) with adjoint condition number <= COND_CAP."""
     while True:
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         g = normalize_to_sl(QMatrix3(a, b))
         sv = np.linalg.svd(g.adjoint(), compute_uv=False)
-        if sv[0] / sv[-1] <= cond_cap:
+        if sv[0] / sv[-1] <= COND_CAP:
             return g
 
 
-def _interior_angle(rng, margin: float = ANGLE_MARGIN) -> float:
-    return float(rng.uniform(margin, np.pi - margin))
+def _interior_angle(rng) -> float:
+    return float(rng.uniform(ANGLE_MARGIN, np.pi - ANGLE_MARGIN))
 
 
-def _distinct_interior_angles(rng, n: int, margin: float = ANGLE_MARGIN):
+def _distinct_interior_angles(rng, n: int):
     while True:
-        angles = [_interior_angle(rng, margin) for _ in range(n)]
+        angles = [_interior_angle(rng) for _ in range(n)]
         if all(
-            abs(angles[i] - angles[j]) >= margin
+            abs(angles[i] - angles[j]) >= ANGLE_MARGIN
             for i in range(n)
             for j in range(i + 1, n)
         ):
@@ -184,7 +184,7 @@ DYNAMICAL_TYPES = {
 }
 
 
-def generate(type_name: str, seed=None, rng=None, conjugate: bool = True) -> GeneratedInstance:
+def generate(type_name: str, seed=None, rng=None) -> GeneratedInstance:
     """One labeled random instance of the requested dynamical type."""
     if type_name not in DYNAMICAL_TYPES:
         raise ValueError(
@@ -194,7 +194,7 @@ def generate(type_name: str, seed=None, rng=None, conjugate: bool = True) -> Gen
         rng = np.random.default_rng(seed)
     sampler, label = DYNAMICAL_TYPES[type_name]
     canonical = sampler(rng)
-    g = random_conjugator(rng) if conjugate else QMatrix3.identity()
+    g = random_conjugator(rng)
     return GeneratedInstance(
         matrix=g @ canonical @ inverse(g),
         label=label,
@@ -305,9 +305,9 @@ def nonreversible_shape(kind: str, rng) -> QMatrix3:
     raise ValueError(f"unknown non-reversible shape {kind!r}")
 
 
-def conjugated(canonical: QMatrix3, rng, cond_cap: float = COND_CAP):
-    """(A, g) with A = g * canonical * g^-1 and g condition-capped."""
-    g = random_conjugator(rng, cond_cap)
+def conjugated(canonical: QMatrix3, rng):
+    """(A, g) with A = g * canonical * g^-1 and cond Phi(g) <= COND_CAP."""
+    g = random_conjugator(rng)
     return g @ canonical @ inverse(g), g
 
 
@@ -379,14 +379,14 @@ REAL_TYPES = {
 }
 
 
-def random_real_conjugator(rng, cond_cap: float = COND_CAP) -> np.ndarray:
+def random_real_conjugator(rng) -> np.ndarray:
     while True:
         g = rng.standard_normal((3, 3))
         d = np.linalg.det(g)
         if abs(d) < 1e-3:
             continue
         g = g / np.cbrt(d)
-        if np.linalg.cond(g) <= cond_cap:
+        if np.linalg.cond(g) <= COND_CAP:
             return g
 
 

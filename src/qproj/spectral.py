@@ -10,9 +10,12 @@ complex chains through x = u - conj(v) * j.
 Floating point makes Jordan detection ambiguous: a conjugated Jordan block
 has its adjoint eigenvalues split by roughly eps^(1/k), and a defective real
 eigenvalue is indistinguishable from a tight conjugate pair.  The extractor
-therefore enumerates the few cluster partitions and real/complex readings
-consistent with the data, polishes each candidate, and keeps the one with
-the best reconstruction residual after a conditioning penalty.
+therefore searches cluster partitions (single linkage, finest first) x
+real/complex readings per cluster.  Within a candidate, each class takes the
+first block-size partition, largest block first, whose Jordan chains can be
+built; a size too large fails because its power of N vanishes.  Each
+candidate is polished, and the one with the best reconstruction residual
+after a conditioning penalty wins.
 """
 
 from __future__ import annotations
@@ -158,51 +161,8 @@ class _CandidateFailed(Exception):
     pass
 
 
-def _nullity(mat, floor):
-    s = np.linalg.svd(mat, compute_uv=False)
-    thr = max(1e-8 * s[0], floor)
-    return int(np.sum(s < thr))
-
-
-def _sizes_from_nullities(nullities, alg):
-    """Block sizes from the quaternionic nullity chain q_1 <= q_2 <= ..."""
-    q = [0] + nullities
-    sizes = []
-    for k in range(1, len(q)):
-        at_least_k = q[k] - q[k - 1]
-        if at_least_k < 0:
-            raise _CandidateFailed("nullity chain not monotone")
-        sizes.append(at_least_k)
-    result = []
-    for k in range(len(sizes), 0, -1):
-        exact = sizes[k - 1] - (sizes[k] if k < len(sizes) else 0)
-        result.extend([k] * exact)
-    if sum(result) != alg or any(s <= 0 for s in result):
-        raise _CandidateFailed("inconsistent block sizes")
-    return sorted(result, reverse=True)
-
-
-def _candidate_size_lists(N, alg, real_class, floor):
-    """Block-size guesses for one class: nullity-based first, alternates after."""
-    dim = N.shape[0]
-    nullities = []
-    P = np.eye(dim, dtype=complex)
-    for _ in range(min(alg, 3)):
-        P = P @ N
-        d = _nullity(P, floor)
-        nullities.append(d // 2 if real_class else d)
-    guesses = []
-    try:
-        guesses.append(tuple(_sizes_from_nullities(nullities, alg)))
-    except _CandidateFailed:
-        pass
-    for part in _partitions_of(alg):
-        if part not in guesses:
-            guesses.append(part)
-    return guesses
-
-
 def _partitions_of(n):
+    """Block-size lists of multiplicity n, largest block first (the search order)."""
     if n == 1:
         return [(1,)]
     if n == 2:
@@ -257,15 +217,17 @@ def _chain_from_lead(N, lead, size):
 def _class_chains(N, sizes, real_class, tau, floor):
     """Complex Jordan chains inside one class subspace.
 
-    Returns one list of vectors per quaternionic block.  For real classes the
-    complex structure is doubled, so newly picked vectors must stay independent
-    of the tau-images (quaternionic structure map) of everything already used.
+    Returns one list of vectors per quaternionic block.  Sizes come in the
+    order of _partitions_of, so at most one block is longer than 1 and it is
+    built first, with no chain before it.  For real classes the complex
+    structure is doubled, so newly picked vectors must stay independent of
+    the tau-images (quaternionic structure map) of everything already used.
     """
     dim = N.shape[0]
     chains = []
     used = []
 
-    for size in sorted(sizes, reverse=True):
+    for size in sizes:
         if size == 1:
             pool = _kernel_basis(N, floor) if np.linalg.norm(N) > floor else np.eye(dim, dtype=complex)
             if pool.shape[1] == 0:
@@ -288,9 +250,7 @@ def _class_chains(N, sizes, real_class, tau, floor):
                     cand = _chain_from_lead(N, lead, size)
                 except _CandidateFailed:
                     continue
-                cols = list(itertools.chain(*chains)) + cand
-                if real_class:
-                    cols = cols + [tau(c) for c in cols]
+                cols = cand + [tau(c) for c in cand] if real_class else cand
                 m = np.column_stack(cols)
                 s2 = np.linalg.svd(m, compute_uv=False)
                 if s2[-1] > 1e-6 * s2[0]:
@@ -349,14 +309,6 @@ def _cluster_summary(pts, clusters):
         radius = max(abs(complex(pts[i][0] - re, pts[i][1] - im)) for i in cluster)
         summary.append((re, im, radius))
     return summary
-
-
-def _nearest_centroid(pts, summary):
-    """Index of the nearest cluster centroid for every point, first on ties."""
-    return [
-        min(range(len(summary)), key=lambda c: abs(complex(summary[c][0] - x, summary[c][1] - y)))
-        for x, y in pts
-    ]
 
 
 def _realness_options(summary, level, scale):
@@ -422,12 +374,12 @@ def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness):
             tfull = np.concatenate([full[3:].conj(), -full[:3].conj()])
             return Z1.conj().T @ tfull
 
-        for sizes in _candidate_size_lists(N, alg, real_class, floor):
+        for sizes in _partitions_of(alg):
             try:
-                chains = _class_chains(N, list(sizes), real_class, tau, floor)
+                chains = _class_chains(N, sizes, real_class, tau, floor)
             except _CandidateFailed:
                 continue
-            for size, chain in zip(sorted(sizes, reverse=True), chains):
+            for size, chain in zip(sizes, chains):
                 pairs = [_lift_to_quaternionic(Z1 @ c) for c in chain]
                 blocks.append((rep, size))
                 columns.append(pairs)
@@ -609,11 +561,6 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     points = pts.tolist()
     for clusters, level in partitions:
         summary = _cluster_summary(points, clusters)
-        # every adjoint eigenvalue must lie nearest its own cluster's centroid,
-        # or no reading of this partition is consistent
-        assign = _nearest_centroid(points, summary)
-        if any(assign[i] != c for c, cluster in enumerate(clusters) for i in cluster):
-            continue
         for realness in itertools.product(*_realness_options(summary, level, scale)):
             try:
                 data = _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness)

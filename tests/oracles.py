@@ -234,16 +234,6 @@ def cluster_readings_numpy(pts, clusters, level, scale):
     return options
 
 
-def nearest_centroid_numpy(pts, clusters):
-    """Index of the nearest cluster centroid for every point, by np.argmin.
-
-    The reference for spectral._nearest_centroid.
-    """
-    centroids = np.array([centroid for centroid, _ in cluster_summary_numpy(pts, clusters)])
-    diff = centroids[None, :] - pts[:, None]
-    return np.argmin(np.hypot(diff[..., 0], diff[..., 1]), axis=1).tolist()
-
-
 def scale_columns_loop(m: QMatrix3, scalars) -> QMatrix3:
     """Right-multiply column k of m by the quaternion scalars[k], one column at a time.
 

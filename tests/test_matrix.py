@@ -13,6 +13,7 @@ from qproj import (
     Quaternion,
     Singular,
     char_poly_h,
+    classify_sl3r,
     det_h,
     inverse,
     normalize_to_sl,
@@ -192,10 +193,12 @@ def test_self_dual_requires_unimodular():
 
 
 def test_not_unimodular_message_names_the_gate_applied():
-    # det_h - 1 = 3e-9; at tol 1e-13 the gate is floored at 1e3 * 1e-12
+    # det_h - 1 = 3e-9 and the real det - 1 = 1.5e-9; at tol 1e-13 the gate
+    # is floored at 1e3 * 1e-12
     m = QMatrix3.diag(2.0, 0.5, 1.0) * (1.0 + 5e-10)
-    with pytest.raises(NotUnimodular, match=r"within 1\.0e-09\)"):
-        require_unimodular(m, 1e-13)
+    for check, arg in ((require_unimodular, m), (classify_sl3r, m.real_part())):
+        with pytest.raises(NotUnimodular, match=r"within 1\.0e-09\)"):
+            check(arg, 1e-13)
 
 
 def test_matmul_associative_identity(rng):
