@@ -18,7 +18,7 @@ from .decompose import _is_simple_data, _realify_from_data
 from .errors import NotReal, NotSimple, NotUnimodular
 from .matrix import QMatrix3, is_unimodular, require_unimodular, unimodular_gate
 from .quaternion import DEFAULT_TOL
-from .spectral import _minimal_poly_from_data, jordan_form, minimal_poly_structure
+from .spectral import JordanData, _minimal_poly_from_data, jordan_form, minimal_poly_structure
 
 
 class Major(str, enum.Enum):
@@ -276,7 +276,10 @@ def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
 def classification_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> dict:
     """JSON-ready classification report for the CLI."""
     require_unimodular(A, tol)
-    data = jordan_form(A, tol)
+    return _classification_from_data(A, jordan_form(A, tol), tol)
+
+
+def _classification_from_data(A: QMatrix3, data: JordanData, tol: float) -> dict:
     verdict = _classify_from_jordan(data, tol)
     report = {
         **verdict.to_json_dict(),

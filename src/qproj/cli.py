@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 parse or usage error, 3 precondition failure,
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -31,15 +32,16 @@ import click
 import numpy as np
 
 from . import __version__
-from .classify import classification_report, dynamical_type
-from .decompose import _is_simple_data, _realify_from_data, decompose_simple, is_simple
+from .classify import _classification_from_data, dynamical_type
+from .decompose import _decomposition_from_data, _is_simple_data, _realify_from_data, is_simple
 from .errors import CertificateError, QprojError
 from .generate import DYNAMICAL_TYPES, generate
 from .matrix import (QMatrix3, check_certificate, conjugation_residual, det_h, inverse,
-                     is_unimodular, normalize_to_sl, product_residual, replay_gate, square_residual)
+                     is_unimodular, normalize_to_sl, product_residual, replay_gate,
+                     require_unimodular, square_residual)
 from .quaternion import DEFAULT_TOL, ClassRep
-from .reversibility import psl_report
-from .spectral import _assemble_jordan, jordan_form
+from .reversibility import _psl_from_data
+from .spectral import _assemble_jordan, _generic_jordan, jordan_form
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -107,14 +109,14 @@ def _parse_matrices(payload):
     return matrices, isinstance(payload, list)
 
 
-def _ensure_unimodular(m: QMatrix3, tol: float) -> QMatrix3:
+def _unimodular_input(m: QMatrix3, tol: float):
+    """(matrix to analyse, warning or None), or (None, error); prints nothing."""
     d = det_h(m)
     if is_unimodular(d, tol):
-        return m
+        return m, None
     if abs(d - 1.0) < _AUTO_NORMALIZE_WINDOW:
-        click.echo(f"warning: det_h = {d:.9f}; auto-normalizing to SL(3,H)", err=True)
-        return normalize_to_sl(m)
-    raise _CliFailure(f"det_h = {d:.6f} is too far from 1 to auto-normalize", EXIT_PRECONDITION)
+        return normalize_to_sl(m), f"warning: det_h = {d:.9f}; auto-normalizing to SL(3,H)"
+    return None, f"det_h = {d:.6f} is too far from 1 to auto-normalize"
 
 
 def _emit(reports, was_batch, as_json, text_fn):
@@ -129,12 +131,27 @@ def _emit(reports, was_batch, as_json, text_fn):
 
 
 def _run_command(path, tol, as_json, worker, text_fn):
+    """Run worker(a, jordan_data, tol) on every input, in input order.
+
+    The Jordan data of the whole batch comes from one _generic_jordan call
+    on the inputs up to the first one that fails; jordan_form serves each
+    input it leaves out.  Warnings and errors come from the per-input loop,
+    so they appear in input order and the first error ends the command.
+    """
     payload = _read_payload(path)
     matrices, was_batch = _parse_matrices(payload)
+    inputs = [_unimodular_input(m, tol) for m in matrices]
+    usable = [a for a, _ in itertools.takewhile(lambda item: item[0] is not None, inputs)]
+    batch = _generic_jordan(np.stack([a.adjoint() for a in usable]), tol) if usable else []
     reports = []
-    for m in matrices:
-        a = _ensure_unimodular(m, tol)
-        rep = worker(a, tol)
+    for k, (a, note) in enumerate(inputs):
+        if a is None:
+            raise _CliFailure(note, EXIT_PRECONDITION)
+        if note is not None:
+            click.echo(note, err=True)
+            require_unimodular(a, tol)  # the normalized matrix, as the library checks it
+        data = batch[k] if batch[k] is not None else jordan_form(a, tol)
+        rep = worker(a, data, tol)
         rep["input"] = a.to_json_dict()
         rep["tolerance"] = tol
         reports.append(rep)
@@ -175,8 +192,8 @@ def main():
 def classify_cmd(tol, as_json, path):
     """Dynamical-type classification report."""
 
-    def worker(a, tol):
-        rep = classification_report(a, tol)
+    def worker(a, data, tol):
+        rep = _classification_from_data(a, data, tol)
         rep["kind"] = "classification"
         return rep
 
@@ -196,8 +213,8 @@ def classify_cmd(tol, as_json, path):
 def reversibility_cmd(tol, as_json, path):
     """Reversibility flags and certified witnesses."""
 
-    def worker(a, tol):
-        rep = psl_report(a, tol).to_json_dict()
+    def worker(a, data, tol):
+        rep = _psl_from_data(a, data, tol).to_json_dict()
         rep["kind"] = "reversibility"
         return rep
 
@@ -219,8 +236,8 @@ def reversibility_cmd(tol, as_json, path):
 def decompose_cmd(tol, as_json, path):
     """Decomposition into at most four simple factors with certificates."""
 
-    def worker(a, tol):
-        rep = decompose_simple(a, tol).to_json_dict()
+    def worker(a, data, tol):
+        rep = _decomposition_from_data(a, data, tol).to_json_dict()
         rep["kind"] = "decomposition"
         return rep
 
@@ -237,8 +254,7 @@ def decompose_cmd(tol, as_json, path):
 def simple_check_cmd(tol, as_json, path):
     """Simplicity test plus real-conjugate certificate when simple."""
 
-    def worker(a, tol):
-        data = jordan_form(a, tol)
+    def worker(a, data, tol):
         simple = _is_simple_data(data, tol)
         rep = {"kind": "simple-check", "simple": simple, "certificate": None}
         if simple:

@@ -323,8 +323,10 @@ def decompose_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> Decomposition:
     (S T, B) of its canonical factor C = T B T^-1.
     """
     require_unimodular(A, tol)
-    data = jordan_form(A, tol)
+    return _decomposition_from_data(A, jordan_form(A, tol), tol)
 
+
+def _decomposition_from_data(A: QMatrix3, data: JordanData, tol: float) -> Decomposition:
     if _is_simple_data(data, tol):
         return Decomposition([A], [_realify_from_data(A, data, tol)], 0.0)
 

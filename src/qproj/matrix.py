@@ -33,6 +33,16 @@ def _qmul(a1, b1, a2, b2):
     return a1 @ a2 - b1 @ b2.conj(), a1 @ b2 + b1 @ a2.conj()
 
 
+def _adjoint(a, b) -> np.ndarray:
+    """Complex adjoint [[a, b], [-conj(b), conj(a)]]; broadcasts over stacks of blocks."""
+    phi = np.empty((*np.shape(a)[:-2], 6, 6), dtype=complex)
+    phi[..., :3, :3] = a
+    phi[..., :3, 3:] = b
+    phi[..., 3:, :3] = -b.conj()
+    phi[..., 3:, 3:] = a.conj()
+    return phi
+
+
 class QMatrix3:
     """A 3x3 matrix over the quaternions acting on column vectors.
 
@@ -135,12 +145,7 @@ class QMatrix3:
 
     def adjoint(self) -> np.ndarray:
         """Complex adjoint Phi(A) = [[A1, A2], [-conj(A2), conj(A1)]]."""
-        phi = np.empty((6, 6), dtype=complex)
-        phi[:3, :3] = self.a
-        phi[:3, 3:] = self.b
-        phi[3:, :3] = -self.b.conj()
-        phi[3:, 3:] = self.a.conj()
-        return phi
+        return _adjoint(self.a, self.b)
 
     def is_real(self, tol: float = DEFAULT_TOL) -> bool:
         scale = max(1.0, self.norm())
@@ -256,14 +261,19 @@ def char_poly_h(m: QMatrix3, tol: float = DEFAULT_TOL) -> CharPoly6:
 
 
 def _invert_adjoint(phi: np.ndarray) -> np.ndarray:
-    """Phi^-1; raises Singular unless ||Phi||_1 ||Phi^-1||_1 is below COND_LIMIT."""
+    """Phi^-1 of one adjoint or a stack of them (..., 6, 6).
+
+    Raises Singular unless ||Phi||_1 ||Phi^-1||_1 is below COND_LIMIT for
+    every member.
+    """
     try:
         phi_inv = np.linalg.inv(phi)
     except np.linalg.LinAlgError as exc:
         raise Singular(f"adjoint is singular: {exc}") from exc
-    cond = np.abs(phi).sum(axis=0).max() * np.abs(phi_inv).sum(axis=0).max()
-    if not cond < COND_LIMIT:
-        raise Singular(f"cond_1 of the adjoint is {cond:.3e}, not below {COND_LIMIT:.0e}")
+    cond = np.abs(phi).sum(axis=-2).max(axis=-1) * np.abs(phi_inv).sum(axis=-2).max(axis=-1)
+    if not (cond < COND_LIMIT).all():
+        worst = float(np.max(np.where(cond < COND_LIMIT, 0.0, cond)))
+        raise Singular(f"cond_1 of the adjoint is {worst:.3e}, not below {COND_LIMIT:.0e}")
     return phi_inv
 
 

@@ -275,7 +275,10 @@ def psl_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> ReversibilityReport:
     relation), and both project to involutions in PSL(3,H).
     """
     require_unimodular(A, tol)
-    data = jordan_form(A, tol)
+    return _psl_from_data(A, jordan_form(A, tol), tol)
+
+
+def _psl_from_data(A: QMatrix3, data: JordanData, tol: float) -> ReversibilityReport:
     skew = _match_skew_involution(data, tol)
     neg = _match_negative_involution(data, tol)
     report = ReversibilityReport(

@@ -16,6 +16,17 @@ first block-size partition, largest block first, whose Jordan chains can be
 built; a size too large fails because its power of N vanishes.  Each
 candidate is polished, and the one with the best reconstruction residual
 after a conditioning penalty wins.
+
+A first stage (_generic_jordan) runs on a whole stack of adjoints at once:
+the CLI passes one stack per batch, jordan_form a stack of one.  One stacked
+eig decides which members the search would give exactly one candidate
+(_one_candidate): three non-real classes, each a conjugate pair within the
+search's base level, more than _MERGE_CAP * scale apart and clear of the
+ambiguous band.  For those the candidate is built directly from the upper
+eigenvectors, and kept only when its residual needs no polish; everything
+else goes to the search, which then answers exactly as it would alone.
+jordan_form applies the same test to its Schur diagonal first, so an input
+that goes to the search pays no eig.
 """
 
 from __future__ import annotations
@@ -27,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import IllConditioned, LiftFailure, SpectralFailure
-from .matrix import (QMatrix3, _blocks36, _invert_adjoint, _qmul, _unvec36, _vec36,
+from .errors import IllConditioned, LiftFailure, Singular, SpectralFailure
+from .matrix import (QMatrix3, _adjoint, _blocks36, _invert_adjoint, _qmul, _unvec36, _vec36,
                      conjugation_residual, inverse)
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 
@@ -39,6 +50,7 @@ _EARLY_ACCEPT = 1e-10
 _POLISH_ITERATIONS = 16
 # Largest eigenvalue-gap (relative to spectral scale) that clustering may bridge.
 _MERGE_CAP = 3e-2
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -83,8 +95,13 @@ class JordanData:
 
 
 def _block_sort_key(block):
+    """Descending size, then modulus, then ascending angle.
+
+    Moduli are compared to 9 decimals, so classes of one modulus come out in
+    angle order rather than in an order set by rounding noise.
+    """
     rep, size = block
-    return (-size, -rep.modulus(), rep.angle())
+    return (-size, -round(rep.modulus(), 9), rep.angle())
 
 
 def _assemble_jordan(blocks) -> QMatrix3:
@@ -124,7 +141,7 @@ def _partitions_from_points(pts, tol_abs, scale):
     diff = pts[:, None] - pts[None, :]
     dists = np.hypot(diff[..., 0], diff[..., 1]).tolist()
     pairs = sorted((dists[i][j], i, j) for i in range(n) for j in range(i + 1, n))
-    base = max(10.0 * tol_abs, 1e4 * np.finfo(float).eps * scale)
+    base = max(10.0 * tol_abs, 1e4 * _EPS * scale)
     levels = [base]
     gaps = sorted({d for d, _, _ in pairs if base < d <= _MERGE_CAP * scale})
     levels.extend(g * (1 + 1e-9) + base for g in gaps)
@@ -408,30 +425,42 @@ def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness):
     return data
 
 
+def _gauge(heads):
+    """Right complex scalar h of each eigenvector (u, w), given as rows [u, w].
+
+    The eigenvector column times h has unit norm and its lead coordinate, the
+    first of at least half the largest modulus, on the positive real axis.
+    Since (u + w j) h = u h + w conj(h) j, a lead in u takes conj(lead), a
+    lead in w takes lead itself.  A zero column takes h = 1.
+    """
+    flat = heads.reshape(-1, 6)
+    mag = np.abs(flat)
+    sq = mag * mag
+    norms = np.sqrt(sq[:, :3].sum(axis=1) + sq[:, 3:].sum(axis=1))
+    first = (mag >= 0.5 * mag.max(axis=1, keepdims=True)).argmax(axis=1)
+    rows = np.arange(len(flat))
+    denom = mag[rows, first] * norms
+    # (re, im) / denom as two real divisions, so h does not depend on how
+    # complex division rounds
+    lead = flat[rows, first]
+    pair = np.where(first < 3, lead.conj(), lead).view(float).reshape(-1, 2)
+    pair /= np.where(denom > 0.0, denom, 1.0)[:, None]
+    gauge = pair.view(complex)[:, 0]
+    gauge[denom == 0.0] = 1.0
+    return gauge.reshape(heads.shape[:-1])
+
+
 def _normalize_similarity(S: QMatrix3, blocks) -> QMatrix3:
     """Deterministic per-block gauge on the similarity transform.
 
     A whole chain may be rescaled by one right complex scalar without
     disturbing A = S J S^-1 (the scalar block commutes with its Jordan
-    block), so each block's eigenvector column is normalized and its first
-    non-negligible complex coordinate rotated to the positive real axis.
+    block), so each chain is scaled by the _gauge of its eigenvector column.
     """
     sizes = [size for _, size in blocks]
     heads = list(itertools.accumulate([0] + sizes[:-1]))
-    stacked = np.concatenate([S.a[:, heads], S.b[:, heads]]).T  # (u, w) of each eigenvector
-    mag = np.abs(stacked)
-    norms = np.sqrt(np.sum(mag[:, :3] ** 2, axis=1) + np.sum(mag[:, 3:] ** 2, axis=1))
-    leads = np.argmax(mag >= 0.5 * np.max(mag, axis=1, keepdims=True), axis=1)
-    gauge = []
-    for row, nrm, first in zip(stacked, norms.tolist(), leads.tolist()):
-        h = 1.0 + 0j
-        if nrm > 0.0:
-            # complex128 scalar division: array or Python complex division
-            # rounds the last bit differently and would change S
-            lead = row[first]
-            h = (lead / abs(lead)).conjugate() / nrm
-        gauge.append(h)
-    return S.scale_columns(np.repeat(gauge, sizes), np.zeros(3, dtype=complex))
+    gauge = np.repeat(_gauge(np.concatenate([S.a, S.b])[:, heads].T), sizes)
+    return QMatrix3(S.a * gauge, S.b * gauge.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +552,104 @@ def _sylvester_polish(A: QMatrix3, data: JordanData):
 
 
 # ---------------------------------------------------------------------------
+# first stage: stacks whose search would have exactly one candidate
+
+
+def _invert_adjoints(phis):
+    """_invert_adjoint over an (N, 6, 6) stack: the inverses and the mask it accepts."""
+    try:
+        return _invert_adjoint(phis), np.ones(len(phis), dtype=bool)
+    except Singular:
+        inverses = np.zeros_like(phis)
+        ok = np.zeros(len(phis), dtype=bool)
+        for k, phi in enumerate(phis):
+            try:
+                inverses[k] = _invert_adjoint(phi)
+                ok[k] = True
+            except Singular:
+                pass
+        return inverses, ok
+
+
+def _one_candidate(eigs, tol):
+    """Mask of the rows of (N, 6) adjoint eigenvalues whose search has one candidate.
+
+    Every |Im| is above the ambiguous band (one reading: non-real classes),
+    every eigenvalue has exactly one other within the search's base level,
+    its conjugate partner, and the three pairs are more than
+    _MERGE_CAP * scale apart (one cluster partition of three classes, each
+    a single block).
+    """
+    scale = np.maximum(1.0, np.abs(eigs).max(axis=1))[:, None]
+    base = max(10.0 * tol, 1e4 * _EPS) * scale  # as in _partitions_from_points
+    band = np.maximum(1e-3 * scale, 10.0 * base)  # _realness_options at level base
+    height = np.abs(eigs.imag)
+    go = (height > band).all(axis=1)
+    if not go.any():  # a real class, the common way out, costs no distances
+        return go
+    pts = eigs.real + 1j * height  # _class_points as complex numbers
+    dists = np.abs(pts[:, :, None] - pts[:, None, :])
+    near = dists <= base[:, :, None]
+    upper = eigs.imag > 0
+    partner = (near & (upper[:, :, None] != upper[:, None, :])).any(axis=2)
+    apart = (near | (dists > _MERGE_CAP * scale[:, :, None])).all(axis=(1, 2))
+    return go & apart & ((near.sum(axis=2) == 2) & partner).all(axis=1)
+
+
+def _generic_jordan(phis: np.ndarray, tol: float) -> list:
+    """Jordan data of each adjoint in an (N, 6, 6) stack, or None.
+
+    The first stage of jordan_form, run on a whole stack at once.  One
+    stacked eig decides: a member goes on only when the candidate search
+    would have exactly one candidate (_one_candidate).  For those, that
+    candidate is built here: each class is the lift of its upper
+    eigenvector, in canonical block order and per-block gauge.  A member
+    whose adjoint or Phi(S) fails the singular rule, or whose residual is
+    above 1e-12 (the search would polish it) or above 1e3 * tol, gets None,
+    and jordan_form then runs the search.
+    """
+    out = [None] * len(phis)
+    try:
+        eigs, vecs = np.linalg.eig(phis)
+    except np.linalg.LinAlgError:  # not finite, or no convergence
+        return out
+    live = np.flatnonzero(_one_candidate(eigs, tol))
+    if not live.size:
+        return out
+    eigs, vecs = eigs[live], vecs[live]
+
+    rows, cols = np.nonzero(eigs.imag > 0)
+    upper = eigs[rows, cols]
+    reps = [ClassRep(re, im) for re, im in zip(upper.real.tolist(), upper.imag.tolist())]
+    # canonical block order within each member
+    order = [sorted(range(3), key=lambda i: _block_sort_key((reps[k + i], 1)))
+             for k in range(0, len(reps), 3)]
+    pick = (np.array(order) + np.arange(0, len(reps), 3)[:, None]).ravel()
+    rows, cols = rows[pick].reshape(-1, 3), cols[pick].reshape(-1, 3)
+    lam = eigs[rows, cols]
+    heads = vecs[rows, :, cols]  # (member, class, 6): the adjoint eigenvector of each class
+
+    # lift x = p - conj(q) j of each eigenvector (p; q), then gauge it
+    u, w = heads[..., :3], -heads[..., 3:].conj()
+    gauge = _gauge(np.concatenate([u, w], axis=-1))[:, :, None]
+    # the gauged lifts are the columns of S
+    sa = np.ascontiguousarray((u * gauge).transpose(0, 2, 1))
+    sb = np.ascontiguousarray((w * gauge.conj()).transpose(0, 2, 1))
+    phi_a, phi_s = phis[live], _adjoint(sa, sb)
+    # one singular rule for Phi(A) and Phi(S) together
+    inverses, ok = _invert_adjoints(np.concatenate([phi_a, phi_s]))
+    phi_j = np.concatenate([lam, lam.conj()], axis=-1)
+    recon = (phi_s * phi_j[:, None, :]) @ inverses[len(live):] - phi_a
+    residual = np.sqrt((np.abs(recon) ** 2).sum(axis=(1, 2)) / (np.abs(phi_a) ** 2).sum(axis=(1, 2)))
+    keep = ok[:len(live)] & ok[len(live):] & (residual <= min(1e-12, 1e3 * tol))
+    for k in np.flatnonzero(keep).tolist():
+        blocks = [(reps[3 * k + i], 1) for i in order[k]]
+        out[live[k]] = JordanData(blocks=blocks, S=QMatrix3(sa[k], sb[k]), shape_id="diag",
+                                  residual=float(residual[k]))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -539,6 +666,12 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     except sla.LinAlgError as exc:
         raise SpectralFailure(f"Schur decomposition of the adjoint failed: {exc}") from exc
     eigs = np.diag(T0).copy()
+    # the first stage's test, read off the Schur diagonal the search needs
+    # anyway, spares every other input the stage's eig
+    if _one_candidate(eigs[None], tol)[0]:
+        data = _generic_jordan(phi[None], tol)[0]
+        if data is not None:
+            return data
     scale = max(1.0, float(np.max(np.abs(eigs))))
     tol_abs = tol * scale
 

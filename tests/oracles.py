@@ -251,10 +251,12 @@ def normalize_similarity_loop(S: QMatrix3, blocks) -> QMatrix3:
     """Per-block gauge of the similarity, one eigenvector column at a time.
 
     The reference for spectral._normalize_similarity: each block's chain is
-    scaled by conj(lead / |lead|) / |eigenvector|, lead being the first
-    coordinate of at least half the largest modulus.
+    scaled by h with |h| = 1 / |eigenvector| that puts the lead coordinate,
+    the first of at least half the largest modulus, on the positive real
+    axis.  (u + w j) h = u h + w conj(h) j, so h has the phase of conj(lead)
+    for a lead in u and of lead for a lead in w.
     """
-    scalars = []
+    out = QMatrix3.zeros()
     col = 0
     for _, size in blocks:
         u = S.a[:, col]
@@ -263,12 +265,16 @@ def normalize_similarity_loop(S: QMatrix3, blocks) -> QMatrix3:
         h = 1.0 + 0j
         if nrm > 0.0:
             stacked = np.concatenate([u, w])
-            cutoff = 0.5 * float(np.max(np.abs(stacked)))
-            lead = next(v for v in stacked if abs(v) >= cutoff)
-            h = (lead / abs(lead)).conjugate() / nrm
-        scalars.extend([h] * size)
+            moduli = np.abs(stacked).tolist()
+            first = next(k for k, v in enumerate(moduli) if v >= 0.5 * max(moduli))
+            lead = complex(stacked[first])
+            im = -lead.imag if first < 3 else lead.imag
+            h = complex(lead.real / (moduli[first] * nrm), im / (moduli[first] * nrm))
+        for k in range(col, col + size):
+            out.a[:, k] = S.a[:, k] * h
+            out.b[:, k] = S.b[:, k] * h.conjugate()
         col += size
-    return scale_columns_loop(S, scalars)
+    return out
 
 
 def _unitary(rng) -> QMatrix3:

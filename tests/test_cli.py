@@ -339,3 +339,51 @@ def test_unusable_env_tolerance_falls_back(runner, tmp_path, monkeypatch, value)
     assert res.exit_code == 0, res.output
     assert f"ignoring invalid QPROJ_TOL={value!r}" in res.stderr
     assert json.loads(res.stdout)["tolerance"] == 1e-9
+
+
+def _one_at_a_time(runner, cmd, mats):
+    """stdout, stderr and exit code of a batch, read off its inputs sent one at a time.
+
+    Each input's warnings come out in input order, the first failing input
+    ends the command with its error and no stdout, and otherwise stdout is
+    the array of the single reports.
+    """
+    stdouts, stderr = [], ""
+    for m in mats:
+        res = runner.invoke(main, [cmd, "-"], input=json.dumps(m.to_json_dict()))
+        stderr += res.stderr
+        if res.exit_code != 0:
+            return "", stderr, res.exit_code
+        stdouts.append(res.stdout.rstrip("\n"))
+    return "[" + ", ".join(stdouts) + "]\n", stderr, 0
+
+
+@pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose", "simple-check"])
+def test_report_is_the_same_alone_or_in_a_batch(runner, cmd):
+    # generic inputs take the batch's first stage; the others go to the search
+    mats = [generate(t, seed=s).matrix for s in (1, 2)
+            for t in ("regular-elliptic", "screw-loxodromic", "regular-loxodromic",
+                      "loxo-parabolic", "ellipto-translation", "homothety")]
+    res = runner.invoke(main, [cmd, "-"], input=json.dumps([m.to_json_dict() for m in mats]))
+    assert res.exit_code == 0, res.output
+    assert (res.stdout, res.stderr, res.exit_code) == _one_at_a_time(runner, cmd, mats)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+@pytest.mark.parametrize("cmd", ["classify", "simple-check"])
+def test_mixed_batch_reports_in_input_order(runner, cmd, order):
+    # a generic input, one that needs auto-normalization (and still takes the
+    # first stage), and one whose adjoint is Singular (cond_1 = 1e14, det_h = 1)
+    mats = [generate("regular-elliptic", seed=3).matrix,
+            generate("screw-loxodromic", seed=3).matrix * (1.0 + 5e-5),
+            QMatrix3.diag(1e7, 1e-7, 1.0)]
+    batch = [mats[k] for k in order]
+    res = runner.invoke(main, [cmd, "-"], input=json.dumps([m.to_json_dict() for m in batch]))
+    assert (res.stdout, res.stderr, res.exit_code) == _one_at_a_time(runner, cmd, batch)
+    assert res.exit_code == 3 and res.stderr.endswith("\n") and "Singular" in res.stderr
+    assert res.stderr.count("auto-normalizing") == (order.index(1) < order.index(2))
+    # without the Singular input every report comes out, after the warning
+    batch = [m for m in batch if m is not mats[2]]
+    res = runner.invoke(main, [cmd, "-"], input=json.dumps([m.to_json_dict() for m in batch]))
+    assert (res.stdout, res.stderr, res.exit_code) == _one_at_a_time(runner, cmd, batch)
+    assert res.exit_code == 0 and res.stderr.count("auto-normalizing") == 1

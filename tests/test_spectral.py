@@ -245,6 +245,13 @@ def test_jordan_canonical_order(rng):
     data = jordan_form(a)
     assert [s for _, s in data.blocks] == [2, 1]
 
+    # classes of one modulus come out in angle order, whatever rounding
+    # noise their moduli carry, through the first stage and the search alike
+    for a in [generate("regular-elliptic", rng=rng).matrix for _ in range(20)]:
+        for data in (jordan_form(a), spectral._generic_jordan(a.adjoint()[None], 1e-9)[0]):
+            angles = [rep.angle() for rep, _ in data.blocks]
+            assert angles == sorted(angles)
+
 
 def test_jordan_determinism(rng):
     a, _ = conjugated(j2(e(0.8), e(2.0)), rng)
@@ -325,8 +332,14 @@ def type_and_shape_samples():
     return mats
 
 
+def search_only(monkeypatch):
+    """Switch off jordan_form's first stage, so every input goes through the search."""
+    monkeypatch.setattr(spectral, "_generic_jordan", lambda phis, tol: [None] * len(phis))
+
+
 def test_single_block_shortcut_matches_chain_search(monkeypatch):
     samples = type_and_shape_samples()
+    search_only(monkeypatch)
     taken = []
     single_block = spectral._single_block
 
@@ -398,3 +411,81 @@ def test_gauge_and_fold_match_column_loop(rng):
         want = scale_columns_loop(a, [j_unit if f else 1.0 for f in flips])
         assert got.a.tobytes() == want.a.tobytes() and got.b.tobytes() == want.b.tobytes()
         assert folded == [(ClassRep(rep.re, abs(rep.im)), size) for rep, size in blocks]
+
+
+def test_gauge_ignores_the_phase_of_each_block(rng):
+    # a block's chain times a unit complex scalar is an equally valid
+    # similarity; the gauge must map both to the same S, whichever half of
+    # the eigenvector (u or w) holds its lead coordinate
+    leads = set()
+    for t in range(200):
+        s = random_qmatrix(rng, scale=10.0 ** rng.uniform(-2, 2))
+        sizes = ([1, 1, 1], [2, 1], [3])[t % 3]
+        blocks = [(ClassRep(1.0, 0.5), size) for size in sizes]
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, len(sizes)))
+        turned = s.scale_columns(np.repeat(phases, sizes), np.zeros(3, dtype=complex))
+        want = spectral._normalize_similarity(s, blocks)
+        got = spectral._normalize_similarity(turned, blocks)
+        assert (got - want).norm() <= 1e-14 * want.norm()
+        head = np.concatenate([s.a[:, 0], s.b[:, 0]])
+        leads.add(int(np.argmax(np.abs(head) >= 0.5 * np.max(np.abs(head)))) < 3)
+    assert leads == {True, False}
+
+
+def first_stage_samples():
+    """Seed-1 samples of the three generic types and of every shape family, conjugated."""
+    rng = np.random.default_rng(1)
+    mats = [generate(t, rng=rng).matrix
+            for t in ("regular-elliptic", "regular-loxodromic", "screw-loxodromic")
+            for _ in range(16)]
+    for sampler, kinds in SHAPE_SAMPLERS:
+        for kind in kinds:
+            mats += [conjugated(sampler(kind, rng), rng)[0] for _ in range(2)]
+    return mats
+
+
+def verdicts(a, data):
+    from qproj.classify import _classify_from_jordan
+    from qproj.decompose import _decomposition_from_data
+    from qproj.reversibility import _psl_from_data
+
+    rev = _psl_from_data(a, data, 1e-9)
+    return (_classify_from_jordan(data, 1e-9),
+            rev.reversible_sl, rev.strongly_reversible_sl, rev.negative_reversible,
+            rev.reversible_psl, len(_decomposition_from_data(a, data, 1e-9)))
+
+
+def test_first_stage_matches_the_search(monkeypatch):
+    samples = first_stage_samples()
+    first = spectral._generic_jordan(np.stack([m.adjoint() for m in samples]), 1e-9)
+    fast = [jordan_form(m) for m in samples]
+    search_only(monkeypatch)
+    searched = [jordan_form(m) for m in samples]
+    taken = [k for k, data in enumerate(first) if data is not None]
+    # nearly every generic input takes the first stage (a screw-loxodromic
+    # with a real class does not), and some shape inputs do
+    assert sum(k < 48 for k in taken) >= 40 and 48 < taken[-1] and len(taken) < len(samples)
+    for k in taken:
+        got, want, a = first[k], searched[k], samples[k]
+        # one stacked call and N = 1 inside jordan_form are the same code
+        assert got.S.a.tobytes() == fast[k].S.a.tobytes()
+        assert got.S.b.tobytes() == fast[k].S.b.tobytes()
+        assert [size for _, size in got.blocks] == [size for _, size in want.blocks]
+        for (r1, _), (r2, _) in zip(got.blocks, want.blocks):
+            assert abs(r1.re - r2.re) <= 1e-12 and abs(r1.im - r2.im) <= 1e-12
+        assert (got.S - want.S).norm() <= 1e-10
+        assert verdicts(a, got) == verdicts(a, want)
+
+
+def test_first_stage_leaves_the_rest_to_the_search():
+    # repeated classes, real classes, Jordan blocks and a singular adjoint
+    # all get None; so does an unreachable tolerance
+    rng = np.random.default_rng(5)
+    others = [generate(t, rng=rng).matrix for t in DYNAMICAL_TYPES
+              if t not in ("regular-elliptic", "regular-loxodromic", "screw-loxodromic")]
+    others.append(QMatrix3.diag(1e7, 1e-7, 1.0))
+    phis = np.stack([m.adjoint() for m in others])
+    assert spectral._generic_jordan(phis, 1e-9) == [None] * len(others)
+    generic = generate("regular-elliptic", seed=1).matrix
+    assert spectral._generic_jordan(generic.adjoint()[None], 1e-30) == [None]
+    assert spectral._generic_jordan(np.zeros((0, 6, 6), dtype=complex), 1e-9) == []
