@@ -15,6 +15,8 @@ from qproj import (
     right_eigenvalues,
 )
 from qproj import spectral
+from qproj.classify import _classify_from_jordan
+from qproj.decompose import _decomposition_from_data
 from qproj.generate import (
     DYNAMICAL_TYPES,
     conjugated,
@@ -26,6 +28,7 @@ from qproj.generate import (
     reversible_shape,
     strong_shape,
 )
+from qproj.reversibility import _psl_from_data
 from qproj.spectral import (
     _MERGE_CAP,
     _class_points,
@@ -445,10 +448,6 @@ def first_stage_samples():
 
 
 def verdicts(a, data):
-    from qproj.classify import _classify_from_jordan
-    from qproj.decompose import _decomposition_from_data
-    from qproj.reversibility import _psl_from_data
-
     rev = _psl_from_data(a, data, 1e-9)
     return (_classify_from_jordan(data, 1e-9),
             rev.reversible_sl, rev.strongly_reversible_sl, rev.negative_reversible,
