@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .classify import _classification_from_data, dynamical_type
-from .decompose import _decomposition_from_data, _is_simple_data, _realify_from_data, is_simple
+from .decompose import _decompositions_from_data, _is_simple_data, is_simple
 from .errors import CertificateError, QprojError
 from .generate import DYNAMICAL_TYPES, generate
 from .matrix import (QMatrix3, check_certificate, conjugation_residual, det_h, inverse,
@@ -131,31 +131,60 @@ def _emit(reports, was_batch, as_json, text_fn):
 
 
 def _run_command(path, tol, as_json, worker, text_fn):
-    """Run worker(a, jordan_data, tol) on every input, in input order.
+    """Run worker(inputs, jordan_data, tol) on the batch, report in input order.
 
     The Jordan data of the whole batch comes from one _generic_jordan call
     on the inputs up to the first one that fails; jordan_form serves each
-    input it leaves out.  Warnings and errors come from the per-input loop,
-    so they appear in input order and the first error ends the command.
+    input it leaves out.  The worker returns one report or QprojError per
+    input, in order, and may stop after the first error.  All of this runs
+    silently; then the inputs are replayed in order, each printing its
+    warning and raising its error, so the first error ends the command just
+    as if the inputs had come one at a time.
     """
     payload = _read_payload(path)
     matrices, was_batch = _parse_matrices(payload)
     inputs = [_unimodular_input(m, tol) for m in matrices]
     usable = [a for a, _ in itertools.takewhile(lambda item: item[0] is not None, inputs)]
     batch = _generic_jordan(np.stack([a.adjoint() for a in usable]), tol) if usable else []
-    reports = []
+    datas, failure = [], None
     for k, (a, note) in enumerate(inputs):
         if a is None:
-            raise _CliFailure(note, EXIT_PRECONDITION)
-        if note is not None:
+            failure = _CliFailure(note, EXIT_PRECONDITION)
+            break
+        try:
+            if note is not None:
+                require_unimodular(a, tol)  # the normalized matrix, as the library checks it
+            datas.append(batch[k] if batch[k] is not None else jordan_form(a, tol))
+        except QprojError as exc:
+            failure = exc
+            break
+    results = worker([a for a, _ in inputs[:len(datas)]], datas, tol) + [failure]
+    reports = []
+    for (a, note), rep in zip(inputs, results):
+        if a is not None and note is not None:
             click.echo(note, err=True)
-            require_unimodular(a, tol)  # the normalized matrix, as the library checks it
-        data = batch[k] if batch[k] is not None else jordan_form(a, tol)
-        rep = worker(a, data, tol)
+        if isinstance(rep, Exception):
+            raise rep
         rep["input"] = a.to_json_dict()
         rep["tolerance"] = tol
         reports.append(rep)
     _emit(reports, was_batch, as_json, text_fn)
+
+
+def _each(report):
+    """A batch worker running report(a, jordan_data, tol) per input, up to the first error."""
+
+    def worker(inputs, datas, tol):
+        results = []
+        for a, data in zip(inputs, datas):
+            try:
+                results.append(report(a, data, tol))
+            except QprojError as exc:
+                results.append(exc)
+                break
+        return results
+
+    return worker
 
 
 def _wrap_errors(fn):
@@ -192,6 +221,7 @@ def main():
 def classify_cmd(tol, as_json, path):
     """Dynamical-type classification report."""
 
+    @_each
     def worker(a, data, tol):
         rep = _classification_from_data(a, data, tol)
         rep["kind"] = "classification"
@@ -213,6 +243,7 @@ def classify_cmd(tol, as_json, path):
 def reversibility_cmd(tol, as_json, path):
     """Reversibility flags and certified witnesses."""
 
+    @_each
     def worker(a, data, tol):
         rep = _psl_from_data(a, data, tol).to_json_dict()
         rep["kind"] = "reversibility"
@@ -236,10 +267,10 @@ def reversibility_cmd(tol, as_json, path):
 def decompose_cmd(tol, as_json, path):
     """Decomposition into at most four simple factors with certificates."""
 
-    def worker(a, data, tol):
-        rep = _decomposition_from_data(a, data, tol).to_json_dict()
-        rep["kind"] = "decomposition"
-        return rep
+    def worker(inputs, datas, tol):
+        return [dec if isinstance(dec, QprojError)
+                else {**dec.to_json_dict(), "kind": "decomposition"}
+                for dec in _decompositions_from_data(inputs, datas, tol)]
 
     def text(rep):
         return f"{len(rep['factors'])} simple factors, residual {rep['residual']:.2e}"
@@ -254,12 +285,20 @@ def decompose_cmd(tol, as_json, path):
 def simple_check_cmd(tol, as_json, path):
     """Simplicity test plus real-conjugate certificate when simple."""
 
-    def worker(a, data, tol):
-        simple = _is_simple_data(data, tol)
-        rep = {"kind": "simple-check", "simple": simple, "certificate": None}
-        if simple:
-            rep["certificate"] = _realify_from_data(a, data, tol).to_json_dict()
-        return rep
+    def worker(inputs, datas, tol):
+        simple = [_is_simple_data(data, tol) for data in datas]
+        # a simple input is its own one-factor decomposition, certified by realify
+        decs = iter(_decompositions_from_data(list(itertools.compress(inputs, simple)),
+                                              list(itertools.compress(datas, simple)), tol))
+        results = []
+        for flag in simple:
+            dec = next(decs) if flag else None
+            if isinstance(dec, QprojError):
+                results.append(dec)
+                continue
+            cert = dec.certificates[0].to_json_dict() if flag else None
+            results.append({"kind": "simple-check", "simple": flag, "certificate": cert})
+        return results
 
     def text(rep):
         return "simple" if rep["simple"] else "not simple"

@@ -18,19 +18,29 @@ factorization routes on the Jordan shape:
 Every factor ships with a certificate (T, B): a conjugator T and the real
 matrix B = T^-1 (factor) T it exhibits, both read off the factor's
 construction rather than extracted from the factor again.
+
+The after-stage that follows jordan_form runs per batch
+(_decompositions_from_data): the CLI passes a whole batch, decompose_simple
+and realify a batch of one.  The canonical factors (C, T, B) are built per
+member; the factors S C S^-1, their conjugators S T, every certificate
+residual and every product residual come from stacked complex-pair
+arithmetic, with one stacked inverse for the S of the batch and one for its
+conjugators.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSimple
-from .matrix import (QMatrix3, _build_gate, check_certificate, conjugation_residual, inverse,
-                     product_residual, require_unimodular)
+from .errors import CertificateError, NotSimple, QprojError
+from .matrix import (QMatrix3, _adjoint, _build_gate, _conjugation_residuals, _invert_adjoints,
+                     _product_residuals, _qmul, _stack, check_certificate, conjugation_residual,
+                     require_unimodular)
 from .quaternion import DEFAULT_TOL
 from .spectral import JordanData, jordan_form
 
@@ -49,7 +59,7 @@ class SimpleCertificate:
     def to_json_dict(self) -> dict:
         return {
             "T": self.T.to_json_dict(),
-            "B": [[float(v) for v in row] for row in np.asarray(self.B)],
+            "B": np.asarray(self.B, dtype=float).tolist(),
             "residual": float(self.residual),
         }
 
@@ -108,26 +118,20 @@ def realify(A: QMatrix3, tol: float = DEFAULT_TOL) -> SimpleCertificate:
 
 
 def _realify_from_data(A: QMatrix3, data: JordanData | None, tol: float) -> SimpleCertificate:
-    """realify(A) given the Jordan data of A; a real A needs none."""
-    if A.is_real(tol):
-        return SimpleCertificate(QMatrix3.identity(), A.real_part(), 0.0)
-    return _checked(A, _realify_data(A, data, tol), tol)
+    """realify(A) given the Jordan data of A (None for a real A).
 
-
-def _checked(A: QMatrix3, cert: SimpleCertificate, tol: float) -> SimpleCertificate:
-    cert.residual = check_certificate(cert.verify(A), "real-conjugate certificate",
-                                      _build_gate(tol))
-    return cert
-
-
-def _realify_data(A: QMatrix3, data: JordanData, tol: float) -> SimpleCertificate:
-    if not _is_simple_data(data, tol):
+    The certificate of the one-factor decomposition [A].
+    """
+    if data is not None and not _is_simple_data(data, tol):
         raise NotSimple("a non-real class has Jordan blocks that do not pair up by size")
+    return _decomposition_from_data(A, data, tol).certificates[0]
 
+
+def _realify_data(A: QMatrix3, data: JordanData, tol: float):
+    """(T, B) with A = T B T^-1 for a non-real A with simple Jordan data."""
     reps = [rep for rep, _ in data.blocks]
     if all(rep.is_real(tol) for rep in reps):
-        B = data.jordan_matrix().real_part()
-        return SimpleCertificate(data.S, B)
+        return data.S, data.jordan_matrix().real_part()
 
     # diag(λ, λ, μ) with λ non-real: the pair occupies adjacent columns
     pair_pos = None
@@ -151,7 +155,7 @@ def _realify_data(A: QMatrix3, data: JordanData, tol: float) -> SimpleCertificat
     B[s1, s1] = r * math.cos(theta)
     B[other, other] = mu.re
 
-    return SimpleCertificate(data.S @ _pair_conjugator(pair_pos, True), B)
+    return data.S @ _pair_conjugator(pair_pos, True), B
 
 
 def _pair_conjugator(s0: int, same: bool) -> QMatrix3:
@@ -326,20 +330,117 @@ def decompose_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> Decomposition:
     return _decomposition_from_data(A, jordan_form(A, tol), tol)
 
 
-def _decomposition_from_data(A: QMatrix3, data: JordanData, tol: float) -> Decomposition:
-    if _is_simple_data(data, tol):
-        return Decomposition([A], [_realify_from_data(A, data, tol)], 0.0)
+def _decomposition_from_data(A: QMatrix3, data: JordanData | None, tol: float) -> Decomposition:
+    """decompose_simple(A) given its Jordan data: a batch of one."""
+    (result,) = _decompositions_from_data([A], [data], tol)
+    if isinstance(result, QprojError):
+        raise result
+    return result
 
-    S = data.S
-    S_inv = inverse(S)
-    factors = []
-    certificates = []
-    for canon, T, B in _canonical_factors(data, tol):
-        if (canon - QMatrix3.identity()).norm() <= 1e-9:
-            continue
-        factor = S @ canon @ S_inv
-        factors.append(factor)
-        certificates.append(_checked(factor, SimpleCertificate(S @ T, B), tol))
 
-    residual = check_certificate(product_residual(factors, A), "factor product", _build_gate(tol))
-    return Decomposition(factors, certificates, residual)
+def _decompositions_from_data(As, datas, tol: float) -> list:
+    """The Decomposition of each A in As given its Jordan data, or the QprojError it raises.
+
+    A simple member is its own one factor, certified by the real conjugate
+    of realify; a real one by (I, Re A), recorded with residual 0.  The
+    factors of every other member are S C S^-1 for its canonical factors
+    C = T B T^-1, certified by (S T, B).  All factors of the batch form one
+    stack: S^-1 comes from one stacked inverse, and every conjugation
+    residual from one stacked call, in which a conjugator that fails the
+    singular rule gives inf.  Each member's gates run in the order of a batch
+    of one, certificates in factor order and then the product, so a member's
+    error does not depend on its batch.
+    """
+    out = [None] * len(As)
+    split = []   # (member, its canonical factors (C, T, B) other than I)
+    direct = []  # (member, T, B): the real conjugate of a simple member
+    for k, (A, data) in enumerate(zip(As, datas)):
+        if data is not None and not _is_simple_data(data, tol):
+            split.append((k, [f for f in _canonical_factors(data, tol)
+                              if not (f[0] - QMatrix3.identity()).norm() <= 1e-9]))
+        elif A.is_real(tol):
+            out[k] = Decomposition([A], [SimpleCertificate(QMatrix3.identity(), A.real_part())])
+        else:
+            try:
+                direct.append((k, *_realify_data(A, data, tol)))
+            except NotSimple as exc:
+                out[k] = exc
+
+    counts = [len(fs) for _, fs in split]
+    owner = np.repeat(np.arange(len(split)), counts)  # the split member of each canonical row
+    canon = [f for _, fs in split for f in fs]
+    fa, fb, ta, tb, s_ok = _conjugated([datas[k].S for k, _ in split], owner, canon)
+    products = (_product_residuals(*_led_by_identities(fa, fb, counts, owner),
+                                   *_stack([As[k] for k, _ in split])).tolist()
+                if split else [])
+
+    # one residual call for the rows of both kinds, the direct members last
+    residuals = []
+    if canon or direct:
+        B = np.array([b for *_, b in canon] + [b for *_, b in direct], dtype=complex)
+        residuals = _conjugation_residuals(*_followed_by(ta, tb, [t for _, t, _ in direct]),
+                                           B, np.zeros_like(B),
+                                           *_followed_by(fa, fb, [As[k] for k, _, _ in direct]))
+        if not s_ok.all():
+            residuals[:len(canon)][~s_ok] = np.inf
+        residuals = residuals.tolist()
+
+    gate = _build_gate(tol)
+    first = [0, *itertools.accumulate(counts)]
+    for n, (k, fs) in enumerate(split):
+        rows = range(first[n], first[n + 1])
+        out[k] = _gated([QMatrix3(fa[i], fb[i]) for i in rows],
+                        [SimpleCertificate(QMatrix3(ta[i], tb[i]), b, residuals[i])
+                         for i, (_, _, b) in zip(rows, fs)], products[n], gate)
+    for i, (k, T, b) in enumerate(direct, start=len(canon)):
+        out[k] = _gated([As[k]], [SimpleCertificate(T, b, residuals[i])], 0.0, gate)
+    return out
+
+
+def _conjugated(Ss, owner, canon):
+    """Stacks (F, F', T, T') of the factors S C S^-1 = F + F' j and their
+    conjugators S T = T + T' j, one row per canonical factor (C, T, B) and
+    S = Ss[owner[row]], and the mask of the rows whose S passes the singular
+    rule."""
+    if not canon:
+        empty = np.zeros((0, 3, 3), dtype=complex)
+        return empty, empty, empty, empty, np.ones(0, dtype=bool)
+    sa, sb = _stack(Ss)
+    s_inv, s_ok = _invert_adjoints(_adjoint(sa, sb))
+    sa, sb, s_inv = sa[owner], sb[owner], s_inv[owner]
+    fa, fb = _qmul(*_qmul(sa, sb, *_stack([c for c, _, _ in canon])),
+                   s_inv[:, :3, :3], s_inv[:, :3, 3:])
+    return (fa, fb, *_qmul(sa, sb, *_stack([t for _, t, _ in canon])), s_ok[owner])
+
+
+def _followed_by(a, b, ms):
+    """The stack of complex pairs (a, b), followed by the blocks of the QMatrix3 in ms."""
+    if not ms:
+        return a, b
+    ma, mb = _stack(ms)
+    return (np.concatenate([a, ma]), np.concatenate([b, mb])) if len(a) else (ma, mb)
+
+
+def _led_by_identities(fa, fb, counts, owner):
+    """(N, K, 3, 3) stacks of each member's counts[n] rows of (fa, fb), the
+    rows of member owner[row] in order, led by identities up to K = max(counts)."""
+    counts = np.asarray(counts)
+    width = counts.max()
+    slot = np.arange(len(fa)) - (np.cumsum(counts) - width)[owner]
+    pa = np.zeros((len(counts), width, 3, 3), dtype=complex)
+    pa[:] = np.eye(3)
+    pb = np.zeros_like(pa)
+    pa[owner, slot], pb[owner, slot] = fa, fb
+    return pa, pb
+
+
+def _gated(factors, certificates, product: float, gate: float):
+    """The Decomposition, or the CertificateError of its first residual not below
+    gate: certificates in factor order, then the product."""
+    try:
+        for cert in certificates:
+            check_certificate(cert.residual, "real-conjugate certificate", gate)
+        check_certificate(product, "factor product", gate)
+    except CertificateError as exc:
+        return exc
+    return Decomposition(factors, certificates, product)

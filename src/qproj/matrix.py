@@ -43,6 +43,17 @@ def _adjoint(a, b) -> np.ndarray:
     return phi
 
 
+def _norms(a, b):
+    """Frobenius norm of (a, b) with quaternionic entry moduli; broadcasts over stacks."""
+    return np.sqrt((np.abs(a) ** 2).sum(axis=(-2, -1)) + (np.abs(b) ** 2).sum(axis=(-2, -1)))
+
+
+def _stack(ms):
+    """The blocks of a sequence of QMatrix3 as two (N, 3, 3) stacks; N may be 0."""
+    return (np.array([m.a for m in ms], dtype=complex).reshape(-1, 3, 3),
+            np.array([m.b for m in ms], dtype=complex).reshape(-1, 3, 3))
+
+
 class QMatrix3:
     """A 3x3 matrix over the quaternions acting on column vectors.
 
@@ -141,7 +152,7 @@ class QMatrix3:
 
     def norm(self) -> float:
         """Frobenius norm with quaternionic entry moduli."""
-        return float(np.sqrt(np.sum(np.abs(self.a) ** 2) + np.sum(np.abs(self.b) ** 2)))
+        return float(_norms(self.a, self.b))
 
     def adjoint(self) -> np.ndarray:
         """Complex adjoint Phi(A) = [[A1, A2], [-conj(A2), conj(A1)]]."""
@@ -260,21 +271,45 @@ def char_poly_h(m: QMatrix3, tol: float = DEFAULT_TOL) -> CharPoly6:
     return CharPoly6(coeffs)
 
 
-def _invert_adjoint(phi: np.ndarray) -> np.ndarray:
-    """Phi^-1 of one adjoint or a stack of them (..., 6, 6).
+def _cond_1(phi, phi_inv):
+    """||Phi||_1 ||Phi^-1||_1; broadcasts over stacks."""
+    return np.abs(phi).sum(axis=-2).max(axis=-1) * np.abs(phi_inv).sum(axis=-2).max(axis=-1)
 
-    Raises Singular unless ||Phi||_1 ||Phi^-1||_1 is below COND_LIMIT for
-    every member.
-    """
+
+def _invert_adjoint(phi: np.ndarray) -> np.ndarray:
+    """Phi^-1 of one adjoint; raises Singular unless cond_1 Phi is below COND_LIMIT."""
     try:
         phi_inv = np.linalg.inv(phi)
     except np.linalg.LinAlgError as exc:
         raise Singular(f"adjoint is singular: {exc}") from exc
-    cond = np.abs(phi).sum(axis=-2).max(axis=-1) * np.abs(phi_inv).sum(axis=-2).max(axis=-1)
-    if not (cond < COND_LIMIT).all():
-        worst = float(np.max(np.where(cond < COND_LIMIT, 0.0, cond)))
-        raise Singular(f"cond_1 of the adjoint is {worst:.3e}, not below {COND_LIMIT:.0e}")
+    cond = _cond_1(phi, phi_inv)
+    if not cond < COND_LIMIT:
+        raise Singular(f"cond_1 of the adjoint is {cond:.3e}, not below {COND_LIMIT:.0e}")
     return phi_inv
+
+
+def _invert_adjoints(phis):
+    """_invert_adjoint over an (N, 6, 6) stack: the inverses and the mask it accepts.
+
+    A member that fails the singular rule gets a zero inverse and a False in
+    the mask; it never fails the others.  One stacked inverse serves the
+    stack unless LAPACK stops on a member (exactly singular or not finite);
+    then each member is inverted alone, and one LAPACK refuses keeps a NaN
+    inverse, whose cond_1 fails the rule.
+    """
+    try:
+        inverses = np.linalg.inv(phis)
+    except np.linalg.LinAlgError:
+        inverses = np.full_like(phis, np.nan)
+        for k, phi in enumerate(phis):
+            try:
+                inverses[k] = np.linalg.inv(phi)
+            except np.linalg.LinAlgError:
+                pass
+    ok = _cond_1(phis, inverses) < COND_LIMIT
+    if not ok.all():
+        inverses[~ok] = 0.0
+    return inverses, ok
 
 
 def inverse(m: QMatrix3) -> QMatrix3:
@@ -282,16 +317,27 @@ def inverse(m: QMatrix3) -> QMatrix3:
     return QMatrix3.from_adjoint(_invert_adjoint(m.adjoint()))
 
 
+def _conjugation_residuals(ta, tb, ba, bb, ma, mb):
+    """||T B T^-1 - M|| / ||M|| of stacks of complex pairs T, B and M, (N, 3, 3) each.
+
+    A member whose T fails the singular rule gets inf; the others are
+    computed as if alone.
+    """
+    t_inv, ok = _invert_adjoints(_adjoint(ta, tb))
+    ra, rb = _qmul(*_qmul(ta, tb, ba, bb), t_inv[:, :3, :3], t_inv[:, :3, 3:])
+    residuals = _norms(ra - ma, rb - mb) / np.maximum(_norms(ma, mb), 1e-300)
+    return np.where(ok, residuals, math.inf)
+
+
 def conjugation_residual(T: QMatrix3, B: QMatrix3, M: QMatrix3) -> float:
-    """||T B T^-1 - M|| / ||M||, or inf when T is singular.
+    """||T B T^-1 - M|| / ||M||, or inf when T is singular: one member of
+    _conjugation_residuals.
 
     Serves every conjugacy certificate: a Jordan similarity (S, J, A), a real
     conjugate (T, B, factor) and a reverser (g, A, +-A^-1).
     """
-    try:
-        return ((T @ B @ inverse(T)) - M).norm() / max(M.norm(), 1e-300)
-    except Singular:
-        return math.inf
+    return float(_conjugation_residuals(T.a[None], T.b[None], B.a[None], B.b[None],
+                                        M.a[None], M.b[None])[0])
 
 
 def square_residual(g: QMatrix3, sign: float) -> float:
@@ -299,12 +345,24 @@ def square_residual(g: QMatrix3, sign: float) -> float:
     return ((g @ g) - sign * QMatrix3.identity()).norm()
 
 
+def _product_residuals(fa, fb, ma, mb):
+    """||f_1 ... f_k - M|| / ||M|| of each member of a stack of complex pairs M.
+
+    Member n's factors are fa[n], fb[n], (K, 3, 3) each, led by identities
+    up to K; they are multiplied left to right from I, and I I = I exactly.
+    """
+    pa = np.zeros_like(ma)
+    pa[:] = np.eye(3)
+    pb = np.zeros_like(mb)
+    for p in range(fa.shape[1]):
+        pa, pb = _qmul(pa, pb, fa[:, p], fb[:, p])
+    return _norms(pa - ma, pb - mb) / np.maximum(_norms(ma, mb), 1e-300)
+
+
 def product_residual(factors, A: QMatrix3) -> float:
-    """||f_1 ... f_k - A|| / ||A||."""
-    product = QMatrix3.identity()
-    for f in factors:
-        product = product @ f
-    return (product - A).norm() / max(A.norm(), 1e-300)
+    """||f_1 ... f_k - A|| / ||A||: one member of _product_residuals."""
+    fa, fb = _stack(factors)
+    return float(_product_residuals(fa[None], fb[None], A.a[None], A.b[None])[0])
 
 
 def replay_gate(tol: float) -> float:

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import IllConditioned, LiftFailure, Singular, SpectralFailure
-from .matrix import (QMatrix3, _adjoint, _blocks36, _invert_adjoint, _qmul, _unvec36, _vec36,
-                     conjugation_residual, inverse)
+from .errors import IllConditioned, LiftFailure, SpectralFailure
+from .matrix import (QMatrix3, _adjoint, _blocks36, _invert_adjoint, _invert_adjoints, _qmul,
+                     _unvec36, _vec36, conjugation_residual, inverse)
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 
 # Accept a candidate immediately when its relative residual is this good;
@@ -553,22 +553,6 @@ def _sylvester_polish(A: QMatrix3, data: JordanData):
 
 # ---------------------------------------------------------------------------
 # first stage: stacks whose search would have exactly one candidate
-
-
-def _invert_adjoints(phis):
-    """_invert_adjoint over an (N, 6, 6) stack: the inverses and the mask it accepts."""
-    try:
-        return _invert_adjoint(phis), np.ones(len(phis), dtype=bool)
-    except Singular:
-        inverses = np.zeros_like(phis)
-        ok = np.zeros(len(phis), dtype=bool)
-        for k, phi in enumerate(phis):
-            try:
-                inverses[k] = _invert_adjoint(phi)
-                ok[k] = True
-            except Singular:
-                pass
-        return inverses, ok
 
 
 def _one_candidate(eigs, tol):

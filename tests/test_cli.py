@@ -13,6 +13,7 @@ from qproj.generate import (
     negative_shape,
     nonstrong_shape,
 )
+from oracles import conditioned_conjugator
 
 
 @pytest.fixture
@@ -370,7 +371,7 @@ def test_report_is_the_same_alone_or_in_a_batch(runner, cmd):
 
 
 @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
-@pytest.mark.parametrize("cmd", ["classify", "simple-check"])
+@pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose", "simple-check"])
 def test_mixed_batch_reports_in_input_order(runner, cmd, order):
     # a generic input, one that needs auto-normalization (and still takes the
     # first stage), and one whose adjoint is Singular (cond_1 = 1e14, det_h = 1)
@@ -387,3 +388,31 @@ def test_mixed_batch_reports_in_input_order(runner, cmd, order):
     res = runner.invoke(main, [cmd, "-"], input=json.dumps([m.to_json_dict() for m in batch]))
     assert (res.stdout, res.stderr, res.exit_code) == _one_at_a_time(runner, cmd, batch)
     assert res.exit_code == 0 and res.stderr.count("auto-normalizing") == 1
+
+
+def conditioned_sample(type_name, index, c, seed):
+    """Input `index` of `type_name` as test_conditioning.sweep(c, default_rng(seed)) draws it."""
+    rng = np.random.default_rng(seed)
+    for name, (sampler, _) in DYNAMICAL_TYPES.items():
+        for k in range(6):
+            g, g_inv = conditioned_conjugator(c, rng)
+            a = g @ sampler(rng) @ g_inv
+            if (name, k) == (type_name, index):
+                return a
+    raise KeyError(type_name)
+
+
+@pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose", "simple-check"])
+def test_after_stage_error_mid_batch_reports_in_input_order(runner, cmd):
+    # at cond 1e5 this ellipto-translation passes jordan_form, but the product
+    # of its factors misses the build gate; it sits between a generic input
+    # and one that needs auto-normalization, whose warning must not appear
+    failing = conditioned_sample("ellipto-translation", 5, 1e5, seed=0)
+    batch = [generate("regular-elliptic", seed=3).matrix, failing,
+             generate("screw-loxodromic", seed=3).matrix * (1.0 + 5e-5)]
+    res = runner.invoke(main, [cmd, "-"], input=json.dumps([m.to_json_dict() for m in batch]))
+    assert (res.stdout, res.stderr, res.exit_code) == _one_at_a_time(runner, cmd, batch)
+    if cmd == "decompose":
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr.startswith("error: CertificateError: factor product residual 2.2")
+        assert "auto-normalizing" not in res.stderr

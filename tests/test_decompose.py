@@ -12,7 +12,11 @@ from qproj import (
     pair_rotation_split,
     realify,
 )
-from qproj.generate import conjugated
+from qproj.decompose import Decomposition, _decompositions_from_data
+from qproj.errors import QprojError
+from qproj.generate import (conjugated, generate, negative_shape, nonreversible_shape,
+                            nonstrong_shape, reversible_shape, strong_shape)
+from qproj.spectral import jordan_form
 
 e = lambda t: np.exp(1j * t)
 
@@ -189,3 +193,45 @@ def test_unpaired_nonreal_blocks_are_not_simple(canon, rng):
         for f, cert in zip(dec.factors, dec.certificates):
             assert is_simple(f)
             assert cert.residual < 1e-8
+
+
+def after_stage_samples():
+    """Seed-1 inputs of the generic, defective and shapes benchmark families."""
+    rng = np.random.default_rng(1)
+    types = ("regular-elliptic", "regular-loxodromic", "screw-loxodromic",
+             "vertical-translation", "non-vertical-translation", "ellipto-parabolic",
+             "ellipto-translation", "loxo-parabolic", "identity", "elliptic-reflection",
+             "homothety")
+    mats = [generate(t, rng=rng).matrix for t in types for _ in range(3)]
+    for sampler, kinds in ((reversible_shape, "i ii iii iv"), (strong_shape, "i ii iii iv"),
+                           (nonstrong_shape, "1 2 3 5 6 7 8"), (negative_shape, "i ii iii iv"),
+                           (nonreversible_shape, "1 2")):
+        mats += [conjugated(sampler(kind, rng), rng)[0] for kind in kinds.split()]
+    return mats
+
+
+def test_batch_after_stage_equals_batches_of_one_bitwise():
+    mats = after_stage_samples()
+    datas = [jordan_form(m) for m in mats]
+    batch = _decompositions_from_data(mats, datas, 1e-9)
+    # every route meets in one batch: split, simple non-real, real
+    lengths = [len(d) for d in batch if isinstance(d, Decomposition)]
+    assert {1, 3, 4} <= set(lengths) and lengths.count(1) >= 6
+    assert any(d.certificates[0].T.isclose(QMatrix3.identity())
+               for d in batch if isinstance(d, Decomposition) and len(d) == 1)
+    for a, data, got in zip(mats, datas, batch):
+        (want,) = _decompositions_from_data([a], [data], 1e-9)
+        if isinstance(want, QprojError):
+            assert type(got) is type(want) and str(got) == str(want)
+            continue
+        assert got.residual == want.residual and len(got) == len(want)
+        for f, g in zip(got.factors, want.factors):
+            assert f.a.tobytes() == g.a.tobytes() and f.b.tobytes() == g.b.tobytes()
+        for c, d in zip(got.certificates, want.certificates):
+            assert c.T.a.tobytes() == d.T.a.tobytes() and c.T.b.tobytes() == d.T.b.tobytes()
+            assert np.asarray(c.B).tobytes() == np.asarray(d.B).tobytes()
+            assert c.residual == d.residual
+        if a.is_real(1e-9):
+            continue  # (I, Re A) is recorded with residual 0 and not measured
+        for f, c in zip(got.factors, got.certificates):
+            assert c.verify(f) == c.residual

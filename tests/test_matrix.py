@@ -20,7 +20,9 @@ from qproj import (
     self_dual_check,
 )
 from qproj.generate import random_conjugator
-from qproj.matrix import require_unimodular
+from qproj.generate import generate
+from qproj.matrix import (_conjugation_residuals, _invert_adjoint, _invert_adjoints, _stack,
+                          conjugation_residual, require_unimodular)
 from qproj.spectral import jordan_form
 from oracles import adjoint_of, char_poly_from_diag, gauss_inverse
 
@@ -260,3 +262,25 @@ def test_sl_boundary_coeffs(rng):
         poly = char_poly_h(g)
         assert poly.coeffs[0] == pytest.approx(1.0, abs=1e-7)
         assert poly.coeffs[6] == pytest.approx(1.0)
+
+
+def test_stacked_inverse_fails_only_the_members_that_fail():
+    good = [generate(t, seed=1).matrix for t in ("regular-elliptic", "loxo-parabolic")]
+    ill = QMatrix3.diag(1e7, 1e-7, 1.0)  # cond_1 = 1e14
+    nan = QMatrix3.diag(np.nan, 1.0, 1.0)
+    # LAPACK takes the first stack whole; the zero and NaN members stop it
+    for members in ([good[0], ill, good[1]], [good[0], nan, QMatrix3.zeros(), good[1], ill]):
+        phis = np.stack([m.adjoint() for m in members])
+        inverses, ok = _invert_adjoints(phis)
+        assert ok.tolist() == [any(m is g for g in good) for m in members]
+        for phi, inv, passed in zip(phis, inverses, ok):
+            if passed:
+                assert inv.tobytes() == _invert_adjoint(phi).tobytes()
+            else:
+                assert not inv.any()
+        # T I T^-1 = I: a conjugator that fails gets inf, the others their lone residual
+        eye = [QMatrix3.identity()] * len(members)
+        residuals = _conjugation_residuals(*_stack(members), *_stack(eye), *_stack(eye))
+        for m, r, passed in zip(members, residuals, ok):
+            assert r == conjugation_residual(m, QMatrix3.identity(), QMatrix3.identity())
+            assert (r < 1e-12) if passed else (r == np.inf)

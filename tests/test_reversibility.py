@@ -331,7 +331,8 @@ def test_library_gate_is_no_looser_than_replay_gate(rng, monkeypatch):
     rev, _ = conjugated(reversible_shape("ii", rng), rng)
     elliptic = generate("regular-elliptic", rng=rng).matrix
     monkeypatch.setattr(reversibility, "square_residual", lambda g, sign: 5e-6)
-    monkeypatch.setattr(decompose, "conjugation_residual", lambda T, B, M: 5e-6)
+    monkeypatch.setattr(decompose, "_conjugation_residuals",
+                        lambda ta, tb, ba, bb, ma, mb: np.full(len(ta), 5e-6))
     with pytest.raises(CertificateError, match="reverser square"):
         psl_report(rev, 1e-9)
     with pytest.raises(CertificateError, match="real-conjugate"):
