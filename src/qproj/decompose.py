@@ -342,14 +342,14 @@ def _decompositions_from_data(As, datas, tol: float) -> list:
     """The Decomposition of each A in As given its Jordan data, or the QprojError it raises.
 
     A simple member is its own one factor, certified by the real conjugate
-    of realify; a real one by (I, Re A), recorded with residual 0.  The
-    factors of every other member are S C S^-1 for its canonical factors
-    C = T B T^-1, certified by (S T, B).  All factors of the batch form one
-    stack: S^-1 comes from one stacked inverse, and every conjugation
-    residual from one stacked call, in which a conjugator that fails the
-    singular rule gives inf.  Each member's gates run in the order of a batch
-    of one, certificates in factor order and then the product, so a member's
-    error does not depend on its batch.
+    of realify, (I, Re A) for a real one.  The factors of every other
+    member are S C S^-1 for its canonical factors C = T B T^-1, certified
+    by (S T, B).  All factors of the batch form one stack: S^-1 comes from
+    one stacked inverse, and every conjugation residual from one stacked
+    call, in which a conjugator that fails the singular rule gives inf.
+    Each member's gates run in the order of a batch of one, certificates in
+    factor order and then the product, so a member's error does not depend
+    on its batch.
     """
     out = [None] * len(As)
     split = []   # (member, its canonical factors (C, T, B) other than I)
@@ -359,7 +359,7 @@ def _decompositions_from_data(As, datas, tol: float) -> list:
             split.append((k, [f for f in _canonical_factors(data, tol)
                               if not (f[0] - QMatrix3.identity()).norm() <= 1e-9]))
         elif A.is_real(tol):
-            out[k] = Decomposition([A], [SimpleCertificate(QMatrix3.identity(), A.real_part())])
+            direct.append((k, QMatrix3.identity(), A.real_part()))
         else:
             try:
                 direct.append((k, *_realify_data(A, data, tol)))
@@ -426,6 +426,8 @@ def _led_by_identities(fa, fb, counts, owner):
     rows of member owner[row] in order, led by identities up to K = max(counts)."""
     counts = np.asarray(counts)
     width = counts.max()
+    if counts.min() == width:  # no member needs a leading identity
+        return fa.reshape(len(counts), width, 3, 3), fb.reshape(len(counts), width, 3, 3)
     slot = np.arange(len(fa)) - (np.cumsum(counts) - width)[owner]
     pa = np.zeros((len(counts), width, 3, 3), dtype=complex)
     pa[:] = np.eye(3)

@@ -179,18 +179,23 @@ class QMatrix3:
 
     @classmethod
     def from_json_dict(cls, data) -> "QMatrix3":
-        entries = np.array(data["matrix"])
-        # a JSON null or string would become NaN or parse as a number under
-        # dtype=float, so only an all-numeric array is accepted
-        if entries.shape != (3, 3, 4) or entries.dtype.kind not in "iuf":
-            raise ValueError("matrix must be 3x3 with [w, x, y, z] number entries")
-        return _unvec36(entries.ravel())
+        return _unvec36(_json_entries(data).ravel())
 
     def __repr__(self):
         rows = ",\n  ".join(
             "[" + ", ".join(repr(self[i, j]) for j in range(3)) + "]" for i in range(3)
         )
         return f"QMatrix3([\n  {rows}\n])"
+
+
+def _json_entries(data) -> np.ndarray:
+    """The (3, 3, 4) entries [w, x, y, z] of a QMatrix3 JSON object, checked."""
+    entries = np.array(data["matrix"])
+    # a JSON null or string would become NaN or parse as a number under
+    # dtype=float, so only an all-numeric array is accepted
+    if entries.shape != (3, 3, 4) or entries.dtype.kind not in "iuf":
+        raise ValueError("matrix must be 3x3 with [w, x, y, z] number entries")
+    return entries
 
 
 def _vec36(m: QMatrix3):
@@ -317,13 +322,14 @@ def inverse(m: QMatrix3) -> QMatrix3:
     return QMatrix3.from_adjoint(_invert_adjoint(m.adjoint()))
 
 
-def _conjugation_residuals(ta, tb, ba, bb, ma, mb):
+def _conjugation_residuals(ta, tb, ba, bb, ma, mb, inverted=None):
     """||T B T^-1 - M|| / ||M|| of stacks of complex pairs T, B and M, (N, 3, 3) each.
 
     A member whose T fails the singular rule gets inf; the others are
-    computed as if alone.
+    computed as if alone.  inverted is _invert_adjoints of the Phi(T) stack
+    when the caller has it already.
     """
-    t_inv, ok = _invert_adjoints(_adjoint(ta, tb))
+    t_inv, ok = _invert_adjoints(_adjoint(ta, tb)) if inverted is None else inverted
     ra, rb = _qmul(*_qmul(ta, tb, ba, bb), t_inv[:, :3, :3], t_inv[:, :3, 3:])
     residuals = _norms(ra - ma, rb - mb) / np.maximum(_norms(ma, mb), 1e-300)
     return np.where(ok, residuals, math.inf)
@@ -340,9 +346,16 @@ def conjugation_residual(T: QMatrix3, B: QMatrix3, M: QMatrix3) -> float:
                                         M.a[None], M.b[None])[0])
 
 
+def _square_residuals(ga, gb, signs):
+    """||g^2 - sign * I|| of each member of a stack of complex pairs g, (N, 3, 3),
+    with its sign in signs; absolute: g^2 = +-I fixes the scale of g."""
+    sa, sb = _qmul(ga, gb, ga, gb)
+    return _norms(sa - np.multiply.outer(signs, np.eye(3)), sb)
+
+
 def square_residual(g: QMatrix3, sign: float) -> float:
-    """||g^2 - sign * I||, absolute: g^2 = +-I fixes the scale of g."""
-    return ((g @ g) - sign * QMatrix3.identity()).norm()
+    """||g^2 - sign * I||: one member of _square_residuals."""
+    return float(_square_residuals(g.a[None], g.b[None], [sign])[0])
 
 
 def _product_residuals(fa, fb, ma, mb):

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from qproj import QMatrix3, classification_report
+from qproj import cli
 from qproj.cli import main
 from qproj.generate import (
     DYNAMICAL_TYPES,
@@ -12,6 +13,7 @@ from qproj.generate import (
     generate,
     negative_shape,
     nonstrong_shape,
+    reversible_shape,
 )
 from oracles import conditioned_conjugator
 
@@ -416,3 +418,172 @@ def test_after_stage_error_mid_batch_reports_in_input_order(runner, cmd):
         assert res.exit_code == 3 and res.stdout == ""
         assert res.stderr.startswith("error: CertificateError: factor product residual 2.2")
         assert "auto-normalizing" not in res.stderr
+
+
+# -- verify over a batch of reports ------------------------------------------
+
+
+def report_of(runner, cmd, m, *options):
+    res = runner.invoke(main, [cmd, *options, "-"], input=json.dumps(m.to_json_dict()))
+    assert res.exit_code == 0, res.output
+    return json.loads(res.stdout)
+
+
+def verified(runner, reports):
+    """(stdout, status lines, failure lines, exit code, other stderr lines) of verify."""
+    res = runner.invoke(main, ["verify", "-"], input=json.dumps(reports))
+    lines = res.stderr.splitlines()
+    statuses = [line for line in lines if line.startswith("report ")]
+    failures = [line for line in lines if line.startswith("verification failure: ")]
+    rest = [line for line in lines if line not in statuses and line not in failures]
+    return res.stdout, statuses, failures, res.exit_code, rest
+
+
+def scaled_reverser(rep):
+    rep["reverser"]["matrix"] = [[[2.0 * c for c in q] for q in row]
+                                 for row in rep["reverser"]["matrix"]]
+
+
+def swapped_factors(rep):
+    # each factor keeps its certificate, so only the product fails
+    for key in ("factors", "certificates"):
+        rep[key][0], rep[key][1] = rep[key][1], rep[key][0]
+
+
+def singular_conjugator(rep):
+    rep["certificates"][0]["T"] = QMatrix3.zeros().to_json_dict()
+
+
+def edited_block_re(rep):
+    rep["jordan"]["blocks"][0]["re"] += 0.5
+
+
+def edited_block_sizes(rep):
+    blocks = rep["jordan"]["blocks"]
+    assert [b["size"] for b in blocks] == [2, 1]
+    blocks[0]["size"], blocks[1]["size"] = 1, 2
+
+
+# (command, generated type, tampering, the one failure it causes)
+TAMPERED_BATCH_MEMBERS = {
+    "scaled-reverser": ("reversibility", "ellipto-translation", scaled_reverser,
+                        "reverser square residual"),
+    # the unit J2 route: W Q W^-1 does not commute with the pair factors
+    "swapped-factors": ("decompose", "ellipto-parabolic", swapped_factors,
+                        "factor product residual"),
+    "singular-T": ("decompose", "regular-elliptic", singular_conjugator,
+                   "factor 0 real conjugate residual inf exceeds"),
+    "edited-block-re": ("classify", "regular-loxodromic", edited_block_re,
+                        "jordan reconstruction residual"),
+    "edited-block-size": ("classify", "loxo-parabolic", edited_block_sizes,
+                          "jordan reconstruction residual"),
+}
+
+
+@pytest.mark.parametrize("name", list(TAMPERED_BATCH_MEMBERS))
+def test_tampered_report_fails_alone_and_mid_batch(runner, name):
+    cmd, type_name, tamper, failure = TAMPERED_BATCH_MEMBERS[name]
+    rep = report_of(runner, cmd, generate(type_name, seed=1).matrix)
+    assert verified(runner, [rep])[3] == 0
+    tamper(rep)
+    stdout, statuses, failures, code, _ = verified(runner, [rep])
+    assert (stdout, statuses, code) == ("", ["report 0: FAIL"], 4)
+    assert len(failures) == 1 and failures[0].startswith(f"verification failure: {failure}")
+    # the middle of three reports: only its status fails, with the same failure
+    neighbours = [report_of(runner, c, generate("screw-loxodromic", seed=2).matrix)
+                  for c in ("reversibility", "simple-check")]
+    batch = verified(runner, [neighbours[0], rep, neighbours[1]])
+    assert batch[:4] == ("", ["report 0: ok", "report 1: FAIL", "report 2: ok"], failures, 4)
+
+
+def test_jordan_blocks_beyond_three_columns_are_malformed(runner):
+    rep = report_of(runner, "classify", generate("loxo-parabolic", seed=1).matrix)
+    rep["jordan"]["blocks"][1]["size"] = 2
+    res = runner.invoke(main, ["verify", "-"], input=json.dumps(rep))
+    assert res.exit_code == 2 and "entry 0: malformed report" in res.stderr
+
+
+def mixed_reports(runner):
+    """generated, classification (at two tolerances), reversibility, decomposition
+    and simple-check reports of generic and defective inputs."""
+    reports = []
+    for type_name in ("regular-elliptic", "screw-loxodromic", "loxo-parabolic",
+                      "ellipto-translation", "vertical-translation"):
+        inst = generate(type_name, seed=4)
+        reports.append({**inst.to_json_dict(), "kind": "generated", "seed": 4})
+        for cmd in ("classify", "reversibility", "decompose", "simple-check"):
+            reports.append(report_of(runner, cmd, inst.matrix))
+        reports.append(report_of(runner, "classify", inst.matrix, "--tol", "1e-7"))
+    return reports
+
+
+@pytest.mark.parametrize("tampered", [(), (2, 15, 19)])
+def test_verify_batch_equals_its_reports_alone(runner, tampered):
+    reports = mixed_reports(runner)
+    for k in tampered:
+        {"reversibility": scaled_reverser, "decomposition": singular_conjugator,
+         "classification": edited_block_re}[reports[k]["kind"]](reports[k])
+    stdout, statuses, failures, code, rest = verified(runner, reports)
+    alone = [verified(runner, [rep]) for rep in reports]
+    assert statuses == [f"report {k}: {one[1][0].split(': ')[1]}" for k, one in enumerate(alone)]
+    assert failures == [line for one in alone for line in one[2]]
+    assert code == max(one[3] for one in alone) == (4 if tampered else 0)
+    assert stdout == ("" if tampered else "all certificates verified\n")
+    assert [statuses[k] for k in tampered] == [f"report {k}: FAIL" for k in tampered]
+    # after the status lines, one worst-residual line per certificate kind
+    kinds = ["jordan reconstruction", "real conjugate", "factor product", "reverser conjugation",
+             "reverser square", "pair product", "pair square 1", "pair square 2"]
+    assert [line.split(" residual ")[0] for line in rest] == [f"worst {k}" for k in kinds]
+    assert all(line.endswith(" (gate 1.0e-06)") for line in rest)
+
+
+def test_verify_stops_at_a_malformed_or_non_unimodular_report_mid_batch(runner):
+    reports = mixed_reports(runner)[:6]
+    malformed = dict(reports[1])
+    del malformed["jordan"]
+    res = runner.invoke(main, ["verify", "-"],
+                        input=json.dumps(reports[:3] + [malformed] + reports[3:]))
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == "".join(f"report {k}: ok\n" for k in range(3)) + (
+        "error: entry 3: malformed report: 'jordan'\n")
+
+    off = dict(reports[1])  # det_h = 2: verify refuses to reclassify it
+    off["input"] = (QMatrix3.from_json_dict(off["input"]) * 2.0 ** (1 / 6)).to_json_dict()
+    alone = runner.invoke(main, ["verify", "-"], input=json.dumps(off))
+    assert alone.exit_code == 3 and alone.stderr.startswith("error: NotUnimodular: det_h = 2.0")
+    res = runner.invoke(main, ["verify", "-"], input=json.dumps(reports[:2] + [off] + reports[2:]))
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr == "report 0: ok\nreport 1: ok\n" + alone.stderr
+
+
+def test_verify_replays_the_library_residuals_bitwise():
+    # one payload of reversibility and decomposition reports of the shape
+    # families: every stacked residual equals the one the library stored
+    rng = np.random.default_rng(7)
+    mats = [conjugated(shape(kind, rng), rng)[0]
+            for shape, kinds in ((reversible_shape, "i ii iii iv"), (negative_shape, "i ii iv"),
+                                 (nonstrong_shape, "1 2 3"))
+            for kind in kinds.split()]
+    mats += [generate(t, seed=5).matrix for t in ("regular-elliptic", "identity")]
+    runner = CliRunner()
+    payload = json.dumps([m.to_json_dict() for m in mats])
+    reports = [rep for cmd in ("reversibility", "decompose")
+               for rep in json.loads(runner.invoke(main, [cmd, "-"], input=payload).stdout)]
+    replay = cli._Replay(1e-9)
+    for rep in reports:
+        replay.add(rep, [])
+    replay.compute()
+    replayed = {}
+    for relation, rows in replay.rows.items():
+        for (what, *_), residual in zip(rows, replay.residuals[relation]):
+            replayed.setdefault(what.split(" ", 2)[-1] if what.startswith("factor ") else what,
+                                []).append(residual)
+    stored = {}
+    for rep in reports:
+        for key, value in rep.get("residuals", {}).items():
+            stored.setdefault(key.replace("_", " "), []).append(value)
+        if rep["kind"] == "decomposition":
+            stored.setdefault("product", []).append(rep["residual"])
+            stored.setdefault("real conjugate", []).extend(
+                c["residual"] for c in rep["certificates"])
+    assert len(stored["reverser conjugation"]) >= 7 and stored == replayed

@@ -19,10 +19,11 @@ from qproj import (
     normalize_to_sl,
     self_dual_check,
 )
-from qproj.generate import random_conjugator
-from qproj.generate import generate
-from qproj.matrix import (_conjugation_residuals, _invert_adjoint, _invert_adjoints, _stack,
-                          conjugation_residual, require_unimodular)
+from qproj.generate import (conjugated, generate, negative_shape, random_conjugator,
+                            reversible_shape)
+from qproj.matrix import (_conjugation_residuals, _invert_adjoint, _invert_adjoints,
+                          _square_residuals, _stack, conjugation_residual, require_unimodular,
+                          square_residual)
 from qproj.spectral import jordan_form
 from oracles import adjoint_of, char_poly_from_diag, gauss_inverse
 
@@ -284,3 +285,20 @@ def test_stacked_inverse_fails_only_the_members_that_fail():
         for m, r, passed in zip(members, residuals, ok):
             assert r == conjugation_residual(m, QMatrix3.identity(), QMatrix3.identity())
             assert (r < 1e-12) if passed else (r == np.inf)
+
+
+def test_stacked_squares_equal_the_lone_square_bitwise():
+    # reversers of both signs, a scaled one, a NaN member and the zero matrix
+    rng = np.random.default_rng(3)
+    reports = [psl_report(conjugated(shape(kind, rng), rng)[0])
+               for shape, kind in ((reversible_shape, "ii"), (negative_shape, "i"))]
+    members = [(rep.reverser, -1.0 if rep.reverser_kind == "skew-involution" else 1.0)
+               for rep in reports]
+    members += [(2.0 * members[0][0], members[0][1]), (QMatrix3.diag(np.nan, 1.0, 1.0), 1.0),
+                (QMatrix3.zeros(), -1.0)]
+    gs, signs = zip(*members)
+    residuals = _square_residuals(*_stack(gs), np.array(signs))
+    for (g, sign), r in zip(members, residuals.tolist()):
+        assert r == square_residual(g, sign) or (np.isnan(r) and np.isnan(square_residual(g, sign)))
+    assert residuals[0] < 1e-12 and residuals[1] < 1e-12 and residuals[2] > 1.0
+    assert np.isnan(residuals[3]) and residuals[4] == np.sqrt(3.0)
