@@ -381,7 +381,9 @@ class _Replay:
         # rows per relation, (failure label, pool rows ...); residuals after compute()
         self.rows = {"conjugation": [], "product": [], "square": []}
         self.residuals = {relation: [] for relation in self.rows}
-        self.inverted = []  # pool rows of the inputs whose A^-1 a reverser conjugates A to
+        # (input, sign, target) per reverser: compute() fills pool row target
+        # with sign * A^-1 of pool row input
+        self.inverted = []
         self.verdicts = {}  # report tolerance -> pool rows of the inputs of its verdicts
         self.jordan = {}  # report tolerance -> (unimodular, datas so far, pending datas)
 
@@ -439,8 +441,8 @@ class _Replay:
             if rep["reverser"] is not None:
                 g = self._matrix(rep["reverser"])
                 sl = rep["reversible_sl"]
-                steps.append(self._inverse_of(a))
-                target = (len(self.inverted) - 1, 1.0 if sl else -1.0)  # +-A^-1
+                step, target = self._inverse_of(a, 1.0 if sl else -1.0)  # +-A^-1
+                steps.append(step)
                 steps.append(self._checked("conjugation", "reverser conjugation", g, a, target))
                 steps.append(self._checked("square", "reverser square", g, sign))
             if rep["psl_involution_pair"] is not None:
@@ -495,16 +497,19 @@ class _Replay:
 
         return step
 
-    def _inverse_of(self, a):
-        """The step raising the Singular that inverse() raises for pool row a, if it does."""
+    def _inverse_of(self, a, sign):
+        """The step raising the Singular that inverse() raises for pool row a, if
+        it does, and the pool row that compute() fills with sign * A^-1."""
         row = len(self.inverted)
-        self.inverted.append(a)
+        self.pool.append(np.zeros(36))
+        target = len(self.pool) - 1
+        self.inverted.append((a, sign, target))
 
         def step(failures):
             if not self.invertible[row]:
                 inverse(self.matrix(a))
 
-        return step
+        return step, target
 
     def _verdict(self, a, report_tol):
         """A function returning the Jordan data of pool row a at report_tol, or
@@ -541,21 +546,16 @@ class _Replay:
             return
         self.pa, self.pb = _blocks36(np.array(self.pool).reshape(-1, 36))
 
+        if self.inverted:
+            a, sign, target = (np.array(column) for column in zip(*self.inverted))
+            inverses, ok = _invert_adjoints(_adjoint(*self.stacked(a)))
+            self.invertible = ok.tolist()
+            self.pa[target] = sign[:, None, None] * inverses[:, :3, :3]
+            self.pb[target] = sign[:, None, None] * inverses[:, :3, 3:]
         if self.rows["conjugation"]:
-            _, t, b, m = (list(column) for column in zip(*self.rows["conjugation"]))
-            # one stacked inverse: every conjugator T, then every A a reverser
-            # row conjugates to +-A^-1
-            inverses, ok = _invert_adjoints(_adjoint(*self.stacked(t + self.inverted)))
-            self.invertible = ok[len(t):].tolist()
-            ma, mb = self.stacked([x if isinstance(x, int) else 0 for x in m])
-            for k, x in enumerate(m):
-                if isinstance(x, tuple):
-                    row, sign = x
-                    inv = inverses[len(t) + row]
-                    ma[k], mb[k] = sign * inv[:3, :3], sign * inv[:3, 3:]
+            _, t, b, m = zip(*self.rows["conjugation"])
             self.residuals["conjugation"] = _conjugation_residuals(
-                *self.stacked(t), *self.stacked(b), ma, mb,
-                (inverses[:len(t)], ok[:len(t)])).tolist()
+                *self.stacked(t), *self.stacked(b), *self.stacked(m)).tolist()
         if self.rows["product"]:
             _, factors, m = zip(*self.rows["product"])
             counts = [len(fs) for fs in factors]
@@ -613,27 +613,22 @@ def _verify(reports, tol):
             break
     replay.compute()
 
-    # stderr is written once, before verify exits or raises: the same lines
-    # as one echo per line, at a fraction of the cost
-    failures, lines = [], []
-    try:
-        for k, steps in enumerate(plans):
-            before = len(failures)
-            try:
-                for step in steps:
-                    step(failures)
-            except _MALFORMED as exc:
-                raise _CliFailure(f"entry {k}: malformed report: {exc}", EXIT_PARSE) from exc
-            lines.append(f"report {k}: {'ok' if len(failures) == before else 'FAIL'}")
-        if stop is not None:
-            raise stop
-        lines += [f"worst {kind} residual {residual:.3e} (gate {replay.gate:.1e})"
-                  for kind, residual in replay.worst()]
-        lines += [f"verification failure: {f}" for f in failures]
-    finally:
-        if lines:
-            click.echo("\n".join(lines), err=True)
+    failures = []
+    for k, steps in enumerate(plans):
+        before = len(failures)
+        try:
+            for step in steps:
+                step(failures)
+        except _MALFORMED as exc:
+            raise _CliFailure(f"entry {k}: malformed report: {exc}", EXIT_PARSE) from exc
+        click.echo(f"report {k}: {'ok' if len(failures) == before else 'FAIL'}", err=True)
+    if stop is not None:
+        raise stop
+    for kind, residual in replay.worst():
+        click.echo(f"worst {kind} residual {residual:.3e} (gate {replay.gate:.1e})", err=True)
     if failures:
+        for f in failures:
+            click.echo(f"verification failure: {f}", err=True)
         sys.exit(EXIT_VERIFY)
     click.echo("all certificates verified")
 

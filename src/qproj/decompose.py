@@ -342,7 +342,9 @@ def _decompositions_from_data(As, datas, tol: float) -> list:
     """The Decomposition of each A in As given its Jordan data, or the QprojError it raises.
 
     A simple member is its own one factor, certified by the real conjugate
-    of realify, (I, Re A) for a real one.  The factors of every other
+    of realify, (I, Re A) for a real one; that certificate is measured and
+    gated like the others, so an input real only within a loose tol can
+    miss the build gate.  The factors of every other
     member are S C S^-1 for its canonical factors C = T B T^-1, certified
     by (S T, B).  All factors of the batch form one stack: S^-1 comes from
     one stacked inverse, and every conjugation residual from one stacked
@@ -426,7 +428,7 @@ def _led_by_identities(fa, fb, counts, owner):
     rows of member owner[row] in order, led by identities up to K = max(counts)."""
     counts = np.asarray(counts)
     width = counts.max()
-    if counts.min() == width:  # no member needs a leading identity
+    if counts.min() == width:  # no member needs a leading identity, as in every batch of one
         return fa.reshape(len(counts), width, 3, 3), fb.reshape(len(counts), width, 3, 3)
     slot = np.arange(len(fa)) - (np.cumsum(counts) - width)[owner]
     pa = np.zeros((len(counts), width, 3, 3), dtype=complex)

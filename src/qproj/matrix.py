@@ -322,14 +322,13 @@ def inverse(m: QMatrix3) -> QMatrix3:
     return QMatrix3.from_adjoint(_invert_adjoint(m.adjoint()))
 
 
-def _conjugation_residuals(ta, tb, ba, bb, ma, mb, inverted=None):
+def _conjugation_residuals(ta, tb, ba, bb, ma, mb):
     """||T B T^-1 - M|| / ||M|| of stacks of complex pairs T, B and M, (N, 3, 3) each.
 
     A member whose T fails the singular rule gets inf; the others are
-    computed as if alone.  inverted is _invert_adjoints of the Phi(T) stack
-    when the caller has it already.
+    computed as if alone.
     """
-    t_inv, ok = _invert_adjoints(_adjoint(ta, tb)) if inverted is None else inverted
+    t_inv, ok = _invert_adjoints(_adjoint(ta, tb))
     ra, rb = _qmul(*_qmul(ta, tb, ba, bb), t_inv[:, :3, :3], t_inv[:, :3, 3:])
     residuals = _norms(ra - ma, rb - mb) / np.maximum(_norms(ma, mb), 1e-300)
     return np.where(ok, residuals, math.inf)

@@ -318,6 +318,22 @@ def test_unpaired_nonreal_blocks_classify_and_decompose(runner, tmp_path):
             assert res.exit_code == 0, f"verify {cmd}: {res.output}"
 
 
+@pytest.mark.parametrize("cmd", ["classify", "decompose", "simple-check"])
+def test_near_real_input_misses_the_build_gate_at_a_loose_tol(runner, cmd):
+    # within 1e-4 of real, so certified by (I, Re A), whose measured residual
+    # 2.2e-5 misses the build gate 1e-5; at the default tol it is realified
+    # through its Jordan data instead
+    upper = 3e-5j * np.triu(np.ones((3, 3)), 1)
+    payload = json.dumps(QMatrix3(np.diag([2.0, 1.0, 0.5]) + upper, np.zeros((3, 3))).to_json_dict())
+    res = runner.invoke(main, [cmd, "--tol", "1e-4", "-"], input=payload)
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr.startswith("error: CertificateError: real-conjugate certificate residual 2.2")
+    res = runner.invoke(main, [cmd, "-"], input=payload)
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["verify", "-"], input=res.stdout)
+    assert res.exit_code == 0, res.output
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
 @pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose", "simple-check", "verify"])
 def test_unusable_tol_is_usage_error(runner, tmp_path, cmd, value):

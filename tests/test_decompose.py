@@ -13,7 +13,7 @@ from qproj import (
     realify,
 )
 from qproj.decompose import Decomposition, _decompositions_from_data
-from qproj.errors import QprojError
+from qproj.errors import CertificateError, QprojError
 from qproj.generate import (conjugated, generate, negative_shape, nonreversible_shape,
                             nonstrong_shape, reversible_shape, strong_shape)
 from qproj.spectral import jordan_form
@@ -233,3 +233,26 @@ def test_batch_after_stage_equals_batches_of_one_bitwise():
             assert c.residual == d.residual
         for f, c in zip(got.factors, got.certificates):
             assert c.verify(f) == c.residual
+
+
+def near_real(eps):
+    """diag(2, 1, 1/2) with i * eps above the diagonal: simple, with real classes."""
+    upper = 1j * eps * np.triu(np.ones((3, 3)), 1)
+    return QMatrix3(np.diag([2.0, 1.0, 0.5]) + upper, np.zeros((3, 3)))
+
+
+def test_real_route_certificate_is_measured_and_gated():
+    # an input within tol of real is certified by (I, Re A); its residual is
+    # the measured ||A - Re A|| / ||A||, gated like every other certificate
+    a = near_real(1e-7)
+    cert = decompose_simple(a, 1e-4).certificates[0]
+    assert np.array_equal(cert.B, a.real_part())
+    assert cert.residual == cert.verify(a) and 1e-8 < cert.residual < 1e-7
+    # within the loose tol of real, but (I, Re A) misses the build gate 1e-5
+    a = near_real(3e-5)
+    assert a.is_real(1e-4)
+    for build in (decompose_simple, realify, classification_report):
+        with pytest.raises(CertificateError, match="real-conjugate certificate residual 2.2"):
+            build(a, 1e-4)
+    # at the default tol the same input is realified through its Jordan data
+    assert decompose_simple(a).certificates[0].residual < 1e-12
