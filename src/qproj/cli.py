@@ -38,12 +38,12 @@ from .classify import _classification_from_data, _classify_from_jordan
 from .decompose import _decompositions_from_data, _is_simple_data, _led_by_identities
 from .errors import CertificateError, QprojError
 from .generate import DYNAMICAL_TYPES, generate
-from .matrix import (QMatrix3, _adjoint, _blocks36, _conjugation_residuals, _invert_adjoints,
-                     _json_entries, _product_residuals, _square_residuals, _stack, _vec36,
-                     check_certificate, det_h, inverse, is_unimodular, normalize_to_sl,
+from .matrix import (QMatrix3, _adjoint, _blocks36, _conjugation_residuals, _dets_h,
+                     _invert_adjoints, _json_entries, _product_residuals, _square_residuals,
+                     _stack, _vec36, check_certificate, inverse, is_unimodular, normalize_to_sl,
                      replay_gate, require_unimodular, unimodular_gate)
 from .quaternion import DEFAULT_TOL, ClassRep
-from .reversibility import _psl_from_data
+from .reversibility import _psls_from_data
 from .spectral import _assemble_jordan, _generic_jordan, jordan_form
 
 EXIT_PARSE = 2
@@ -112,9 +112,9 @@ def _parse_matrices(payload):
     return matrices, isinstance(payload, list)
 
 
-def _unimodular_input(m: QMatrix3, tol: float):
-    """(matrix to analyse, warning or None), or (None, error); prints nothing."""
-    d = det_h(m)
+def _unimodular_input(m: QMatrix3, d: float, tol: float):
+    """(matrix to analyse, warning or None), or (None, error), given d = det_h(m);
+    prints nothing."""
     if is_unimodular(d, tol):
         return m, None
     if abs(d - 1.0) < _AUTO_NORMALIZE_WINDOW:
@@ -164,7 +164,8 @@ def _run_command(path, tol, as_json, worker, text_fn):
     """
     payload = _read_payload(path)
     matrices, was_batch = _parse_matrices(payload)
-    inputs = [_unimodular_input(m, tol) for m in matrices]
+    inputs = [_unimodular_input(m, d, tol)
+              for m, d in zip(matrices, _dets_h(*_stack(matrices)).tolist())]
     usable = [a for a, _ in itertools.takewhile(lambda item: item[0] is not None, inputs)]
     jordan = _jordan_data(usable, tol)
     datas, failure = [], None
@@ -267,11 +268,10 @@ def classify_cmd(tol, as_json, path):
 def reversibility_cmd(tol, as_json, path):
     """Reversibility flags and certified witnesses."""
 
-    @_each
-    def worker(a, data, tol):
-        rep = _psl_from_data(a, data, tol).to_json_dict()
-        rep["kind"] = "reversibility"
-        return rep
+    def worker(inputs, datas, tol):
+        return [rep if isinstance(rep, QprojError)
+                else {**rep.to_json_dict(), "kind": "reversibility"}
+                for rep in _psls_from_data(inputs, datas, tol)]
 
     def text(rep):
         return (
@@ -568,7 +568,7 @@ class _Replay:
             self.residuals["square"] = _square_residuals(*self.stacked(g), np.array(signs)).tolist()
 
         for report_tol, rows in self.verdicts.items():
-            dets = np.maximum(np.linalg.det(_adjoint(*self.stacked(rows))).real, 0.0)
+            dets = _dets_h(*self.stacked(rows))
             # a member that fails require_unimodular ends the walk before its
             # Jordan data is asked for
             self.jordan[report_tol] = (

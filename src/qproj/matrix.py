@@ -247,10 +247,16 @@ class CharPoly6:
         return f"CharPoly6({list(self.coeffs)})"
 
 
+def _dets_h(a, b) -> np.ndarray:
+    """det_h of each member of a stack of complex pairs (a, b), (N, 3, 3) each."""
+    d = np.linalg.det(_adjoint(a, b)).real
+    d[d < 0.0] = 0.0  # as max(d, 0.0) would: NaN and -0.0 stay
+    return d
+
+
 def det_h(m: QMatrix3) -> float:
-    """Quaternionic determinant det(Phi(A)); real and non-negative."""
-    d = complex(np.linalg.det(m.adjoint()))
-    return max(d.real, 0.0)
+    """Quaternionic determinant det(Phi(A)); real and non-negative: one member of _dets_h."""
+    return float(_dets_h(m.a[None], m.b[None])[0])
 
 
 def char_poly_h(m: QMatrix3, tol: float = DEFAULT_TOL) -> CharPoly6:

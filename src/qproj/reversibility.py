@@ -12,6 +12,12 @@ published closed form for the canonical shape, conjugated into A's frame,
 and its defining equations are re-checked numerically before it is returned.
 All decisions route through Jordan data; no search for a reverser is ever
 performed.
+
+The witnesses follow jordan_form per batch (_psls_from_data): the CLI passes
+a whole batch, psl_report and the witness functions a batch of one.  The
+matchers run per member; every g, its pair and their residuals come from
+stacked complex-pair arithmetic, with one stacked inverse for the A and S
+of the batch.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotReversible, NotStronglyReversible
-from .matrix import (QMatrix3, _build_gate, check_certificate, conjugation_residual, inverse,
-                     product_residual, require_unimodular, square_residual)
+from .errors import NotReversible, NotStronglyReversible, QprojError
+from .matrix import (QMatrix3, _adjoint, _build_gate, _conjugation_residuals, _invert_adjoints,
+                     _product_residuals, _qmul, _square_residuals, _stack, check_certificate,
+                     inverse, require_unimodular)
 from .quaternion import DEFAULT_TOL, ClassRep
 from .spectral import JordanData, _sylvester_op, _unvec36, jordan_form
 
@@ -156,28 +163,116 @@ def _match_negative_involution(data: JordanData, tol: float):
                          _ZERO)
 
 
-def _witness(A, data, match, target, sign, what, tol):
-    """(g, conjugation residual, square residual) for g = S P g0 P^T S^-1, P of perm.
+# ---------------------------------------------------------------------------
+# the witnesses of a batch, built and checked in one pass of stacked
+# complex-pair arithmetic
 
-    Both defining equations, g A g^-1 = target and g^2 = sign * I, are checked.
+# what a witness g certifies, (label, t, s): g A g^-1 = t A^-1 and g^2 = s I
+_SKEW = ("reverser", 1.0, -1.0)
+_INVOLUTION = ("involution", 1.0, 1.0)
+_NEGATIVE = ("negative-reverser", -1.0, 1.0)
+
+# the permutation matrix P of each slot order and its transpose as complex
+# blocks; g = S P g0 P^T S^-1 multiplies by them as real matrices
+_ORDER = {p: k for k, p in enumerate(_ALL_ORDERS)}
+_P = np.array([np.eye(3)[:, list(p)] for p in _ALL_ORDERS], dtype=complex)
+_PT = _P.transpose(0, 2, 1).copy()
+_NO_J = np.zeros((3, 3), dtype=complex)
+
+
+def _witnesses(As, datas, matches, relations, tol: float, pair: bool) -> list:
+    """Per member, ((g, s1), residuals) with its witness checked, or the QprojError it raises.
+
+    Member k has input As[k], Jordan data datas[k], match (perm, g0) and
+    relation (what, t, s): g = S P g0 P^T S^-1 with P of perm, certified by
+    the residuals of g A g^-1 = t A^-1 and g^2 = s I.  With pair, s1 is
+    -(A g) for t = 1 and -(g A^-1) for t = -1 (g^-1 = g once g^2 = I is
+    certified), so that s1 g = A, and the residuals of that product and of
+    s1^2 = -I follow; without it s1 is None.  A^-1 and S^-1 of the whole
+    batch come from one stacked inverse, and each relation's residuals from
+    one stacked call.  Each member's gates run in the order of a batch of
+    one: Singular from A^-1, then from S^-1, then its residuals in the
+    order above, so a member's error does not depend on its batch.
     """
-    perm, g0 = match
-    p = np.eye(3)[:, list(perm)]
-    g = data.S @ QMatrix3.from_real(p) @ g0 @ QMatrix3.from_real(p.T) @ inverse(data.S)
+    n = len(As)
+    xa, xb = _stack([*As, *(data.S for data in datas)])
+    inv, ok = _invert_adjoints(_adjoint(xa, xb))
+    ok = ok.tolist()
+    ma, mb, ia, ib = xa[:n], xb[:n], inv[:n, :3, :3], inv[:n, :3, 3:]
+    # g = S P g0 P^T S^-1, multiplied left to right
+    order = [_ORDER[perm] for perm, _ in matches]
+    ga, gb = _qmul(xa[n:], xb[n:], _P[order], _NO_J)
+    ga, gb = _qmul(ga, gb, *_stack([g0 for _, g0 in matches]))
+    ga, gb = _qmul(ga, gb, _PT[order], _NO_J)
+    ga, gb = _qmul(ga, gb, inv[n:, :3, :3], inv[n:, :3, 3:])
+    what, t, s = zip(*relations)
+    inverted = [sign > 0 for sign in t]  # the target is A^-1, not -A^-1
+    ta, tb = ia, ib
+    if not all(inverted):
+        sign = np.array(t)[:, None, None]
+        ta, tb = sign * ia, sign * ib
+    conjugations = _conjugation_residuals(ga, gb, ma, mb, ta, tb).tolist()
+    if pair:
+        # s1 = -(L R) with (L, R) = (A, g) for t = 1 and (g, A^-1) for t = -1
+        s1a, s1b = _qmul(*_chosen(inverted, (ma, mb, ga, gb), (ga, gb, ia, ib)))
+        s1a, s1b = -s1a, -s1b
+        squares = _square_residuals(np.concatenate([ga, s1a]), np.concatenate([gb, s1b]),
+                                    [*s, *(-1.0,) * n]).tolist()
+        products = _product_residuals(np.stack([s1a, ga], axis=1), np.stack([s1b, gb], axis=1),
+                                      ma, mb).tolist()
+    else:
+        squares = _square_residuals(ga, gb, s).tolist()
+
     gate = _build_gate(tol)
-    conj = check_certificate(conjugation_residual(g, A, target), f"{what} conjugation", gate)
-    return g, conj, check_certificate(square_residual(g, sign), f"{what} square", gate)
+    out = []
+    for k, (A, data) in enumerate(zip(As, datas)):
+        try:
+            for m, invertible in ((A, ok[k]), (data.S, ok[n + k])):
+                if not invertible:
+                    inverse(m)  # raises the Singular the stacked inverse found
+            residuals = [check_certificate(conjugations[k], f"{what[k]} conjugation", gate),
+                         check_certificate(squares[k], f"{what[k]} square", gate)]
+            if pair:
+                residuals += [check_certificate(products[k], "pair product", gate),
+                              check_certificate(squares[n + k], "pair square 1", gate)]
+        except QprojError as exc:
+            out.append(exc)
+            continue
+        s1 = QMatrix3(s1a[k], s1b[k]) if pair else None
+        out.append(((QMatrix3(ga[k], gb[k]), s1), residuals))
+    return out
 
 
-def _checked_pair(A: QMatrix3, s1: QMatrix3, s2: QMatrix3, tol: float):
-    """(product residual, square residual) of a pair with s1 s2 = A and s1^2 = -I."""
-    gate = _build_gate(tol)
-    product = check_certificate(product_residual([s1, s2], A), "pair product", gate)
-    return product, check_certificate(square_residual(s1, -1.0), "pair square 1", gate)
+def _chosen(mask, xs, ys):
+    """Member k of each stack in xs where mask[k], else of the matching stack in ys;
+    xs or ys themselves when mask is uniform."""
+    if all(mask):
+        return xs
+    if not any(mask):
+        return ys
+    where = np.array(mask)[:, None, None]
+    return [np.where(where, x, y) for x, y in zip(xs, ys)]
+
+
+def _witnessed(A: QMatrix3, tol: float, matcher, relation, missing: QprojError,
+               pair: bool = False):
+    """(g, s1) of the witness of A that matcher finds, checked as by _witnesses;
+    raises missing when it finds none."""
+    require_unimodular(A, tol)
+    data = jordan_form(A, tol)
+    match = matcher(data, tol)
+    if match is None:
+        raise missing
+    (result,) = _witnesses([A], [data], [match], [relation], tol, pair)
+    if isinstance(result, QprojError):
+        raise result
+    return result[0]
 
 
 # ---------------------------------------------------------------------------
 # public operations
+
+_NOT_REVERSIBLE = "Jordan blocks do not pair into a reversible shape"
 
 
 def is_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
@@ -188,19 +283,13 @@ def is_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
 
 def reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     """A skew-involution g with g A g^-1 = A^-1, certificate-checked."""
-    require_unimodular(A, tol)
-    data = jordan_form(A, tol)
-    match = _match_skew_involution(data, tol)
-    if match is None:
-        raise NotReversible("Jordan blocks do not pair into a reversible shape")
-    return _witness(A, data, match, inverse(A), -1.0, "reverser", tol)[0]
+    return _witnessed(A, tol, _match_skew_involution, _SKEW, NotReversible(_NOT_REVERSIBLE))[0]
 
 
 def two_skew_involutions(A: QMatrix3, tol: float = DEFAULT_TOL):
     """(s1, s2) with s1^2 = s2^2 = -I and s1 s2 = A."""
-    s2 = reverser(A, tol)
-    s1 = -(A @ s2)
-    _checked_pair(A, s1, s2, tol)
+    s2, s1 = _witnessed(A, tol, _match_skew_involution, _SKEW, NotReversible(_NOT_REVERSIBLE),
+                        pair=True)
     return s1, s2
 
 
@@ -212,14 +301,8 @@ def is_strongly_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
 
 def involution_reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     """An involution g with g A g^-1 = A^-1, certificate-checked."""
-    require_unimodular(A, tol)
-    data = jordan_form(A, tol)
-    match = _match_involution(data, tol)
-    if match is None:
-        raise NotStronglyReversible(
-            "no involution reverses this conjugacy class (interior angle present)"
-        )
-    return _witness(A, data, match, inverse(A), 1.0, "involution", tol)[0]
+    return _witnessed(A, tol, _match_involution, _INVOLUTION, NotStronglyReversible(
+        "no involution reverses this conjugacy class (interior angle present)"))[0]
 
 
 def is_negative_reversible(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
@@ -230,12 +313,8 @@ def is_negative_reversible(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
 
 def negative_reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     """An involution g with g A g^-1 = -A^-1, certificate-checked."""
-    require_unimodular(A, tol)
-    data = jordan_form(A, tol)
-    match = _match_negative_involution(data, tol)
-    if match is None:
-        raise NotReversible("Jordan blocks do not pair into a negative-reversible shape")
-    return _witness(A, data, match, -inverse(A), 1.0, "negative-reverser", tol)[0]
+    return _witnessed(A, tol, _match_negative_involution, _NEGATIVE, NotReversible(
+        "Jordan blocks do not pair into a negative-reversible shape"))[0]
 
 
 def reverser_equation_basis(A: QMatrix3, tol: float = DEFAULT_TOL):
@@ -279,33 +358,54 @@ def psl_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> ReversibilityReport:
 
 
 def _psl_from_data(A: QMatrix3, data: JordanData, tol: float) -> ReversibilityReport:
-    skew = _match_skew_involution(data, tol)
-    neg = _match_negative_involution(data, tol)
-    report = ReversibilityReport(
-        reversible_sl=skew is not None,
-        strongly_reversible_sl=_match_involution(data, tol) is not None,
-        negative_reversible=neg is not None,
-        reversible_psl=skew is not None or neg is not None,
-    )
-    if skew is not None:
-        g, conj, square = _witness(A, data, skew, inverse(A), -1.0, "reverser", tol)
-        s1 = -(A @ g)
-        report.reverser_kind = "skew-involution"
-    elif neg is not None:
-        A_inv = inverse(A)
-        g, conj, square = _witness(A, data, neg, -A_inv, 1.0, "negative-reverser", tol)
-        s1 = -(g @ A_inv)  # g^-1 = g: g^2 = I is certified above
-        report.reverser_kind = "involution"
-    else:
-        return report
-    product, square_1 = _checked_pair(A, s1, g, tol)
-    report.reverser = g
-    report.psl_involution_pair = (s1, g)
-    report.residuals = {
-        "reverser_conjugation": conj,
-        "reverser_square": square,
-        "pair_product": product,
-        "pair_square_1": square_1,
-        "pair_square_2": square,
-    }
+    """psl_report(A) given its Jordan data: a batch of one."""
+    (report,) = _psls_from_data([A], [data], tol)
+    if isinstance(report, QprojError):
+        raise report
     return report
+
+
+def _psls_from_data(As, datas, tol: float) -> list:
+    """The ReversibilityReport of each A in As given its Jordan data, or the QprojError it raises.
+
+    The matchers decide the flags of each member.  A member with a
+    skew-involution reverser is witnessed by it, one with only the twisted
+    relation by its involution; the witnesses of the whole batch and their
+    pairs are built and checked by one _witnesses call.
+    """
+    out, members = [], []
+    for k, (A, data) in enumerate(zip(As, datas)):
+        skew = _match_skew_involution(data, tol)
+        neg = _match_negative_involution(data, tol)
+        out.append(ReversibilityReport(
+            reversible_sl=skew is not None,
+            strongly_reversible_sl=_match_involution(data, tol) is not None,
+            negative_reversible=neg is not None,
+            reversible_psl=skew is not None or neg is not None,
+        ))
+        if skew is not None:
+            members.append((k, skew, _SKEW))
+        elif neg is not None:
+            members.append((k, neg, _NEGATIVE))
+    if not members:
+        return out
+    ks, matches, relations = zip(*members)
+    witnesses = _witnesses([As[k] for k in ks], [datas[k] for k in ks], matches, relations,
+                           tol, pair=True)
+    for k, relation, witness in zip(ks, relations, witnesses):
+        if isinstance(witness, QprojError):
+            out[k] = witness
+            continue
+        (g, s1), (conj, square, product, square_1) = witness
+        report = out[k]
+        report.reverser_kind = "skew-involution" if relation is _SKEW else "involution"
+        report.reverser = g
+        report.psl_involution_pair = (s1, g)
+        report.residuals = {
+            "reverser_conjugation": conj,
+            "reverser_square": square,
+            "pair_product": product,
+            "pair_square_1": square_1,
+            "pair_square_2": square,
+        }
+    return out

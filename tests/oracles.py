@@ -10,6 +10,10 @@ import math
 import numpy as np
 
 from qproj import Minor, QMatrix3, Quaternion
+from qproj.matrix import (_build_gate, check_certificate, conjugation_residual, inverse,
+                          product_residual, square_residual)
+from qproj.reversibility import (ReversibilityReport, _match_involution,
+                                 _match_negative_involution, _match_skew_involution)
 
 
 def quaternion_left_mult_matrix(q: Quaternion) -> np.ndarray:
@@ -297,3 +301,53 @@ def conditioned_conjugator(c: float, rng):
     r = math.sqrt(c)
     g = u1 @ QMatrix3.diag(r, 1.0, 1.0 / r) @ u2
     return g, star(u2) @ QMatrix3.diag(1.0 / r, 1.0, r) @ star(u1)
+
+
+def psl_report_per_member(A: QMatrix3, data, tol: float):
+    """The reversibility report of one input, its witness built and checked alone.
+
+    The reference for reversibility._psls_from_data: g = S P g0 P^T S^-1
+    from QMatrix3 products, S^-1 and A^-1 from their own inverse() calls,
+    each residual from its one-member function, and the gates in the order
+    Singular A^-1, Singular S^-1, reverser conjugation, reverser square,
+    pair product, pair square 1.
+    """
+    def witness(match, target, sign, what):
+        perm, g0 = match
+        p = np.eye(3)[:, list(perm)]
+        g = data.S @ QMatrix3.from_real(p) @ g0 @ QMatrix3.from_real(p.T) @ inverse(data.S)
+        conj = check_certificate(conjugation_residual(g, A, target), f"{what} conjugation", gate)
+        return g, conj, check_certificate(square_residual(g, sign), f"{what} square", gate)
+
+    gate = _build_gate(tol)
+    skew = _match_skew_involution(data, tol)
+    neg = _match_negative_involution(data, tol)
+    report = ReversibilityReport(
+        reversible_sl=skew is not None,
+        strongly_reversible_sl=_match_involution(data, tol) is not None,
+        negative_reversible=neg is not None,
+        reversible_psl=skew is not None or neg is not None,
+    )
+    if skew is not None:
+        g, conj, square = witness(skew, inverse(A), -1.0, "reverser")
+        s1 = -(A @ g)
+        report.reverser_kind = "skew-involution"
+    elif neg is not None:
+        A_inv = inverse(A)
+        g, conj, square = witness(neg, -A_inv, 1.0, "negative-reverser")
+        s1 = -(g @ A_inv)
+        report.reverser_kind = "involution"
+    else:
+        return report
+    product = check_certificate(product_residual([s1, g], A), "pair product", gate)
+    square_1 = check_certificate(square_residual(s1, -1.0), "pair square 1", gate)
+    report.reverser = g
+    report.psl_involution_pair = (s1, g)
+    report.residuals = {
+        "reverser_conjugation": conj,
+        "reverser_square": square,
+        "pair_product": product,
+        "pair_square_1": square_1,
+        "pair_square_2": square,
+    }
+    return report

@@ -318,7 +318,7 @@ def test_unpaired_nonreal_blocks_classify_and_decompose(runner, tmp_path):
             assert res.exit_code == 0, f"verify {cmd}: {res.output}"
 
 
-@pytest.mark.parametrize("cmd", ["classify", "decompose", "simple-check"])
+@pytest.mark.parametrize("cmd", ["decompose", "simple-check"])
 def test_near_real_input_misses_the_build_gate_at_a_loose_tol(runner, cmd):
     # within 1e-4 of real, so certified by (I, Re A), whose measured residual
     # 2.2e-5 misses the build gate 1e-5; at the default tol it is realified
@@ -331,6 +331,21 @@ def test_near_real_input_misses_the_build_gate_at_a_loose_tol(runner, cmd):
     res = runner.invoke(main, [cmd, "-"], input=payload)
     assert res.exit_code == 0, res.output
     res = runner.invoke(main, ["verify", "-"], input=res.stdout)
+    assert res.exit_code == 0, res.output
+
+
+def test_near_real_input_classifies_as_its_real_part_at_a_loose_tol(runner):
+    # classify reads only the trace pair of Re A, so the input above, whose
+    # (I, Re A) certificate misses the build gate, classifies as diag(2, 1, 1/2)
+    upper = 3e-5j * np.triu(np.ones((3, 3)), 1)
+    payload = json.dumps(QMatrix3(np.diag([2.0, 1.0, 0.5]) + upper, np.zeros((3, 3))).to_json_dict())
+    res = runner.invoke(main, ["classify", "--tol", "1e-4", "-"], input=payload)
+    assert res.exit_code == 0 and res.stderr == "", res.output
+    rep = json.loads(res.stdout)
+    assert (rep["major"], rep["minor"]) == ("Loxodromic", "RegularLoxodromic")
+    # the traces of diag(2, 1, 1/2) and of its inverse, and f(3.5, 3.5)
+    assert (rep["x"], rep["y"], rep["f"]) == (3.5, 3.5, 0.5625)
+    res = runner.invoke(main, ["verify", "--tol", "1e-4", "-"], input=res.stdout)
     assert res.exit_code == 0, res.output
 
 
@@ -434,6 +449,22 @@ def test_after_stage_error_mid_batch_reports_in_input_order(runner, cmd):
         assert res.exit_code == 3 and res.stdout == ""
         assert res.stderr.startswith("error: CertificateError: factor product residual 2.2")
         assert "auto-normalizing" not in res.stderr
+
+
+def test_reversibility_gate_error_mid_batch_reports_in_input_order(runner):
+    # J3(1) under a conjugator of cond 3.6e4 misses the `pair square 1` gate
+    # in the batch's stacked witness pass; it sits between a generic input and
+    # one that needs auto-normalization, whose warning must not appear
+    g, g_inv = conditioned_conjugator(3.6e4, np.random.default_rng(0))
+    failing = g @ QMatrix3.from_complex([[1, 1, 0], [0, 1, 1], [0, 0, 1]]) @ g_inv
+    batch = [generate("regular-elliptic", seed=3).matrix, failing,
+             generate("screw-loxodromic", seed=3).matrix * (1.0 + 5e-5)]
+    res = runner.invoke(main, ["reversibility", "-"],
+                        input=json.dumps([m.to_json_dict() for m in batch]))
+    assert (res.stdout, res.stderr, res.exit_code) == _one_at_a_time(runner, "reversibility", batch)
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr.startswith("error: CertificateError: pair square 1 residual 7.56")
+    assert "auto-normalizing" not in res.stderr
 
 
 # -- verify over a batch of reports ------------------------------------------

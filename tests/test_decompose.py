@@ -251,7 +251,7 @@ def test_real_route_certificate_is_measured_and_gated():
     # within the loose tol of real, but (I, Re A) misses the build gate 1e-5
     a = near_real(3e-5)
     assert a.is_real(1e-4)
-    for build in (decompose_simple, realify, classification_report):
+    for build in (decompose_simple, realify):
         with pytest.raises(CertificateError, match="real-conjugate certificate residual 2.2"):
             build(a, 1e-4)
     # at the default tol the same input is realified through its Jordan data

@@ -21,7 +21,7 @@ from qproj import (
 )
 from qproj.generate import (conjugated, generate, negative_shape, random_conjugator,
                             reversible_shape)
-from qproj.matrix import (_conjugation_residuals, _invert_adjoint, _invert_adjoints,
+from qproj.matrix import (_conjugation_residuals, _dets_h, _invert_adjoint, _invert_adjoints,
                           _square_residuals, _stack, conjugation_residual, require_unimodular,
                           square_residual)
 from qproj.spectral import jordan_form
@@ -302,3 +302,20 @@ def test_stacked_squares_equal_the_lone_square_bitwise():
         assert r == square_residual(g, sign) or (np.isnan(r) and np.isnan(square_residual(g, sign)))
     assert residuals[0] < 1e-12 and residuals[1] < 1e-12 and residuals[2] > 1.0
     assert np.isnan(residuals[3]) and residuals[4] == np.sqrt(3.0)
+
+
+def test_stacked_dets_equal_det_h_bitwise():
+    # unimodular, scaled, singular, zero and NaN members, each as det_h gives it
+    # alone and as the expression max(Re det Phi, 0.0) gives it
+    rng = np.random.default_rng(5)
+    members = [generate("regular-elliptic", rng=rng).matrix, random_qmatrix(rng),
+               random_qmatrix(rng, 1e-3), QMatrix3.diag(1.0, 1.0, 0.0), QMatrix3.zeros(),
+               QMatrix3.diag(np.nan, 1.0, 1.0), 1.0001 * QMatrix3.identity()]
+    with np.errstate(invalid="ignore"):  # LAPACK's det of the NaN member
+        dets = _dets_h(*_stack(members)).tolist()
+        for m, d in zip(members, dets):
+            direct = max(complex(np.linalg.det(adjoint_of([[m[i, j] for j in range(3)]
+                                                           for i in range(3)]))).real, 0.0)
+            for want in (det_h(m), direct):
+                assert np.float64(d).tobytes() == np.float64(want).tobytes()
+    assert dets[0] == pytest.approx(1.0) and dets[3] == dets[4] == 0.0

@@ -24,6 +24,7 @@ from qproj import (
     two_skew_involutions,
 )
 from qproj.generate import (
+    DYNAMICAL_TYPES,
     conjugated,
     generate,
     negative_shape,
@@ -34,8 +35,9 @@ from qproj.generate import (
 )
 from qproj import decompose, reversibility
 from qproj.matrix import conjugation_residual, replay_gate, square_residual
-from qproj.spectral import _vec36
-from oracles import conditioned_conjugator
+from qproj.reversibility import _psls_from_data
+from qproj.spectral import _vec36, jordan_form
+from oracles import conditioned_conjugator, psl_report_per_member
 
 J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)
@@ -279,7 +281,8 @@ def test_negative_branch_pair_is_gated(rng, monkeypatch):
     a, _ = conjugated(negative_shape("ii", rng), rng)
     assert not is_reversible_sl(a) and is_negative_reversible(a)
     assert psl_report(a).residuals["pair_product"] < 1e-8
-    monkeypatch.setattr(reversibility, "product_residual", lambda factors, target: 1.0)
+    monkeypatch.setattr(reversibility, "_product_residuals",
+                        lambda fa, fb, ma, mb: np.full(len(ma), 1.0))
     with pytest.raises(CertificateError, match="pair product"):
         psl_report(a)
 
@@ -330,7 +333,8 @@ def test_library_gate_is_no_looser_than_replay_gate(rng, monkeypatch):
     # replay gate is 1e-4 and the build gate 1e-5 lets it through
     rev, _ = conjugated(reversible_shape("ii", rng), rng)
     elliptic = generate("regular-elliptic", rng=rng).matrix
-    monkeypatch.setattr(reversibility, "square_residual", lambda g, sign: 5e-6)
+    monkeypatch.setattr(reversibility, "_square_residuals",
+                        lambda ga, gb, signs: np.full(len(ga), 5e-6))
     monkeypatch.setattr(decompose, "_conjugation_residuals",
                         lambda ta, tb, ba, bb, ma, mb: np.full(len(ta), 5e-6))
     with pytest.raises(CertificateError, match="reverser square"):
@@ -339,3 +343,46 @@ def test_library_gate_is_no_looser_than_replay_gate(rng, monkeypatch):
         decompose_simple(elliptic, 1e-9)
     assert psl_report(rev, 1e-7).residuals["reverser_square"] == 5e-6
     assert all(c.residual == 5e-6 for c in decompose_simple(elliptic, 1e-7).certificates)
+
+
+def psl_samples():
+    """Seed-1 inputs of every gen type and conjugated shape family, and one conjugated
+    J3(1) under cond 3.6e4 whose pair misses the `pair square 1` gate."""
+    rng = np.random.default_rng(1)
+    mats = [generate(t, rng=rng).matrix for t in DYNAMICAL_TYPES for _ in range(2)]
+    for sampler, kinds in ((reversible_shape, "i ii iii iv"), (strong_shape, "i ii iii iv"),
+                           (nonstrong_shape, "1 2 3 5 6 7 8"), (negative_shape, "i ii iii iv"),
+                           (nonreversible_shape, "1 2")):
+        mats += [conjugated(sampler(kind, rng), rng)[0] for kind in kinds.split()]
+    g, g_inv = conditioned_conjugator(3.6e4, np.random.default_rng(0))
+    return mats + [g @ j3(1.0) @ g_inv]
+
+
+def same_bits(m, n):
+    return m.a.tobytes() == n.a.tobytes() and m.b.tobytes() == n.b.tobytes()
+
+
+def test_batch_psl_equals_batches_of_one_bitwise():
+    mats = psl_samples()
+    datas = [jordan_form(m) for m in mats]
+    batch = _psls_from_data(mats, datas, 1e-9)
+    assert isinstance(batch[-1], CertificateError) and "pair square 1" in str(batch[-1])
+    assert {rep.reverser_kind for rep in batch[:-1]} == {"skew-involution", "involution", "none"}
+    for a, data, got in zip(mats, datas, batch):
+        (alone,) = _psls_from_data([a], [data], 1e-9)
+        try:
+            oracle = psl_report_per_member(a, data, 1e-9)
+        except QprojError as exc:
+            oracle = exc
+        for want in (alone, oracle):
+            if isinstance(want, QprojError):
+                assert type(got) is type(want) and str(got) == str(want)
+                continue
+            assert got.to_json_dict() == want.to_json_dict() and got.residuals == want.residuals
+            assert [r.hex() for r in got.residuals.values()] == \
+                [r.hex() for r in want.residuals.values()]
+            if want.reverser is None:
+                assert got.reverser is None and got.psl_involution_pair is None
+                continue
+            assert same_bits(got.reverser, want.reverser)
+            assert all(map(same_bits, got.psl_involution_pair, want.psl_involution_pair))
