@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import _is_simple_data, _realify_data
+from .decompose import _is_simple_data, _real_conjugate
 from .errors import NotReal, NotSimple, NotUnimodular
 from .matrix import QMatrix3, is_unimodular, require_unimodular, unimodular_gate
 from .quaternion import DEFAULT_TOL
@@ -246,15 +246,6 @@ _NEGATION_REMAP = {
 }
 
 
-def _real_form(A: QMatrix3, data: JordanData, tol: float) -> np.ndarray:
-    """A real B conjugate to a simple A: Re A for an A real within tol, else the B
-    of its real conjugate.
-
-    Only B's traces are read, so no certificate is built or gated.
-    """
-    return A.real_part() if A.is_real(tol) else _realify_data(A, data, tol)[1]
-
-
 def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
     """Classify a simple element through its real conjugate.
 
@@ -269,7 +260,7 @@ def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
     data = jordan_form(A, tol)
     if not _is_simple_data(data, tol):
         raise NotSimple("matrix is not conjugate to a real matrix")
-    b = _real_form(A, data, tol)
+    b = _real_conjugate(A, data, tol)[1]
     flipped = False
     if np.linalg.det(b) < 0:
         b = -b
@@ -299,7 +290,7 @@ def _classification_from_data(A: QMatrix3, data: JordanData, tol: float) -> dict
         "jordan": data.to_json_dict(),
     }
     if _is_simple_data(data, tol):
-        b = _real_form(A, data, tol)
+        b = _real_conjugate(A, data, tol)[1]
         b = b if np.linalg.det(b) > 0 else -b
         pair = TracePair.from_real_matrix(b)
         report["x"] = pair.x

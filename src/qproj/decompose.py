@@ -158,6 +158,14 @@ def _realify_data(A: QMatrix3, data: JordanData, tol: float):
     return data.S @ _pair_conjugator(pair_pos, True), B
 
 
+def _real_conjugate(A: QMatrix3, data: JordanData | None, tol: float):
+    """(T, B) with A = T B T^-1 for a simple A: (I, Re A) for an A real within
+    tol, else _realify_data."""
+    if A.is_real(tol):
+        return QMatrix3.identity(), A.real_part()
+    return _realify_data(A, data, tol)
+
+
 def _pair_conjugator(s0: int, same: bool) -> QMatrix3:
     """T with T R T^-1 = diag(λ, λ) (same) or diag(λ, conj λ) in slots s0, s0 + 1.
 
@@ -360,11 +368,9 @@ def _decompositions_from_data(As, datas, tol: float) -> list:
         if data is not None and not _is_simple_data(data, tol):
             split.append((k, [f for f in _canonical_factors(data, tol)
                               if not (f[0] - QMatrix3.identity()).norm() <= 1e-9]))
-        elif A.is_real(tol):
-            direct.append((k, QMatrix3.identity(), A.real_part()))
         else:
             try:
-                direct.append((k, *_realify_data(A, data, tol)))
+                direct.append((k, *_real_conjugate(A, data, tol)))
             except NotSimple as exc:
                 out[k] = exc
 

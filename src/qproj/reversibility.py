@@ -206,15 +206,13 @@ def _witnesses(As, datas, matches, relations, tol: float, pair: bool) -> list:
     ga, gb = _qmul(ga, gb, _PT[order], _NO_J)
     ga, gb = _qmul(ga, gb, inv[n:, :3, :3], inv[n:, :3, 3:])
     what, t, s = zip(*relations)
-    inverted = [sign > 0 for sign in t]  # the target is A^-1, not -A^-1
-    ta, tb = ia, ib
-    if not all(inverted):
-        sign = np.array(t)[:, None, None]
-        ta, tb = sign * ia, sign * ib
-    conjugations = _conjugation_residuals(ga, gb, ma, mb, ta, tb).tolist()
+    sign = np.array(t)[:, None, None]
+    conjugations = _conjugation_residuals(ga, gb, ma, mb, sign * ia, sign * ib).tolist()
     if pair:
         # s1 = -(L R) with (L, R) = (A, g) for t = 1 and (g, A^-1) for t = -1
-        s1a, s1b = _qmul(*_chosen(inverted, (ma, mb, ga, gb), (ga, gb, ia, ib)))
+        inverted = sign > 0
+        s1a, s1b = _qmul(*(np.where(inverted, x, y)
+                           for x, y in zip((ma, mb, ga, gb), (ga, gb, ia, ib))))
         s1a, s1b = -s1a, -s1b
         squares = _square_residuals(np.concatenate([ga, s1a]), np.concatenate([gb, s1b]),
                                     [*s, *(-1.0,) * n]).tolist()
@@ -241,17 +239,6 @@ def _witnesses(As, datas, matches, relations, tol: float, pair: bool) -> list:
         s1 = QMatrix3(s1a[k], s1b[k]) if pair else None
         out.append(((QMatrix3(ga[k], gb[k]), s1), residuals))
     return out
-
-
-def _chosen(mask, xs, ys):
-    """Member k of each stack in xs where mask[k], else of the matching stack in ys;
-    xs or ys themselves when mask is uniform."""
-    if all(mask):
-        return xs
-    if not any(mask):
-        return ys
-    where = np.array(mask)[:, None, None]
-    return [np.where(where, x, y) for x, y in zip(xs, ys)]
 
 
 def _witnessed(A: QMatrix3, tol: float, matcher, relation, missing: QprojError,
