@@ -139,7 +139,8 @@ def _jordan_data(matrices, tol):
     One _generic_jordan call covers the whole stack, on the first request;
     jordan_form serves each member it leaves out when that member is
     reached, and only then.  Either way a member gets the data jordan_form
-    alone gives it.
+    alone gives it, provided a member whose stacked eig passes _one_candidate
+    and whose Schur diagonal fails it misses the stage's residual bound.
     """
     stage = _generic_jordan(_adjoint(*_stack(matrices)), tol) if matrices else []
     for a, data in zip(matrices, stage):
@@ -354,7 +355,7 @@ _MALFORMED = (KeyError, TypeError, ValueError, IndexError)
 # the certificate kinds verify replays, in the order of its worst-residual lines
 _CERTIFICATE_KINDS = ("jordan reconstruction", "real conjugate", "factor product",
                       "reverser conjugation", "reverser square", "pair product",
-                      "pair square 1", "pair square 2")
+                      "pair square 1")
 
 
 class _Replay:
@@ -435,21 +436,20 @@ class _Replay:
 
             steps.append(reclassified)
         elif kind == "reversibility":
-            # the signs the library certifies: g^2 = -I for a skew-involution and
-            # +I for an involution, s1^2 = -I, and s1 s2 = A (not -A)
-            sign = -1.0 if rep["reverser_kind"] == "skew-involution" else 1.0
+            # a reverser g comes with s1 of its pair (s1, g); the signs the library
+            # certifies: g^2 = -I for a skew-involution and +I for an involution,
+            # s1^2 = -I, and s1 g = A (not -A)
+            if (rep["reverser"] is None) != (rep["pair_s1"] is None):
+                raise ValueError("reverser and pair_s1 must be both present or both null")
             if rep["reverser"] is not None:
-                g = self._matrix(rep["reverser"])
-                sl = rep["reversible_sl"]
-                step, target = self._inverse_of(a, 1.0 if sl else -1.0)  # +-A^-1
-                steps.append(step)
-                steps.append(self._checked("conjugation", "reverser conjugation", g, a, target))
-                steps.append(self._checked("square", "reverser square", g, sign))
-            if rep["psl_involution_pair"] is not None:
-                s1, s2 = (self._matrix(m) for m in rep["psl_involution_pair"])
-                steps.append(self._checked("product", "pair product", [s1, s2], a))
-                steps.append(self._checked("square", "pair square 1", s1, -1.0))
-                steps.append(self._checked("square", "pair square 2", s2, sign))
+                g, s1 = self._matrix(rep["reverser"]), self._matrix(rep["pair_s1"])
+                sign = -1.0 if rep["reverser_kind"] == "skew-involution" else 1.0
+                step, target = self._inverse_of(a, 1.0 if rep["reversible_sl"] else -1.0)  # +-A^-1
+                steps.extend([step,
+                              self._checked("conjugation", "reverser conjugation", g, a, target),
+                              self._checked("square", "reverser square", g, sign),
+                              self._checked("product", "pair product", [s1, g], a),
+                              self._checked("square", "pair square 1", s1, -1.0)])
         elif kind == "decomposition":
             factors = [self._matrix(f) for f in rep["factors"]]
             if len(factors) > 4:

@@ -44,10 +44,12 @@ class ReversibilityReport:
     reversible_psl: bool
     reverser: QMatrix3 | None = None
     reverser_kind: str = "none"  # "involution" | "skew-involution" | "none"
-    psl_involution_pair: tuple | None = None
+    psl_involution_pair: tuple | None = None  # (s1, reverser) with s1 reverser = A
     residuals: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        # the reverser is the pair's second involution, so the pair adds s1 alone
+        s1 = self.psl_involution_pair[0] if self.psl_involution_pair else None
         return {
             "reversible_sl": self.reversible_sl,
             "strongly_reversible_sl": self.strongly_reversible_sl,
@@ -55,11 +57,7 @@ class ReversibilityReport:
             "reversible_psl": self.reversible_psl,
             "reverser": self.reverser.to_json_dict() if self.reverser else None,
             "reverser_kind": self.reverser_kind,
-            "psl_involution_pair": (
-                [m.to_json_dict() for m in self.psl_involution_pair]
-                if self.psl_involution_pair
-                else None
-            ),
+            "pair_s1": s1.to_json_dict() if s1 else None,
             "residuals": {k: float(v) for k, v in self.residuals.items()},
         }
 
@@ -393,6 +391,5 @@ def _psls_from_data(As, datas, tol: float) -> list:
             "reverser_square": square,
             "pair_product": product,
             "pair_square_1": square_1,
-            "pair_square_2": square,
         }
     return out

@@ -130,6 +130,11 @@ def _class_points(eigs):
     return np.column_stack([eigs.real, np.abs(eigs.imag)])
 
 
+def _base_level(tol_abs, scale):
+    """The finest merge level of the search: eigenvalues this close are one class."""
+    return max(10.0 * tol_abs, 1e4 * _EPS * scale)
+
+
 def _partitions_from_points(pts, tol_abs, scale):
     """Single-linkage partitions of the 6 adjoint eigenvalues, finest first.
 
@@ -141,7 +146,7 @@ def _partitions_from_points(pts, tol_abs, scale):
     diff = pts[:, None] - pts[None, :]
     dists = np.hypot(diff[..., 0], diff[..., 1]).tolist()
     pairs = sorted((dists[i][j], i, j) for i in range(n) for j in range(i + 1, n))
-    base = max(10.0 * tol_abs, 1e4 * _EPS * scale)
+    base = _base_level(tol_abs, scale)
     levels = [base]
     gaps = sorted({d for d, _, _ in pairs if base < d <= _MERGE_CAP * scale})
     levels.extend(g * (1 + 1e-9) + base for g in gaps)
@@ -694,6 +699,7 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
             break
     if best is None:
         raise SpectralFailure("no eigenvalue clustering produced a Jordan structure")
+    best = _merged_classes(A, best, _base_level(tol_abs, scale))
 
     target = 1e3 * tol
     if not best.residual <= target:
@@ -702,6 +708,26 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
             residual=best.residual,
         )
     return best
+
+
+def _merged_classes(A: QMatrix3, data: JordanData, base: float) -> JordanData:
+    """data with each block's representative replaced by the first earlier one
+    within base of it, and the residual of the merged J.
+
+    The early accept can take a finer cluster partition than the merged one,
+    so one class may come back split into representatives closer than the
+    search's base level.  S and the block order stay as they are.
+    """
+    reps = []
+    for rep, _ in data.blocks:
+        reps.append(next((r for r in reps if math.hypot(r.re - rep.re, r.im - rep.im) <= base),
+                         rep))
+    if reps == [rep for rep, _ in data.blocks]:
+        return data
+    blocks = [(rep, size) for rep, (_, size) in zip(reps, data.blocks)]
+    merged = JordanData(blocks=blocks, S=data.S, shape_id=data.shape_id, residual=np.inf)
+    merged.residual = conjugation_residual(data.S, merged.jordan_matrix(), A)
+    return merged
 
 
 def right_eigenvalues(A: QMatrix3, tol: float = DEFAULT_TOL) -> list[EigenClass]:

@@ -348,6 +348,5 @@ def psl_report_per_member(A: QMatrix3, data, tol: float):
         "reverser_square": square,
         "pair_product": product,
         "pair_square_1": square_1,
-        "pair_square_2": square,
     }
     return report

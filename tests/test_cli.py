@@ -89,9 +89,7 @@ def test_verify_accepts_own_reports(runner, tmp_path, rng):
 TAMPERINGS = {
     "jordan-S": ("classify", ("jordan", "S", "matrix", 0, 1), [9.0, 0.0, 0.0, 0.0]),
     "reverser": ("reversibility", ("reverser", "matrix", 0, 0), [9.0, 0.0, 0.0, 0.0]),
-    "pair-s1": (
-        "reversibility", ("psl_involution_pair", 0, "matrix", 0, 1), [9.0, 0.0, 0.0, 0.0]
-    ),
+    "pair-s1": ("reversibility", ("pair_s1", "matrix", 0, 1), [9.0, 0.0, 0.0, 0.0]),
     "factor-B": ("decompose", ("certificates", 0, "B", 0, 0), 9.0),
     "simple-T": (
         "simple-check", ("certificate", "T", "matrix", 0, 1), [9.0, 0.0, 0.0, 0.0]
@@ -151,16 +149,64 @@ def test_verify_rejects_unusable_report_tolerance(runner, tmp_path, value):
     assert "malformed report" in res.stderr
 
 
+def negated_s1(rep):
+    s1 = rep["pair_s1"]["matrix"]
+    rep["pair_s1"]["matrix"] = [[[-c for c in q] for q in row] for row in s1]
+
+
 def test_verify_rejects_pair_multiplying_to_minus_a(runner, tmp_path):
-    # (-s1) s2 = -A: -A is the same element of PSL(3,H), but the library
-    # certifies s1 s2 = A, and verify replays exactly that
+    # (-s1) g = -A: -A is the same element of PSL(3,H), but the library
+    # certifies s1 g = A, and verify replays exactly that
     path = write_matrix(tmp_path, QMatrix3.diag(2.0, 0.5, 1.0))
     rep = json.loads(runner.invoke(main, ["reversibility", path]).output)
-    s1 = rep["psl_involution_pair"][0]["matrix"]
-    rep["psl_involution_pair"][0]["matrix"] = [[[-c for c in q] for q in row] for row in s1]
+    negated_s1(rep)
     res = replay(runner, tmp_path, rep)
     assert res.exit_code == 4
     assert "pair product" in res.stderr
+
+
+@pytest.mark.parametrize("edit", ["null-s1", "no-s1", "null-reverser"])
+def test_verify_rejects_a_reverser_without_its_pair(runner, tmp_path, edit):
+    # the reverser g and the s1 of its pair (s1, g) come together or not at all
+    path = write_matrix(tmp_path, QMatrix3.diag(2.0, 0.5, 1.0))
+    rep = json.loads(runner.invoke(main, ["reversibility", path]).output)
+    if edit == "no-s1":
+        del rep["pair_s1"]
+    elif edit == "null-s1":
+        rep["pair_s1"] = None
+    else:
+        rep["reverser"] = None
+    res = replay(runner, tmp_path, rep)
+    assert res.exit_code == 2, res.output
+    assert "entry 0: malformed report" in res.stderr
+
+
+def matrices_in(doc):
+    """Every QMatrix3 JSON object in a JSON document."""
+    if isinstance(doc, list):
+        return [m for item in doc for m in matrices_in(item)]
+    if not isinstance(doc, dict):
+        return []
+    own = [doc["matrix"]] if "matrix" in doc else []
+    return own + [m for key, value in doc.items() if key != "matrix" for m in matrices_in(value)]
+
+
+def test_reversibility_report_holds_each_matrix_once(runner):
+    # a skew-involution, an involution (twisted relation) and no witness
+    rng = np.random.default_rng(3)
+    mats = [generate(t, seed=1).matrix for t in ("regular-elliptic", "ellipto-translation",
+                                                  "regular-loxodromic")]
+    mats.append(conjugated(negative_shape("ii", rng), rng)[0])
+    res = runner.invoke(main, ["reversibility", "-"],
+                        input=json.dumps([m.to_json_dict() for m in mats]))
+    assert res.exit_code == 0, res.output
+    reports = json.loads(res.stdout)
+    assert [rep["reverser_kind"] for rep in reports] == [
+        "skew-involution", "skew-involution", "none", "involution"]
+    for rep in reports:
+        held = [json.dumps(m) for m in matrices_in(rep)]
+        assert len(held) == len(set(held)) == (1 if rep["reverser"] is None else 3)
+        assert "pair_square_2" not in rep["residuals"]
 
 
 def test_verify_rejects_singular_similarity(runner, tmp_path):
@@ -511,32 +557,37 @@ def edited_block_sizes(rep):
     blocks[0]["size"], blocks[1]["size"] = 1, 2
 
 
-# (command, generated type, tampering, the one failure it causes)
+# (command, generated type, tampering, the failures it causes, in order)
 TAMPERED_BATCH_MEMBERS = {
+    # the pair (s1, g) shares the reverser, so 2 g also breaks s1 (2 g) = A
     "scaled-reverser": ("reversibility", "ellipto-translation", scaled_reverser,
-                        "reverser square residual"),
+                        ("reverser square residual", "pair product residual")),
+    # (-s1)^2 = s1^2, so only the product (-s1) g = -A fails
+    "negated-s1": ("reversibility", "regular-elliptic", negated_s1, ("pair product residual",)),
     # the unit J2 route: W Q W^-1 does not commute with the pair factors
     "swapped-factors": ("decompose", "ellipto-parabolic", swapped_factors,
-                        "factor product residual"),
+                        ("factor product residual",)),
     "singular-T": ("decompose", "regular-elliptic", singular_conjugator,
-                   "factor 0 real conjugate residual inf exceeds"),
+                   ("factor 0 real conjugate residual inf exceeds",)),
     "edited-block-re": ("classify", "regular-loxodromic", edited_block_re,
-                        "jordan reconstruction residual"),
+                        ("jordan reconstruction residual",)),
     "edited-block-size": ("classify", "loxo-parabolic", edited_block_sizes,
-                          "jordan reconstruction residual"),
+                          ("jordan reconstruction residual",)),
 }
 
 
 @pytest.mark.parametrize("name", list(TAMPERED_BATCH_MEMBERS))
 def test_tampered_report_fails_alone_and_mid_batch(runner, name):
-    cmd, type_name, tamper, failure = TAMPERED_BATCH_MEMBERS[name]
+    cmd, type_name, tamper, expected = TAMPERED_BATCH_MEMBERS[name]
     rep = report_of(runner, cmd, generate(type_name, seed=1).matrix)
     assert verified(runner, [rep])[3] == 0
     tamper(rep)
     stdout, statuses, failures, code, _ = verified(runner, [rep])
     assert (stdout, statuses, code) == ("", ["report 0: FAIL"], 4)
-    assert len(failures) == 1 and failures[0].startswith(f"verification failure: {failure}")
-    # the middle of three reports: only its status fails, with the same failure
+    assert len(failures) == len(expected)
+    assert all(line.startswith(f"verification failure: {failure}")
+               for line, failure in zip(failures, expected))
+    # the middle of three reports: only its status fails, with the same failures
     neighbours = [report_of(runner, c, generate("screw-loxodromic", seed=2).matrix)
                   for c in ("reversibility", "simple-check")]
     batch = verified(runner, [neighbours[0], rep, neighbours[1]])
@@ -579,7 +630,7 @@ def test_verify_batch_equals_its_reports_alone(runner, tampered):
     assert [statuses[k] for k in tampered] == [f"report {k}: FAIL" for k in tampered]
     # after the status lines, one worst-residual line per certificate kind
     kinds = ["jordan reconstruction", "real conjugate", "factor product", "reverser conjugation",
-             "reverser square", "pair product", "pair square 1", "pair square 2"]
+             "reverser square", "pair product", "pair square 1"]
     assert [line.split(" residual ")[0] for line in rest] == [f"worst {k}" for k in kinds]
     assert all(line.endswith(" (gate 1.0e-06)") for line in rest)
 

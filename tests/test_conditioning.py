@@ -7,12 +7,25 @@ singular just because its determinant is small.
 """
 
 import numpy as np
+import pytest
 
 from qproj import QprojError, Singular, classification_report, decompose_simple, psl_report
+from qproj.cli import _jordan_data
 from qproj.generate import DYNAMICAL_TYPES
+from qproj.spectral import jordan_form
 from oracles import conditioned_conjugator
 
 _LOXODROMIC = ("RegularLoxodromic", "ScrewLoxodromic", "Homothety", "LoxoParabolic")
+
+
+def conjugated_samples(c, rng, samples=6):
+    """(g C g^-1, label) for samples canonical samples C of each gen type, in type order."""
+    out = []
+    for sampler, label in DYNAMICAL_TYPES.values():
+        for _ in range(samples):
+            g, g_inv = conditioned_conjugator(c, rng)
+            out.append((g @ sampler(rng) @ g_inv, label))
+    return out
 
 
 def sweep(c, rng):
@@ -28,17 +41,14 @@ def sweep(c, rng):
         (decompose_simple, lambda rep, label: len(rep.factors) <= 4),
     )
     out = []
-    for sampler, label in DYNAMICAL_TYPES.values():
-        for _ in range(6):
-            g, g_inv = conditioned_conjugator(c, rng)
-            a = g @ sampler(rng) @ g_inv
-            row = []
-            for report, ok in checks:
-                try:
-                    row.append("correct" if ok(report(a), label) else "wrong")
-                except QprojError as exc:
-                    row.append(type(exc).__name__)
-            out.append(row)
+    for a, label in conjugated_samples(c, rng):
+        row = []
+        for report, ok in checks:
+            try:
+                row.append("correct" if ok(report(a), label) else "wrong")
+            except QprojError as exc:
+                row.append(type(exc).__name__)
+        out.append(row)
     return out
 
 
@@ -50,3 +60,39 @@ def test_cond_1e4_sweep_is_correct_or_typed_and_never_singular(rng):
     # a witness may miss its build gate here (CertificateError), but at least
     # 30 of the 66 inputs must get all three answers
     assert sum(row == ["correct"] * 3 for row in outcomes) >= 30
+
+
+def jordan_or_error(a, tol):
+    try:
+        return jordan_form(a, tol)
+    except QprojError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("c", [1e2, 1e3, 1e4, 1e5, 1e6])
+def test_batch_jordan_data_equals_jordan_form_alone(c):
+    # the sweep's inputs at seed 0 as one CLI batch: the stacked first stage
+    # must hand every member the data jordan_form gives it alone, or the same
+    # error, however ill-conditioned the member
+    mats = [a for a, _ in conjugated_samples(c, np.random.default_rng(0))]
+    for batch, alone in zip(_jordan_data(mats, 1e-9), (jordan_or_error(a, 1e-9) for a in mats),
+                            strict=True):
+        if isinstance(alone, QprojError):
+            assert type(batch) is type(alone)
+        else:
+            assert batch.blocks == alone.blocks
+            assert (batch.S.a.tobytes(), batch.S.b.tobytes()) == (alone.S.a.tobytes(),
+                                                                   alone.S.b.tobytes())
+
+
+@pytest.mark.parametrize("c", [1e2, 1e3])
+def test_conjugated_vertical_translation_keeps_one_class(c):
+    # J2(1) + 1: the search accepts the first partition below _EARLY_ACCEPT,
+    # which can read the one class as two whose representatives differ by
+    # about 1e-14; jordan_form merges them back
+    sampler, _ = DYNAMICAL_TYPES["vertical-translation"]
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        g, g_inv = conditioned_conjugator(c, rng)
+        data = jordan_form(g @ sampler(rng) @ g_inv)
+        assert [sizes for _, sizes in data.class_sizes()] == [[2, 1]]
