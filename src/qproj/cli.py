@@ -39,9 +39,9 @@ from .decompose import _decompositions_from_data, _is_simple_data, _led_by_ident
 from .errors import CertificateError, QprojError
 from .generate import DYNAMICAL_TYPES, generate
 from .matrix import (QMatrix3, _adjoint, _blocks36, _conjugation_residuals, _dets_h,
-                     _invert_adjoints, _json_entries, _product_residuals, _square_residuals,
-                     _stack, _vec36, check_certificate, inverse, is_unimodular, normalize_to_sl,
-                     replay_gate, require_unimodular, unimodular_gate)
+                     _json_entries, _product_residuals, _square_residuals, _stack, _vec36,
+                     check_certificate, is_unimodular, normalize_to_sl, replay_gate,
+                     require_unimodular, unimodular_gate)
 from .quaternion import DEFAULT_TOL, ClassRep
 from .reversibility import _psls_from_data
 from .spectral import _assemble_jordan, _generic_jordan, jordan_form
@@ -363,16 +363,16 @@ class _Replay:
 
     add() reads one report: each matrix its checks use becomes a row of one
     pool of coordinates, each check a row of its relation (conjugation,
-    product, square), and the report a list of steps.  compute() then finds
-    every residual of the payload in one stacked call per relation, every
-    A^-1 a reverser is checked against in one stacked inverse, and every
-    verdict's Jordan data through _jordan_data, one per report tolerance.
-    Run in order, the steps of a report append its failures and raise its
-    error at the point a replay of that report alone would: a parse error
-    after the checks before it, the QprojError of a verdict or of a
-    reverser's A^-1 before the checks after it.  Certificates are judged by
-    replay_gate(tol), verify's own tolerance; a report's `tolerance` only
-    rebuilds its verdicts.
+    product, square), and the report a list of steps.  A reverser g is
+    checked as the product A g A against t g, a pool row of its own, so no
+    check inverts A.  compute() then finds every residual of the payload in
+    one stacked call per relation, and every verdict's Jordan data through
+    _jordan_data, one per report tolerance.  Run in order, the steps of a
+    report append its failures and raise its error at the point a replay of
+    that report alone would: a parse error after the checks before it, the
+    QprojError of a verdict before the checks after it.  Certificates are
+    judged by replay_gate(tol), verify's own tolerance; a report's
+    `tolerance` only rebuilds its verdicts.
     """
 
     def __init__(self, tol):
@@ -382,9 +382,6 @@ class _Replay:
         # rows per relation, (failure label, pool rows ...); residuals after compute()
         self.rows = {"conjugation": [], "product": [], "square": []}
         self.residuals = {relation: [] for relation in self.rows}
-        # (input, sign, target) per reverser: compute() fills pool row target
-        # with sign * A^-1 of pool row input
-        self.inverted = []
         self.verdicts = {}  # report tolerance -> pool rows of the inputs of its verdicts
         self.jordan = {}  # report tolerance -> (unimodular, datas so far, pending datas)
 
@@ -437,16 +434,17 @@ class _Replay:
             steps.append(reclassified)
         elif kind == "reversibility":
             # a reverser g comes with s1 of its pair (s1, g); the signs the library
-            # certifies: g^2 = -I for a skew-involution and +I for an involution,
-            # s1^2 = -I, and s1 g = A (not -A)
+            # certifies: A g A = t g (g A g^-1 = t A^-1) with t = 1 when A is
+            # reversible in SL(3,H) and -1 otherwise, g^2 = -I for a
+            # skew-involution and +I for an involution, s1^2 = -I, and s1 g = A
+            # (not -A)
             if (rep["reverser"] is None) != (rep["pair_s1"] is None):
                 raise ValueError("reverser and pair_s1 must be both present or both null")
             if rep["reverser"] is not None:
                 g, s1 = self._matrix(rep["reverser"]), self._matrix(rep["pair_s1"])
                 sign = -1.0 if rep["reverser_kind"] == "skew-involution" else 1.0
-                step, target = self._inverse_of(a, 1.0 if rep["reversible_sl"] else -1.0)  # +-A^-1
-                steps.extend([step,
-                              self._checked("conjugation", "reverser conjugation", g, a, target),
+                tg = self._scaled(g, 1.0 if rep["reversible_sl"] else -1.0)
+                steps.extend([self._checked("product", "reverser conjugation", [a, g, a], tg),
                               self._checked("square", "reverser square", g, sign),
                               self._checked("product", "pair product", [s1, g], a),
                               self._checked("square", "pair square 1", s1, -1.0)])
@@ -497,19 +495,10 @@ class _Replay:
 
         return step
 
-    def _inverse_of(self, a, sign):
-        """The step raising the Singular that inverse() raises for pool row a, if
-        it does, and the pool row that compute() fills with sign * A^-1."""
-        row = len(self.inverted)
-        self.pool.append(np.zeros(36))
-        target = len(self.pool) - 1
-        self.inverted.append((a, sign, target))
-
-        def step(failures):
-            if not self.invertible[row]:
-                inverse(self.matrix(a))
-
-        return step, target
+    def _scaled(self, row, t):
+        """The pool row of t times the matrix of pool row row, t = +-1."""
+        self.pool.append(t * self.pool[row])
+        return len(self.pool) - 1
 
     def _verdict(self, a, report_tol):
         """A function returning the Jordan data of pool row a at report_tol, or
@@ -541,17 +530,11 @@ class _Replay:
         return self.pa.take(rows, axis=0), self.pb.take(rows, axis=0)
 
     def compute(self):
-        """Fill in every residual, the invertible mask and the verdict sources."""
+        """Fill in every residual and the verdict sources."""
         if not self.pool:
             return
         self.pa, self.pb = _blocks36(np.array(self.pool).reshape(-1, 36))
 
-        if self.inverted:
-            a, sign, target = (np.array(column) for column in zip(*self.inverted))
-            inverses, ok = _invert_adjoints(_adjoint(*self.stacked(a)))
-            self.invertible = ok.tolist()
-            self.pa[target] = sign[:, None, None] * inverses[:, :3, :3]
-            self.pb[target] = sign[:, None, None] * inverses[:, :3, 3:]
         if self.rows["conjugation"]:
             _, t, b, m = zip(*self.rows["conjugation"])
             self.residuals["conjugation"] = _conjugation_residuals(

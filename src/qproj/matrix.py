@@ -344,8 +344,10 @@ def conjugation_residual(T: QMatrix3, B: QMatrix3, M: QMatrix3) -> float:
     """||T B T^-1 - M|| / ||M||, or inf when T is singular: one member of
     _conjugation_residuals.
 
-    Serves every conjugacy certificate: a Jordan similarity (S, J, A), a real
-    conjugate (T, B, factor) and a reverser (g, A, +-A^-1).
+    Serves the conjugacy certificates that carry their conjugator: a Jordan
+    similarity (S, J, A) and a real conjugate (T, B, factor).  A reverser g
+    with g^2 = +-I needs no inverse: g A g^-1 = t A^-1 is checked as
+    product_residual([A, g, A], t g).
     """
     return float(_conjugation_residuals(T.a[None], T.b[None], B.a[None], B.b[None],
                                         M.a[None], M.b[None])[0])

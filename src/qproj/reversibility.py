@@ -16,8 +16,9 @@ performed.
 The witnesses follow jordan_form per batch (_psls_from_data): the CLI passes
 a whole batch, psl_report and the witness functions a batch of one.  The
 matchers run per member; every g, its pair and their residuals come from
-stacked complex-pair arithmetic, with one stacked inverse for the A and S
-of the batch.
+stacked complex-pair arithmetic, with one stacked inverse for the S of the
+batch.  No certificate inverts A: g A g^-1 = t A^-1 is checked as
+A g A = t g, which is the same relation once g^2 = +-I is certified.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotReversible, NotStronglyReversible, QprojError
-from .matrix import (QMatrix3, _adjoint, _build_gate, _conjugation_residuals, _invert_adjoints,
-                     _product_residuals, _qmul, _square_residuals, _stack, check_certificate,
-                     inverse, require_unimodular)
+from .matrix import (QMatrix3, _adjoint, _build_gate, _invert_adjoints, _product_residuals, _qmul,
+                     _square_residuals, _stack, check_certificate, inverse, require_unimodular)
 from .quaternion import DEFAULT_TOL, ClassRep
 from .spectral import JordanData, _sylvester_op, _unvec36, jordan_form
 
@@ -183,35 +183,36 @@ def _witnesses(As, datas, matches, relations, tol: float, pair: bool) -> list:
 
     Member k has input As[k], Jordan data datas[k], match (perm, g0) and
     relation (what, t, s): g = S P g0 P^T S^-1 with P of perm, certified by
-    the residuals of g A g^-1 = t A^-1 and g^2 = s I.  With pair, s1 is
-    -(A g) for t = 1 and -(g A^-1) for t = -1 (g^-1 = g once g^2 = I is
-    certified), so that s1 g = A, and the residuals of that product and of
-    s1^2 = -I follow; without it s1 is None.  A^-1 and S^-1 of the whole
-    batch come from one stacked inverse, and each relation's residuals from
-    one stacked call.  Each member's gates run in the order of a batch of
-    one: Singular from A^-1, then from S^-1, then its residuals in the
-    order above, so a member's error does not depend on its batch.
+    the residuals of A g A = t g and g^2 = s I.  Once g^2 = s I is certified,
+    g is invertible and A g A = t g says g A g^-1 = t A^-1, with no A^-1.
+    With pair, s1 = -t A g, so that s1 g = -t s A = A, and the residuals of
+    that product and of s1^2 = -I follow; without it s1 is None.  S^-1 of
+    the whole batch comes from one stacked inverse, and each relation's
+    residuals from one stacked call.  Each member's gates run in the order
+    of a batch of one: Singular from S^-1, then its residuals in the order
+    above, so a member's error does not depend on its batch.
     """
     n = len(As)
-    xa, xb = _stack([*As, *(data.S for data in datas)])
-    inv, ok = _invert_adjoints(_adjoint(xa, xb))
-    ok = ok.tolist()
-    ma, mb, ia, ib = xa[:n], xb[:n], inv[:n, :3, :3], inv[:n, :3, 3:]
+    ma, mb = _stack(As)
+    sa, sb = _stack([data.S for data in datas])
+    s_inv, ok = _invert_adjoints(_adjoint(sa, sb))
     # g = S P g0 P^T S^-1, multiplied left to right
     order = [_ORDER[perm] for perm, _ in matches]
-    ga, gb = _qmul(xa[n:], xb[n:], _P[order], _NO_J)
+    ga, gb = _qmul(sa, sb, _P[order], _NO_J)
     ga, gb = _qmul(ga, gb, *_stack([g0 for _, g0 in matches]))
     ga, gb = _qmul(ga, gb, _PT[order], _NO_J)
-    ga, gb = _qmul(ga, gb, inv[n:, :3, :3], inv[n:, :3, 3:])
+    ga, gb = _qmul(ga, gb, s_inv[:, :3, :3], s_inv[:, :3, 3:])
     what, t, s = zip(*relations)
-    sign = np.array(t)[:, None, None]
-    conjugations = _conjugation_residuals(ga, gb, ma, mb, sign * ia, sign * ib).tolist()
+    # the members with t = -1, negated through np.where: a product by t could
+    # flip the sign of a zero, and s1 = -(A g) of a t = 1 member stays bitwise
+    twisted = (np.array(t) < 0)[:, None, None]
+    conjugations = _product_residuals(np.stack([ma, ga, ma], axis=1),
+                                      np.stack([mb, gb, mb], axis=1),
+                                      np.where(twisted, -ga, ga),
+                                      np.where(twisted, -gb, gb)).tolist()
     if pair:
-        # s1 = -(L R) with (L, R) = (A, g) for t = 1 and (g, A^-1) for t = -1
-        inverted = sign > 0
-        s1a, s1b = _qmul(*(np.where(inverted, x, y)
-                           for x, y in zip((ma, mb, ga, gb), (ga, gb, ia, ib))))
-        s1a, s1b = -s1a, -s1b
+        s1a, s1b = _qmul(ma, mb, ga, gb)
+        s1a, s1b = np.where(twisted, s1a, -s1a), np.where(twisted, s1b, -s1b)
         squares = _square_residuals(np.concatenate([ga, s1a]), np.concatenate([gb, s1b]),
                                     [*s, *(-1.0,) * n]).tolist()
         products = _product_residuals(np.stack([s1a, ga], axis=1), np.stack([s1b, gb], axis=1),
@@ -221,11 +222,10 @@ def _witnesses(As, datas, matches, relations, tol: float, pair: bool) -> list:
 
     gate = _build_gate(tol)
     out = []
-    for k, (A, data) in enumerate(zip(As, datas)):
+    for k, data in enumerate(datas):
         try:
-            for m, invertible in ((A, ok[k]), (data.S, ok[n + k])):
-                if not invertible:
-                    inverse(m)  # raises the Singular the stacked inverse found
+            if not ok[k]:
+                inverse(data.S)  # raises the Singular the stacked inverse found
             residuals = [check_certificate(conjugations[k], f"{what[k]} conjugation", gate),
                          check_certificate(squares[k], f"{what[k]} square", gate)]
             if pair:
@@ -335,7 +335,7 @@ def psl_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> ReversibilityReport:
 
     reversible_psl holds iff A is conjugate to A^-1 or to -A^-1; in either
     case a pair of matrices squaring to +-I with product A is produced (the
-    two-skew-involution factorization, or (-g^-1 A^-1, g) from the twisted
+    two-skew-involution factorization (-A g, g), or (A g, g) from the twisted
     relation), and both project to involutions in PSL(3,H).
     """
     require_unimodular(A, tol)

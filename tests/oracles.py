@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 from qproj import Minor, QMatrix3, Quaternion
-from qproj.matrix import (_build_gate, check_certificate, conjugation_residual, inverse,
-                          product_residual, square_residual)
+from qproj.matrix import (_build_gate, check_certificate, inverse, product_residual,
+                          square_residual)
 from qproj.reversibility import (ReversibilityReport, _match_involution,
                                  _match_negative_involution, _match_skew_involution)
 
@@ -307,17 +307,19 @@ def psl_report_per_member(A: QMatrix3, data, tol: float):
     """The reversibility report of one input, its witness built and checked alone.
 
     The reference for reversibility._psls_from_data: g = S P g0 P^T S^-1
-    from QMatrix3 products, S^-1 and A^-1 from their own inverse() calls,
-    each residual from its one-member function, and the gates in the order
-    Singular A^-1, Singular S^-1, reverser conjugation, reverser square,
-    pair product, pair square 1.
+    from QMatrix3 products, S^-1 from its own inverse() call, each residual
+    from its one-member function (g A g^-1 = t A^-1 as A g A = t g, with no
+    A^-1), s1 = -t A g, and the gates in the order Singular S^-1, reverser
+    conjugation, reverser square, pair product, pair square 1.
     """
-    def witness(match, target, sign, what):
+    def witness(match, t, sign, what):
         perm, g0 = match
         p = np.eye(3)[:, list(perm)]
         g = data.S @ QMatrix3.from_real(p) @ g0 @ QMatrix3.from_real(p.T) @ inverse(data.S)
-        conj = check_certificate(conjugation_residual(g, A, target), f"{what} conjugation", gate)
-        return g, conj, check_certificate(square_residual(g, sign), f"{what} square", gate)
+        conj = check_certificate(product_residual([A, g, A], t * g), f"{what} conjugation", gate)
+        # -t A g, negated exactly: a product by 1.0 or -1.0 may flip the sign of a zero
+        s1 = A @ g if t < 0 else -(A @ g)
+        return g, s1, conj, check_certificate(square_residual(g, sign), f"{what} square", gate)
 
     gate = _build_gate(tol)
     skew = _match_skew_involution(data, tol)
@@ -329,13 +331,10 @@ def psl_report_per_member(A: QMatrix3, data, tol: float):
         reversible_psl=skew is not None or neg is not None,
     )
     if skew is not None:
-        g, conj, square = witness(skew, inverse(A), -1.0, "reverser")
-        s1 = -(A @ g)
+        g, s1, conj, square = witness(skew, 1.0, -1.0, "reverser")
         report.reverser_kind = "skew-involution"
     elif neg is not None:
-        A_inv = inverse(A)
-        g, conj, square = witness(neg, -A_inv, 1.0, "negative-reverser")
-        s1 = -(g @ A_inv)
+        g, s1, conj, square = witness(neg, -1.0, 1.0, "negative-reverser")
         report.reverser_kind = "involution"
     else:
         return report

@@ -218,6 +218,40 @@ def test_verify_rejects_singular_similarity(runner, tmp_path):
     assert "jordan reconstruction residual inf" in res.stderr
 
 
+def test_verify_checks_a_reverser_of_a_zero_input_without_inverting_it(runner, tmp_path):
+    # A g A = t g is checked with no A^-1, so a zero input is not Singular:
+    # the reverser relation and the pair's product fail as certificates
+    path = write_matrix(tmp_path, QMatrix3.diag(2.0, 0.5, 1.0))
+    rep = json.loads(runner.invoke(main, ["reversibility", path]).output)
+    rep["input"] = QMatrix3.zeros().to_json_dict()
+    res = replay(runner, tmp_path, rep)
+    assert res.exit_code == 4, res.output
+    assert "Singular" not in res.stderr
+    failures = [line for line in res.stderr.splitlines()
+                if line.startswith("verification failure: ")]
+    assert [line.split(": ")[1].split(" residual ")[0] for line in failures] == [
+        "reverser conjugation", "pair product"]
+
+
+def test_verify_replays_reversibility_reports_with_no_inverse(runner, monkeypatch):
+    # a skew-involution, an involution (twisted relation) and no witness
+    rng = np.random.default_rng(3)
+    mats = [generate(t, seed=1).matrix for t in ("regular-elliptic", "regular-loxodromic")]
+    mats.append(conjugated(negative_shape("ii", rng), rng)[0])
+    res = runner.invoke(main, ["reversibility", "-"],
+                        input=json.dumps([m.to_json_dict() for m in mats]))
+    assert res.exit_code == 0, res.output
+    assert [rep["reverser_kind"] for rep in json.loads(res.stdout)] == [
+        "skew-involution", "none", "involution"]
+
+    def refused(phis):
+        raise AssertionError("verify inverted a matrix")
+
+    monkeypatch.setattr("qproj.matrix._invert_adjoints", refused)
+    res = runner.invoke(main, ["verify", "-"], input=res.stdout)
+    assert res.exit_code == 0, res.output
+
+
 def test_parse_error_exit_code(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json {")

@@ -96,3 +96,11 @@ def test_conjugated_vertical_translation_keeps_one_class(c):
         g, g_inv = conditioned_conjugator(c, rng)
         data = jordan_form(g @ sampler(rng) @ g_inv)
         assert [sizes for _, sizes in data.class_sizes()] == [[2, 1]]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cond_1e3_sweep_is_fully_correct(seed):
+    # the reverser relation is checked as A g A = t g, with no A^-1, so
+    # at cond 1e3 every conjugated ellipto-translation keeps its witness
+    outcomes = sweep(1e3, np.random.default_rng(seed))
+    assert [k for k, row in enumerate(outcomes) if row != ["correct"] * 3] == []

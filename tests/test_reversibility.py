@@ -281,17 +281,24 @@ def test_negative_branch_pair_is_gated(rng, monkeypatch):
     a, _ = conjugated(negative_shape("ii", rng), rng)
     assert not is_reversible_sl(a) and is_negative_reversible(a)
     assert psl_report(a).residuals["pair_product"] < 1e-8
-    monkeypatch.setattr(reversibility, "_product_residuals",
-                        lambda fa, fb, ma, mb: np.full(len(ma), 1.0))
+    # fail only the two-factor rows, the pair's s1 g = A; the reverser's A g A rows pass
+    product_residuals = reversibility._product_residuals
+    monkeypatch.setattr(reversibility, "_product_residuals", lambda fa, fb, ma, mb: (
+        np.full(len(ma), 1.0) if fa.shape[1] == 2 else product_residuals(fa, fb, ma, mb)))
     with pytest.raises(CertificateError, match="pair product"):
         psl_report(a)
 
 
 def test_negative_branch_pair_uses_the_involution_itself(rng):
-    # g^2 = I is certified, so the pair is (-g A^-1, g): g is not inverted
-    a, _ = conjugated(negative_shape("ii", rng), rng)
-    s1, g = psl_report(a).psl_involution_pair
-    assert np.array_equal(s1.adjoint(), (-(g @ inverse(a))).adjoint())
+    # s1 = -t A g: A g for the twisted relation (t = -1), -(A g) for a
+    # skew-involution (t = 1); neither A nor g is inverted
+    for sampler, kind in ((negative_shape, "involution"), (reversible_shape, "skew-involution")):
+        a, _ = conjugated(sampler("ii", rng), rng)
+        rep = psl_report(a)
+        s1, g = rep.psl_involution_pair
+        assert rep.reverser_kind == kind
+        expected = a @ g if kind == "involution" else -(a @ g)
+        assert (s1.a.tobytes(), s1.b.tobytes()) == (expected.a.tobytes(), expected.b.tobytes())
 
 
 def test_translation_under_ill_conditioned_conjugator_is_never_singular(rng):
