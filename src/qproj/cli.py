@@ -9,7 +9,9 @@ Output contract: every JSON document the CLI prints is one line,
 `json.dumps(document, sort_keys=True)` (default separators, keys sorted,
 floats as Python's shortest round-trip repr), so stdout equals
 `json.dumps(json.loads(stdout), sort_keys=True) + "\n"`.  `_emit` is the only
-place that decides this.  `--text` prints one human-readable line per report
+place that decides this.  The matrices of a batch's reports are encoded per
+kind by one `matrix._json_matrices` call: the inputs, the factors and
+conjugators of `decompose`, the witnesses of `reversibility`.  `--text` prints one human-readable line per report
 instead; `python -m json.tool` pretty-prints a JSON report.
 
 `qproj verify` judges every certificate by replay_gate of its own `--tol`.
@@ -35,15 +37,16 @@ import numpy as np
 
 from . import __version__
 from .classify import _classification_from_data, _classify_from_jordan
-from .decompose import _decompositions_from_data, _is_simple_data, _led_by_identities
+from .decompose import (_decomposition_dicts, _decompositions_from_data, _is_simple_data,
+                        _led_by_identities)
 from .errors import CertificateError, QprojError
 from .generate import DYNAMICAL_TYPES, generate
 from .matrix import (QMatrix3, _adjoint, _blocks36, _conjugation_residuals, _dets_h,
-                     _json_entries, _product_residuals, _square_residuals, _stack, _vec36,
-                     check_certificate, is_unimodular, normalize_to_sl, replay_gate,
+                     _json_entries, _json_matrices, _product_residuals, _square_residuals, _stack,
+                     _vec36, check_certificate, is_unimodular, normalize_to_sl, replay_gate,
                      require_unimodular, unimodular_gate)
 from .quaternion import DEFAULT_TOL, ClassRep
-from .reversibility import _psls_from_data
+from .reversibility import _psls_from_data, _reversibility_dicts
 from .spectral import _assemble_jordan, _generic_jordan, jordan_form
 
 EXIT_PARSE = 2
@@ -184,14 +187,16 @@ def _run_command(path, tol, as_json, worker, text_fn):
         except QprojError as exc:
             failure = exc
             break
-    results = worker([a for a, _ in inputs[:len(datas)]], datas, tol) + [failure]
+    analysed = [a for a, _ in inputs[:len(datas)]]
+    results = worker(analysed, datas, tol) + [failure]
+    encoded = _json_matrices(*_stack(analysed))
     reports = []
-    for (a, note), rep in zip(inputs, results):
+    for (a, note), rep, encoded_input in zip(inputs, results, encoded + [None]):
         if a is not None and note is not None:
             click.echo(note, err=True)
         if isinstance(rep, Exception):
             raise rep
-        rep["input"] = a.to_json_dict()
+        rep["input"] = encoded_input
         rep["tolerance"] = tol
         reports.append(rep)
     _emit(reports, was_batch, as_json, text_fn)
@@ -270,9 +275,8 @@ def reversibility_cmd(tol, as_json, path):
     """Reversibility flags and certified witnesses."""
 
     def worker(inputs, datas, tol):
-        return [rep if isinstance(rep, QprojError)
-                else {**rep.to_json_dict(), "kind": "reversibility"}
-                for rep in _psls_from_data(inputs, datas, tol)]
+        return [rep if isinstance(rep, QprojError) else {**rep, "kind": "reversibility"}
+                for rep in _reversibility_dicts(_psls_from_data(inputs, datas, tol))]
 
     def text(rep):
         return (
@@ -293,9 +297,8 @@ def decompose_cmd(tol, as_json, path):
     """Decomposition into at most four simple factors with certificates."""
 
     def worker(inputs, datas, tol):
-        return [dec if isinstance(dec, QprojError)
-                else {**dec.to_json_dict(), "kind": "decomposition"}
-                for dec in _decompositions_from_data(inputs, datas, tol)]
+        return [rep if isinstance(rep, QprojError) else {**rep, "kind": "decomposition"}
+                for rep in _decomposition_dicts(_decompositions_from_data(inputs, datas, tol))]
 
     def text(rep):
         return f"{len(rep['factors'])} simple factors, residual {rep['residual']:.2e}"
@@ -313,15 +316,15 @@ def simple_check_cmd(tol, as_json, path):
     def worker(inputs, datas, tol):
         simple = [_is_simple_data(data, tol) for data in datas]
         # a simple input is its own one-factor decomposition, certified by realify
-        decs = iter(_decompositions_from_data(list(itertools.compress(inputs, simple)),
-                                              list(itertools.compress(datas, simple)), tol))
+        decs = iter(_decomposition_dicts(_decompositions_from_data(
+            list(itertools.compress(inputs, simple)), list(itertools.compress(datas, simple)), tol)))
         results = []
         for flag in simple:
             dec = next(decs) if flag else None
             if isinstance(dec, QprojError):
                 results.append(dec)
                 continue
-            cert = dec.certificates[0].to_json_dict() if flag else None
+            cert = dec["certificates"][0] if flag else None
             results.append({"kind": "simple-check", "simple": flag, "certificate": cert})
         return results
 

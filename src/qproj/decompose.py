@@ -21,11 +21,11 @@ construction rather than extracted from the factor again.
 
 The after-stage that follows jordan_form runs per batch
 (_decompositions_from_data): the CLI passes a whole batch, decompose_simple
-and realify a batch of one.  The canonical factors (C, T, B) are built per
-member; the factors S C S^-1, their conjugators S T, every certificate
-residual and every product residual come from stacked complex-pair
-arithmetic, with one stacked inverse for the S of the batch and one for its
-conjugators.
+and realify a batch of one.  Each member's route scalars are found in
+Python; one assembly lays the canonical factors (C, T, B) of the batch into
+stacks.  The factors S C S^-1, their conjugators S T and every residual come
+from stacked complex-pair arithmetic, and _decomposition_dicts encodes a
+batch's reports with one _json_matrices call.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import CertificateError, NotSimple, QprojError
 from .matrix import (QMatrix3, _adjoint, _build_gate, _conjugation_residuals, _invert_adjoints,
-                     _product_residuals, _qmul, _stack, check_certificate, conjugation_residual,
-                     require_unimodular)
+                     _json_matrices, _norms, _product_residuals, _qmul, _stack, check_certificate,
+                     conjugation_residual, require_unimodular)
 from .quaternion import DEFAULT_TOL
 from .spectral import JordanData, jordan_form
 
@@ -64,16 +64,33 @@ class SimpleCertificate:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class Decomposition:
-    """Ordered simple factors with certificates; product reconstructs A."""
+    """Ordered simple factors with certificates; product reconstructs A.
 
-    factors: list
-    certificates: list
+    Factor k is fa[k] + fb[k] j, certified by (ta[k] + tb[k] j, B[k]) with
+    residual cert_residuals[k]: rows of the stacks of its batch.
+    """
+
+    fa: np.ndarray
+    fb: np.ndarray
+    ta: np.ndarray
+    tb: np.ndarray
+    B: np.ndarray
+    cert_residuals: list
     residual: float = 0.0
 
     def __len__(self):
-        return len(self.factors)
+        return len(self.fa)
+
+    @property
+    def factors(self) -> list:
+        return [QMatrix3(a, b) for a, b in zip(self.fa, self.fb)]
+
+    @property
+    def certificates(self) -> list:
+        return [SimpleCertificate(QMatrix3(a, b), B, r)
+                for a, b, B, r in zip(self.ta, self.tb, self.B, self.cert_residuals)]
 
     def product(self) -> QMatrix3:
         out = QMatrix3.identity()
@@ -82,11 +99,26 @@ class Decomposition:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "factors": [f.to_json_dict() for f in self.factors],
-            "certificates": [c.to_json_dict() for c in self.certificates],
-            "residual": float(self.residual),
-        }
+        return _decomposition_dicts([self])[0]
+
+
+def _decomposition_dicts(decs) -> list:
+    """to_json_dict of each Decomposition in decs, a QprojError passed through
+    as it is; all their factors and conjugators are encoded by one
+    _json_matrices call, and all their B by one tolist()."""
+    done = [d for d in decs if isinstance(d, Decomposition)]
+    if not done:
+        return list(decs)
+    matrices = iter(_json_matrices(np.concatenate([m for d in done for m in (d.fa, d.ta)]),
+                                   np.concatenate([m for d in done for m in (d.fb, d.tb)])))
+    Bs = iter(np.concatenate([d.B for d in done]).tolist())
+    # each member's factors, then its conjugators; the residuals lead the zip,
+    # so that it stops before taking a T or B too many
+    out = iter([{"factors": list(itertools.islice(matrices, len(d))),
+                 "certificates": [{"T": T, "B": B, "residual": r}
+                                  for r, T, B in zip(d.cert_residuals, matrices, Bs)],
+                 "residual": d.residual} for d in done])
+    return [next(out) if isinstance(d, Decomposition) else d for d in decs]
 
 
 def is_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
@@ -112,16 +144,10 @@ def realify(A: QMatrix3, tol: float = DEFAULT_TOL) -> SimpleCertificate:
     Real inputs return (I3, A) directly.  A real-spectrum A returns its real
     Jordan form; the remaining simple shape diag(λ, λ, μ) with λ non-real is
     realified by the 2x2 conjugators mapping diag(r e^{it}, r e^{it}) to the
-    rotation block [[r cos t, r sin t], [-r sin t, r cos t]].
+    rotation block [[r cos t, r sin t], [-r sin t, r cos t]].  This is the
+    certificate of the one-factor decomposition [A].
     """
-    return _realify_from_data(A, None if A.is_real(tol) else jordan_form(A, tol), tol)
-
-
-def _realify_from_data(A: QMatrix3, data: JordanData | None, tol: float) -> SimpleCertificate:
-    """realify(A) given the Jordan data of A (None for a real A).
-
-    The certificate of the one-factor decomposition [A].
-    """
+    data = None if A.is_real(tol) else jordan_form(A, tol)
     if data is not None and not _is_simple_data(data, tol):
         raise NotSimple("a non-real class has Jordan blocks that do not pair up by size")
     return _decomposition_from_data(A, data, tol).certificates[0]
@@ -187,22 +213,19 @@ def _pair_conjugator(s0: int, same: bool) -> QMatrix3:
     return QMatrix3(a, b)
 
 
-def _pair_factor(C: QMatrix3, s0: int):
-    """(C, T, B) with C = T B T^-1 for a complex diagonal pair factor C.
+# The conjugator T of each pair factor, (s0, same) -> index 1 + 2 s0 + (not same),
+# led by the identity at index 0, as complex-pair stacks
+_CONJUGATOR_A, _CONJUGATOR_B = _stack([QMatrix3.identity()] + [
+    _pair_conjugator(s0, same) for s0 in (0, 1) for same in (True, False)])
+_NO_SUPER = (0.0, 0.0)
+_DIAG = (0, 1, 2)
 
-    Slots s0 and s0 + 1 of C hold λ and either λ or conj λ; the remaining
-    slot is real.
-    """
-    s1 = s0 + 1
-    other = 2 if s0 == 0 else 0
-    lam, mu = C.a[s0, s0], C.a[s1, s1]
-    same = abs(mu - lam) <= abs(mu - lam.conjugate())
-    B = np.zeros((3, 3))
-    B[s0, s0] = B[s1, s1] = lam.real
-    B[s0, s1] = lam.imag
-    B[s1, s0] = -lam.imag
-    B[other, other] = C.a[other, other].real
-    return C, _pair_conjugator(s0, same), B
+
+def _split_phases(theta: float, phi: float):
+    """(e^{i mu}, e^{i nu}, e^{-i nu}) with mu = (theta + phi)/2 and nu = (theta - phi)/2."""
+    mu = 0.5 * (theta + phi)
+    nu = 0.5 * (theta - phi)
+    return cmath.exp(1j * mu), cmath.exp(1j * nu), cmath.exp(-1j * nu)
 
 
 def pair_rotation_split(theta: float, phi: float):
@@ -212,117 +235,124 @@ def pair_rotation_split(theta: float, phi: float):
     mu = (theta + phi)/2 and nu = (theta - phi)/2; the product multiplies back
     exactly and each factor has one eigenvalue class of multiplicity two.
     """
-    mu = 0.5 * (theta + phi)
-    nu = 0.5 * (theta - phi)
-    first = QMatrix3.diag(cmath.exp(1j * mu), cmath.exp(1j * mu), 1.0)
-    second = QMatrix3.diag(cmath.exp(1j * nu), cmath.exp(-1j * nu), 1.0)
-    return first, second
+    e_mu, e_nu, e_minus_nu = _split_phases(theta, phi)
+    return QMatrix3.diag(e_mu, e_mu, 1.0), QMatrix3.diag(e_nu, e_minus_nu, 1.0)
 
 
-def _unit_diag_factors(angles):
-    """Three simple factors multiplying to diag(e^{i a1}, e^{i a2}, e^{i a3})."""
-    t, p, s = angles
-    p_shift = p + s
-    first, second = pair_rotation_split(t, p_shift)
-    third = QMatrix3.diag(1.0, cmath.exp(-1j * s), cmath.exp(1j * s))
-    return [_pair_factor(first, 0), _pair_factor(second, 0), _pair_factor(third, 1)]
+# A canonical factor C = T B T^-1 is laid out as one row (d, u, T, B): C has
+# diagonal d and superdiagonal u, T is an index into the conjugator stacks or
+# a complex 3x3 list, and B is given by its nine entries row by row.
+
+def _pair_row(s0: int, d):
+    """The row of a complex diagonal pair factor: slots s0, s0 + 1 of d hold λ
+    and λ or conj λ, the remaining slot is real."""
+    lam, mu = d[s0], d[s0 + 1]
+    same = abs(mu - lam) <= abs(mu - lam.conjugate())
+    c, s = lam.real, lam.imag
+    if s0 == 0:
+        return d, _NO_SUPER, 1 + (not same), (c, s, 0.0, -s, c, 0.0, 0.0, 0.0, d[2].real)
+    return d, _NO_SUPER, 3 + (not same), (d[0].real, 0.0, 0.0, 0.0, c, s, 0.0, -s, c)
 
 
-def _slot23(d2, d3):
-    return QMatrix3.diag(1.0, d2, d3)
+def _unit_diag_rows(t: float, p: float, s: float):
+    """Three simple factors multiplying to diag(e^{i t}, e^{i p}, e^{i s})."""
+    e_mu, e_nu, e_minus_nu = _split_phases(t, p + s)
+    return [_pair_row(0, (e_mu, e_mu, 1.0)), _pair_row(0, (e_nu, e_minus_nu, 1.0)),
+            _pair_row(1, (1.0, cmath.exp(-1j * s), cmath.exp(1j * s)))]
 
 
-def _unit_j2_factors(theta, psi):
-    """Three simple factors multiplying to J2(e^{i theta}) (+) e^{i psi}."""
+def _unit_j2_rows(theta: float, psi: float):
+    """Three simple factors multiplying to J2(e^{i theta}) (+) e^{i psi}: W Q W^-1
+    and W R W^-1 for the two factors R of diag(1, e^{2i theta}, e^{i psi}),
+    with W = diag(e^{-i theta}, e^{i theta}, 1)."""
     et = cmath.exp(1j * theta)
-    W = QMatrix3.diag(1.0 / et, et, 1.0)
-    Q = QMatrix3.from_complex([[et, 1.0, 0.0], [0.0, 1.0 / et, 0.0], [0.0, 0.0, 1.0]])
+    e_mu, e_nu, e_minus_nu = _split_phases(2.0 * theta, psi)
     # Q T_q = T_q B_q with T_q = [e2, Q e2]: B_q is the real companion matrix
     # of Q's top block (trace 2 cos theta, determinant 1), and cond(T_q) is
     # about 2.6 for every theta
-    T_q = QMatrix3.from_complex([[0.0, 1.0, 0.0], [1.0, 1.0 / et, 0.0], [0.0, 0.0, 1.0]])
-    B_q = np.array([[0.0, -1.0, 0.0], [1.0, 2.0 * math.cos(theta), 0.0], [0.0, 0.0, 1.0]])
-    mu = 0.5 * (2.0 * theta + psi)
-    nu = 0.5 * (2.0 * theta - psi)
-    R1 = _slot23(cmath.exp(1j * mu), cmath.exp(1j * mu))
-    R2 = _slot23(cmath.exp(1j * nu), cmath.exp(-1j * nu))
-    W_inv = QMatrix3.diag(et, 1.0 / et, 1.0)
-    return [
-        (W @ Q @ W_inv, W @ T_q, B_q),
-        _pair_factor(W @ R1 @ W_inv, 1),
-        _pair_factor(W @ R2 @ W_inv, 1),
-    ]
+    Q = [[et, 1.0, 0.0], [0.0, 1.0 / et, 0.0], [0.0, 0.0, 1.0]]
+    T_q = [[0.0, 1.0, 0.0], [1.0, 1.0 / et, 0.0], [0.0, 0.0, 1.0]]
+    B_q = (0.0, -1.0, 0.0, 1.0, 2.0 * math.cos(theta), 0.0, 0.0, 0.0, 1.0)
+    # W and W^-1 multiply as matrices: matmul rounds a product unlike Python's
+    # complex multiplication
+    zero = np.zeros((3, 3), dtype=complex)
+    w = _qmul(np.diag([1.0 / et, et, 1.0]), zero, np.array(
+        [T_q, Q, np.diag([1.0, e_mu, e_mu]), np.diag([1.0, e_nu, e_minus_nu])]), zero)[0]
+    q, r1, r2 = _qmul(w[1:], zero, np.diag([et, 1.0 / et, 1.0]), zero)[0].tolist()
+    return [((q[0][0], q[1][1], q[2][2]), (q[0][1], q[1][2]), w[0].tolist(), B_q),
+            _pair_row(1, (r1[0][0], r1[1][1], r1[2][2])),
+            _pair_row(1, (r2[0][0], r2[1][1], r2[2][2]))]
 
 
-def _phase_factor(C: QMatrix3, theta: float, B):
-    """(C, T, B) for C = D B D^-1 with D = diag(1, e^{i theta}, e^{2i theta}).
-
-    Conjugating by D multiplies the superdiagonal of B by e^{-i theta} and
-    leaves the diagonal alone, which is how the triangular factors are built.
-    """
+def _phase(theta: float):
+    """D = diag(1, e^{i theta}, e^{2i theta}): D B D^-1 multiplies the
+    superdiagonal of B by e^{-i theta} and leaves its diagonal alone."""
     e = cmath.exp(1j * theta)
-    return C, QMatrix3.diag(1.0, e, e * e), np.asarray(B, dtype=float)
+    return [[1.0, 0.0, 0.0], [0.0, e, 0.0], [0.0, 0.0, e * e]]
 
 
-def _unit_j3_factors(theta):
-    """Four simple factors multiplying to J3(e^{i theta})."""
-    et = cmath.exp(1j * theta)
-    eh = cmath.exp(0.5j * theta)
-    f1 = QMatrix3.diag(et, et, 1.0)
-    f2 = _slot23(eh, eh)
-    f3 = _slot23(1.0 / eh, eh)
-    f4 = QMatrix3.from_complex(
-        [[1.0, 1.0 / et, 0.0], [0.0, 1.0, 1.0 / et], [0.0, 0.0, 1.0]]
-    )
-    return [
-        _pair_factor(f1, 0),
-        _pair_factor(f2, 1),
-        _pair_factor(f3, 1),
-        _phase_factor(f4, theta, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
-    ]
-
-
-def _canonical_factors(data: JordanData, tol: float):
-    """Simple factors of the canonical Jordan matrix of ``data``.
-
-    Each is a triple (C, T, B) with C = T B T^-1 and B real, read off the
-    construction of C.
-    """
-    blocks = data.blocks
-    reps = [rep for rep, _ in blocks]
+def _canonical_rows(data: JordanData, tol: float):
+    """Rows of the simple factors of the canonical Jordan matrix of ``data``, in
+    product order; each is a C = T B T^-1 with B real, read off its construction."""
+    reps = [rep for rep, _ in data.blocks]
     moduli = [rep.modulus() for rep in reps]
+    angles = [rep.angle() for rep in reps]
     unit = all(rep.is_unit(tol) for rep in reps)
     shape = data.shape_id
 
     if shape == "diag":
-        angles = [rep.angle() for rep, _ in blocks]
         if unit:
-            return _unit_diag_factors(angles)
-        P = QMatrix3.diag(*moduli)
-        return [(P, QMatrix3.identity(), P.real_part())] + _unit_diag_factors(angles)
+            return _unit_diag_rows(*angles)
+        r1, r2, r3 = moduli
+        return [(moduli, _NO_SUPER, 0, (r1, 0.0, 0.0, 0.0, r2, 0.0, 0.0, 0.0, r3)),
+                *_unit_diag_rows(*angles)]
 
+    theta = angles[0]
     if shape == "j2":
-        theta = reps[0].angle()
-        psi = reps[1].angle()
         if unit:
-            return _unit_j2_factors(theta, psi)
+            return _unit_j2_rows(theta, angles[1])
+        # the real-moduli triangular factor, then Q = diag(e^{i theta}, e^{i theta},
+        # e^{i psi}) via the unit route
         r, s = moduli
-        P = QMatrix3.from_complex(
-            [[r, cmath.exp(-1j * theta), 0.0], [0.0, r, 0.0], [0.0, 0.0, s]]
-        )
-        P_factor = _phase_factor(P, theta, [[r, 1, 0], [0, r, 0], [0, 0, s]])
-        # Q = diag(e^{i theta}, e^{i theta}, e^{i psi}) via the unit route
-        return [P_factor] + _unit_diag_factors([theta, theta, psi])
+        return [((r, r, s), (cmath.exp(-1j * theta), 0.0), _phase(theta),
+                 (r, 1.0, 0.0, 0.0, r, 0.0, 0.0, 0.0, s)),
+                *_unit_diag_rows(theta, theta, angles[1])]
 
     # j3; |λ| = 1 is forced by unimodularity, the general branch is defensive
-    theta = reps[0].angle()
     if unit:
-        return _unit_j3_factors(theta)
+        et = cmath.exp(1j * theta)
+        eh = cmath.exp(0.5j * theta)
+        return [_pair_row(0, (et, et, 1.0)), _pair_row(1, (1.0, eh, eh)),
+                _pair_row(1, (1.0, 1.0 / eh, eh)),
+                ((1.0, 1.0, 1.0), (1.0 / et, 1.0 / et), _phase(theta),
+                 (1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0))]
     r = moduli[0]
     e_inv = cmath.exp(-1j * theta)
-    P = QMatrix3.from_complex([[r, e_inv, 0.0], [0.0, r, e_inv], [0.0, 0.0, r]])
-    P_factor = _phase_factor(P, theta, [[r, 1, 0], [0, r, 1], [0, 0, r]])
-    return [P_factor] + _unit_diag_factors([theta, theta, theta])
+    return [((r, r, r), (e_inv, e_inv), _phase(theta), (r, 1.0, 0.0, 0.0, r, 1.0, 0.0, 0.0, r)),
+            *_unit_diag_rows(theta, theta, theta)]
+
+
+def _canonical_stacks(rows):
+    """Stacks (C, C', T, T', B) of the factors C + C' j = T B T^-1 of the rows
+    other than the identity, and the mask of those rows.
+
+    The identity test is ||C - I|| <= 1e-9, on one stacked norm.
+    """
+    d, u, Ts, Bs = zip(*rows)
+    ca = np.zeros((len(rows), 3, 3), dtype=complex)
+    ca[:, _DIAG, _DIAG] = d
+    ca[:, (0, 1), (1, 2)] = u
+    cb = np.zeros_like(ca)
+    keep = ~(_norms(ca - np.eye(3), cb) <= 1e-9)
+
+    Ts = [Ts[i] for i in np.flatnonzero(keep).tolist()]
+    index = [t if isinstance(t, int) else 0 for t in Ts]
+    ta, tb = _CONJUGATOR_A[index], _CONJUGATOR_B[index]
+    explicit = [k for k, t in enumerate(Ts) if not isinstance(t, int)]
+    if explicit:
+        ta[explicit] = [Ts[k] for k in explicit]
+    B = np.array(Bs, dtype=float)[keep].reshape(-1, 3, 3)
+    return ca[keep], cb[keep], ta, tb, B, keep
 
 
 def decompose_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> Decomposition:
@@ -352,81 +382,67 @@ def _decompositions_from_data(As, datas, tol: float) -> list:
     A simple member is its own one factor, certified by the real conjugate
     of realify, (I, Re A) for a real one; that certificate is measured and
     gated like the others, so an input real only within a loose tol can
-    miss the build gate.  The factors of every other
-    member are S C S^-1 for its canonical factors C = T B T^-1, certified
-    by (S T, B).  All factors of the batch form one stack: S^-1 comes from
-    one stacked inverse, and every conjugation residual from one stacked
-    call, in which a conjugator that fails the singular rule gives inf.
-    Each member's gates run in the order of a batch of one, certificates in
-    factor order and then the product, so a member's error does not depend
-    on its batch.
+    miss the build gate.  The factors of every other member are S C S^-1
+    for its canonical factors C = T B T^-1, certified by (S T, B); one
+    assembly lays the canonical factors of the whole batch into stacks
+    (_canonical_stacks).  All factors of the batch form one stack, which
+    each Decomposition keeps its rows of: S^-1 comes from one stacked
+    inverse, and every conjugation residual from one stacked call, in which
+    a conjugator that fails the singular rule gives inf.  Each member's
+    gates run in the order of a batch of one, certificates in factor order
+    and then the product, so a member's error does not depend on its batch.
     """
     out = [None] * len(As)
-    split = []   # (member, its canonical factors (C, T, B) other than I)
+    split, rows, owner = [], [], []  # split members, their canonical rows and the owner of each
     direct = []  # (member, T, B): the real conjugate of a simple member
     for k, (A, data) in enumerate(zip(As, datas)):
         if data is not None and not _is_simple_data(data, tol):
-            split.append((k, [f for f in _canonical_factors(data, tol)
-                              if not (f[0] - QMatrix3.identity()).norm() <= 1e-9]))
+            member_rows = _canonical_rows(data, tol)
+            owner += [len(split)] * len(member_rows)
+            split.append(k)
+            rows += member_rows
         else:
             try:
                 direct.append((k, *_real_conjugate(A, data, tol)))
             except NotSimple as exc:
                 out[k] = exc
 
-    counts = [len(fs) for _, fs in split]
-    owner = np.repeat(np.arange(len(split)), counts)  # the split member of each canonical row
-    canon = [f for _, fs in split for f in fs]
-    fa, fb, ta, tb, s_ok = _conjugated([datas[k].S for k, _ in split], owner, canon)
-    products = (_product_residuals(*_led_by_identities(fa, fb, counts, owner),
-                                   *_stack([As[k] for k, _ in split])).tolist()
-                if split else [])
-
-    # one residual call for the rows of both kinds, the direct members last
-    residuals = []
-    if canon or direct:
-        B = np.array([b for *_, b in canon] + [b for *_, b in direct], dtype=complex)
-        residuals = _conjugation_residuals(*_followed_by(ta, tb, [t for _, t, _ in direct]),
-                                           B, np.zeros_like(B),
-                                           *_followed_by(fa, fb, [As[k] for k, _, _ in direct]))
-        if not s_ok.all():
-            residuals[:len(canon)][~s_ok] = np.inf
-        residuals = residuals.tolist()
+    parts = []  # stacks (F, F', T, T', B) of the canonical rows, then of the direct members
+    counts, products, s_ok = [], [], np.ones(0, dtype=bool)
+    if split:
+        ca, cb, ta, tb, b, keep = _canonical_stacks(rows)
+        owner = np.asarray(owner)[keep]
+        counts = np.bincount(owner, minlength=len(split)).tolist()
+        # the factors S C S^-1 and their conjugators S T, S^-1 from one stacked inverse
+        sa, sb = _stack([datas[k].S for k in split])
+        s_inv, s_ok = _invert_adjoints(_adjoint(sa, sb))
+        sa, sb, s_inv, s_ok = sa[owner], sb[owner], s_inv[owner], s_ok[owner]
+        fa, fb = _qmul(*_qmul(sa, sb, ca, cb), s_inv[:, :3, :3], s_inv[:, :3, 3:])
+        ta, tb = _qmul(sa, sb, ta, tb)
+        products = _product_residuals(*_led_by_identities(fa, fb, counts, owner),
+                                      *_stack([As[k] for k in split])).tolist()
+        parts.append((fa, fb, ta, tb, b))
+    if direct:
+        parts.append((*_stack([As[k] for k, _, _ in direct]), *_stack([T for _, T, _ in direct]),
+                      np.array([B for *_, B in direct], dtype=float)))
+    if not parts:
+        return out
+    # one residual call for the rows of both kinds
+    fa, fb, ta, tb, B = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    residuals = _conjugation_residuals(ta, tb, B.astype(complex), np.zeros(B.shape, dtype=complex),
+                                       fa, fb)
+    residuals[:len(s_ok)][~s_ok] = np.inf
+    residuals = residuals.tolist()
 
     gate = _build_gate(tol)
-    first = [0, *itertools.accumulate(counts)]
-    for n, (k, fs) in enumerate(split):
-        rows = range(first[n], first[n + 1])
-        out[k] = _gated([QMatrix3(fa[i], fb[i]) for i in rows],
-                        [SimpleCertificate(QMatrix3(ta[i], tb[i]), b, residuals[i])
-                         for i, (_, _, b) in zip(rows, fs)], products[n], gate)
-    for i, (k, T, b) in enumerate(direct, start=len(canon)):
-        out[k] = _gated([As[k]], [SimpleCertificate(T, b, residuals[i])], 0.0, gate)
+    sizes = counts + [1] * len(direct)
+    for k, stop, size, product in zip(split + [k for k, _, _ in direct],
+                                      itertools.accumulate(sizes), sizes,
+                                      products + [0.0] * len(direct)):
+        r = slice(stop - size, stop)
+        out[k] = _gated(Decomposition(fa[r], fb[r], ta[r], tb[r], B[r], residuals[r], product),
+                        gate)
     return out
-
-
-def _conjugated(Ss, owner, canon):
-    """Stacks (F, F', T, T') of the factors S C S^-1 = F + F' j and their
-    conjugators S T = T + T' j, one row per canonical factor (C, T, B) and
-    S = Ss[owner[row]], and the mask of the rows whose S passes the singular
-    rule."""
-    if not canon:
-        empty = np.zeros((0, 3, 3), dtype=complex)
-        return empty, empty, empty, empty, np.ones(0, dtype=bool)
-    sa, sb = _stack(Ss)
-    s_inv, s_ok = _invert_adjoints(_adjoint(sa, sb))
-    sa, sb, s_inv = sa[owner], sb[owner], s_inv[owner]
-    fa, fb = _qmul(*_qmul(sa, sb, *_stack([c for c, _, _ in canon])),
-                   s_inv[:, :3, :3], s_inv[:, :3, 3:])
-    return (fa, fb, *_qmul(sa, sb, *_stack([t for _, t, _ in canon])), s_ok[owner])
-
-
-def _followed_by(a, b, ms):
-    """The stack of complex pairs (a, b), followed by the blocks of the QMatrix3 in ms."""
-    if not ms:
-        return a, b
-    ma, mb = _stack(ms)
-    return (np.concatenate([a, ma]), np.concatenate([b, mb])) if len(a) else (ma, mb)
 
 
 def _led_by_identities(fa, fb, counts, owner):
@@ -444,13 +460,13 @@ def _led_by_identities(fa, fb, counts, owner):
     return pa, pb
 
 
-def _gated(factors, certificates, product: float, gate: float):
-    """The Decomposition, or the CertificateError of its first residual not below
-    gate: certificates in factor order, then the product."""
+def _gated(dec: Decomposition, gate: float):
+    """dec, or the CertificateError of its first residual not below gate:
+    certificates in factor order, then the product."""
     try:
-        for cert in certificates:
-            check_certificate(cert.residual, "real-conjugate certificate", gate)
-        check_certificate(product, "factor product", gate)
+        for residual in dec.cert_residuals:
+            check_certificate(residual, "real-conjugate certificate", gate)
+        check_certificate(dec.residual, "factor product", gate)
     except CertificateError as exc:
         return exc
-    return Decomposition(factors, certificates, product)
+    return dec

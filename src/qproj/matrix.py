@@ -140,8 +140,10 @@ class QMatrix3:
 
     def __mul__(self, scalar) -> "QMatrix3":
         """Left multiplication by a central (real) scalar."""
+        # scaled as reals: a product by the complex s + 0j could flip a zero's sign
         s = float(scalar)
-        return QMatrix3(s * self.a, s * self.b)
+        return QMatrix3(*((np.ascontiguousarray(z).view(float) * s).view(complex)
+                          for z in (self.a, self.b)))
 
     __rmul__ = __mul__
 
@@ -175,7 +177,7 @@ class QMatrix3:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"matrix": _vec36(self).reshape(3, 3, 4).tolist()}
+        return _json_matrices(self.a[None], self.b[None])[0]
 
     @classmethod
     def from_json_dict(cls, data) -> "QMatrix3":
@@ -196,6 +198,12 @@ def _json_entries(data) -> np.ndarray:
     if entries.shape != (3, 3, 4) or entries.dtype.kind not in "iuf":
         raise ValueError("matrix must be 3x3 with [w, x, y, z] number entries")
     return entries
+
+
+def _json_matrices(a, b) -> list:
+    """The QMatrix3 JSON object of each member of (N, 3, 3) stacks of complex
+    pairs (a, b): its [w, x, y, z] entries row by row, from one tolist()."""
+    return [{"matrix": m} for m in np.stack([a.real, a.imag, b.real, b.imag], axis=-1).tolist()]
 
 
 def _vec36(m: QMatrix3):

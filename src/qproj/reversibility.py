@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotReversible, NotStronglyReversible, QprojError
-from .matrix import (QMatrix3, _adjoint, _build_gate, _invert_adjoints, _product_residuals, _qmul,
-                     _square_residuals, _stack, check_certificate, inverse, require_unimodular)
+from .matrix import (QMatrix3, _adjoint, _build_gate, _invert_adjoints, _json_matrices,
+                     _product_residuals, _qmul, _square_residuals, _stack, check_certificate,
+                     inverse, require_unimodular)
 from .quaternion import DEFAULT_TOL, ClassRep
 from .spectral import JordanData, _sylvester_op, _unvec36, jordan_form
 
@@ -48,18 +49,30 @@ class ReversibilityReport:
     residuals: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        # the reverser is the pair's second involution, so the pair adds s1 alone
-        s1 = self.psl_involution_pair[0] if self.psl_involution_pair else None
-        return {
-            "reversible_sl": self.reversible_sl,
-            "strongly_reversible_sl": self.strongly_reversible_sl,
-            "negative_reversible": self.negative_reversible,
-            "reversible_psl": self.reversible_psl,
-            "reverser": self.reverser.to_json_dict() if self.reverser else None,
-            "reverser_kind": self.reverser_kind,
-            "pair_s1": s1.to_json_dict() if s1 else None,
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-        }
+        return _reversibility_dicts([self])[0]
+
+
+def _reversibility_dicts(reports) -> list:
+    """to_json_dict of each ReversibilityReport in reports, a QprojError passed
+    through as it is; all their reversers g and pairs' s1 are encoded by one
+    _json_matrices call.  The reverser is the pair's second involution, so
+    the pair adds s1 alone."""
+    done = [r for r in reports if isinstance(r, ReversibilityReport)]
+    s1s = [r.psl_involution_pair[0] if r.psl_involution_pair else None for r in done]
+    # each report's g, then its s1
+    matrices = iter(_json_matrices(*_stack([m for r, s1 in zip(done, s1s)
+                                            for m in (r.reverser, s1) if m is not None])))
+    out = iter([{
+        "reversible_sl": r.reversible_sl,
+        "strongly_reversible_sl": r.strongly_reversible_sl,
+        "negative_reversible": r.negative_reversible,
+        "reversible_psl": r.reversible_psl,
+        "reverser": None if r.reverser is None else next(matrices),
+        "reverser_kind": r.reverser_kind,
+        "pair_s1": None if s1 is None else next(matrices),
+        "residuals": {k: float(v) for k, v in r.residuals.items()},
+    } for r, s1 in zip(done, s1s)])
+    return [next(out) if isinstance(r, ReversibilityReport) else r for r in reports]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qproj import QMatrix3, classification_report
+from qproj import QMatrix3, classification_report, decompose_simple, psl_report, realify
 from qproj import cli
 from qproj.cli import main
 from qproj.generate import (
@@ -16,6 +16,7 @@ from qproj.generate import (
     reversible_shape,
 )
 from oracles import conditioned_conjugator
+from test_decompose import after_stage_samples
 
 
 @pytest.fixture
@@ -719,3 +720,26 @@ def test_verify_replays_the_library_residuals_bitwise():
             stored.setdefault("real conjugate", []).extend(
                 c["residual"] for c in rep["certificates"])
     assert len(stored["reverser conjugation"]) >= 7 and stored == replayed
+
+
+def test_batch_reports_equal_the_library_objects_bitwise(runner):
+    # every route meets in one batch: split, simple non-real, real, J2 and J3;
+    # the batch's matrices are encoded by one stacked call per kind, the
+    # library's by the batch of one
+    mats = after_stage_samples()
+    text = json.dumps([m.to_json_dict() for m in mats])
+    for cmd, build in (("decompose", decompose_simple), ("reversibility", psl_report),
+                       ("simple-check", None)):
+        res = runner.invoke(main, [cmd, "-"], input=text)
+        assert res.exit_code == 0, res.output
+        reports = json.loads(res.stdout)
+        assert len(reports) == len(mats)
+        for m, rep in zip(mats, reports):
+            assert rep.pop("input") == m.to_json_dict() and rep.pop("tolerance") == 1e-9
+            rep.pop("kind")
+            if build is None:
+                want = realify(m).to_json_dict() if rep["simple"] else None
+                rep = rep["certificate"]
+            else:
+                want = build(m).to_json_dict()
+            assert json.dumps(rep, sort_keys=True) == json.dumps(want, sort_keys=True)

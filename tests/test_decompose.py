@@ -12,11 +12,14 @@ from qproj import (
     pair_rotation_split,
     realify,
 )
-from qproj.decompose import Decomposition, _decompositions_from_data
+from qproj.decompose import (Decomposition, _canonical_rows, _canonical_stacks,
+                             _decompositions_from_data)
 from qproj.errors import CertificateError, QprojError
 from qproj.generate import (conjugated, generate, negative_shape, nonreversible_shape,
                             nonstrong_shape, reversible_shape, strong_shape)
-from qproj.spectral import jordan_form
+from qproj.matrix import _norms, _qmul
+from qproj.quaternion import ClassRep
+from qproj.spectral import JordanData, jordan_form
 
 e = lambda t: np.exp(1j * t)
 
@@ -256,3 +259,62 @@ def test_real_route_certificate_is_measured_and_gated():
             build(a, 1e-4)
     # at the default tol the same input is realified through its Jordan data
     assert decompose_simple(a).certificates[0].residual < 1e-12
+
+
+def canonical(shape, blocks):
+    """JordanData of a canonical Jordan matrix: blocks of (complex λ, size), S = I."""
+    return JordanData(blocks=[(ClassRep(lam.real, lam.imag), size) for lam, size in blocks],
+                      S=QMatrix3.identity(), shape_id=shape, residual=0.0)
+
+
+# every route of the canonical factors; |λ| != 1 on J3 is the defensive branch
+ROUTES = {
+    "unit-diag": canonical("diag", [(e(0.7), 1), (e(1.6), 1), (e(2.5), 1)]),
+    "general-diag": canonical("diag", [(2.0 * e(0.9), 1), (0.7 * e(1.8), 1), (e(2.6) / 1.4, 1)]),
+    "unit-j2": canonical("j2", [(e(1.1), 2), (e(2.0), 1)]),
+    "general-j2": canonical("j2", [(1.8 * e(0.9), 2), (e(2.1) / 1.8**2, 1)]),
+    "unit-j3": canonical("j3", [(e(1.3), 3)]),
+    "general-j3": canonical("j3", [(1.5 * e(1.3), 3)]),
+}
+# boundary angles 0 and pi, where a factor of the unit-diagonal route is exactly
+# I, and an angle whose factor is within 1e-9 of I without being I
+BOUNDARY = {
+    "angle-0": canonical("diag", [(-1.0 + 0j, 1), (e(0.8), 1), (1.0 + 0j, 1)]),
+    "angle-pi": canonical("diag", [(-1.0 + 0j, 1), (e(np.pi / 2), 1), (e(np.pi / 2), 1)]),
+    "angle-4e-10": canonical("diag", [(-1.0 + 0j, 1), (e(0.8), 1), (e(4e-10), 1)]),
+}
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_canonical_rows_certify_and_multiply_to_the_jordan_matrix(name):
+    data = ROUTES[name]
+    ca, cb, ta, tb, B, keep = _canonical_stacks(_canonical_rows(data, 1e-9))
+    assert keep.all() and np.isrealobj(B)
+    # C = T B T^-1 as C T = T B, row by row
+    ct, tb_ = _qmul(ca, cb, ta, tb), _qmul(ta, tb, B.astype(complex), np.zeros_like(ca))
+    assert (_norms(ct[0] - tb_[0], ct[1] - tb_[1]) <= 1e-14).all()
+    product = QMatrix3.identity()
+    for a, b in zip(ca, cb):
+        product = product @ QMatrix3(a, b)
+    assert (product - data.jordan_matrix()).norm() < 1e-12
+
+
+@pytest.mark.parametrize("name", [*ROUTES, *BOUNDARY])
+def test_identity_filter_drops_the_rows_of_the_per_factor_rule(name):
+    data = {**ROUTES, **BOUNDARY}[name]
+    rows = _canonical_rows(data, 1e-9)
+    want = [not (QMatrix3(np.diag(d) + np.diag(u, 1), np.zeros((3, 3)))
+                 - QMatrix3.identity()).norm() <= 1e-9 for d, u, _, _ in rows]
+    keep = _canonical_stacks(rows)[-1]
+    assert keep.tolist() == want
+    assert (name in BOUNDARY) == (not all(want))
+
+
+@pytest.mark.parametrize("angles", [(0.7, 1.6, 2.5), (np.pi, 0.8, 0.0), (2.9, 0.3, 1.1)])
+def test_pair_rotation_split_matches_the_assembled_pair_diagonals(angles):
+    t, p, s = angles
+    data = canonical("diag", [(e(a), 1) for a in angles])
+    ca = _canonical_stacks(_canonical_rows(data, 1e-9))[0]
+    first, second = pair_rotation_split(t, p + s)
+    assert ca[0].diagonal().tobytes() == first.a.diagonal().tobytes()
+    assert ca[1].diagonal().tobytes() == second.a.diagonal().tobytes()

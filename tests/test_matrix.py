@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,8 @@ from qproj import (
 from qproj.generate import (conjugated, generate, negative_shape, random_conjugator,
                             reversible_shape)
 from qproj.matrix import (_conjugation_residuals, _dets_h, _invert_adjoint, _invert_adjoints,
-                          _square_residuals, _stack, conjugation_residual, require_unimodular,
-                          square_residual)
+                          _json_matrices, _square_residuals, _stack, _vec36, conjugation_residual,
+                          require_unimodular, square_residual)
 from qproj.spectral import jordan_form
 from oracles import adjoint_of, char_poly_from_diag, gauss_inverse
 
@@ -237,6 +239,36 @@ def test_serialization_keeps_signed_zeros_and_entry_layout(rng):
     assert np.array_equal(back.a.view(float), m.a.view(float))
     assert np.signbit(back.a.imag[0, 1]) and np.signbit(back.b[2, 2].real)
     assert np.signbit(back.b.imag[2, 2])
+
+
+def signed_zero_matrix(rng):
+    """A random matrix with a +0.0 and a -0.0 in every one of the four real parts."""
+    m = random_qmatrix(rng)
+    m.a[0, 0], m.a[1, 1] = complex(0.0, -0.0), complex(-0.0, 0.0)
+    m.b[0, 2], m.b[2, 0] = complex(-0.0, 2.5), complex(0.0, -0.0)
+    return m
+
+
+def test_real_scaling_keeps_signed_zeros(rng):
+    m = signed_zero_matrix(rng)
+    one = 1.0 * m
+    assert one.a.tobytes() == m.a.tobytes() and one.b.tobytes() == m.b.tobytes()
+    minus, neg = -1.0 * m, -m
+    assert minus.a.tobytes() == neg.a.tobytes() and minus.b.tobytes() == neg.b.tobytes()
+    assert np.signbit(minus.a.real[0, 0]) and not np.signbit(minus.a.real[1, 1])
+    half = m * 0.5
+    assert np.array_equal(half.a.view(float), m.a.view(float) * 0.5)
+    assert np.array_equal(np.signbit(half.b.view(float)), np.signbit(m.b.view(float)))
+
+
+def test_stacked_json_encoder_equals_per_matrix_encoding(rng):
+    mats = [signed_zero_matrix(rng) for _ in range(3)] + [QMatrix3.identity()]
+    stacked = _json_matrices(*_stack(mats))
+    want = [{"matrix": _vec36(m).reshape(3, 3, 4).tolist()} for m in mats]
+    assert json.dumps(stacked) == json.dumps(want)
+    assert [m.to_json_dict() for m in mats] == stacked
+    assert "-0.0" in json.dumps(stacked[0])
+    assert _json_matrices(*_stack([])) == []
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
