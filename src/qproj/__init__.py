@@ -16,14 +16,12 @@ from .classify import (
     classify_via_simple,
     discriminant_f,
     dynamical_type,
-    unit_modulus_iff_traces_equal,
 )
 from .decompose import (
     Decomposition,
     SimpleCertificate,
     decompose_simple,
     is_simple,
-    pair_rotation_split,
     realify,
 )
 from .errors import (
@@ -55,31 +53,21 @@ from .quaternion import (
     ClassRep,
     DEFAULT_TOL,
     Quaternion,
-    class_representative,
-    commutant_membership,
-    similar,
 )
 from .reversibility import (
     ReversibilityReport,
     involution_reverser,
-    is_negative_reversible,
     is_reversible_sl,
     is_strongly_reversible_sl,
-    negative_reverser,
     psl_report,
     random_reverser_solution,
     reverser,
-    reverser_equation_basis,
-    two_skew_involutions,
 )
 from .spectral import (
-    EigenClass,
     JordanData,
     eigenvector_lift,
-    is_diagonalizable,
     jordan_form,
     minimal_poly_structure,
-    right_eigenvalues,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +80,6 @@ __all__ = [
     "Decomposition",
     "DegenerateInput",
     "DynType",
-    "EigenClass",
     "IllConditioned",
     "JordanData",
     "LiftFailure",
@@ -113,11 +100,9 @@ __all__ = [
     "SpectralFailure",
     "TracePair",
     "char_poly_h",
-    "class_representative",
     "classification_report",
     "classify_sl3r",
     "classify_via_simple",
-    "commutant_membership",
     "decompose_simple",
     "det_h",
     "discriminant_f",
@@ -125,24 +110,16 @@ __all__ = [
     "eigenvector_lift",
     "inverse",
     "involution_reverser",
-    "is_diagonalizable",
-    "is_negative_reversible",
     "is_reversible_sl",
     "is_simple",
     "is_strongly_reversible_sl",
     "jordan_form",
     "minimal_poly_structure",
-    "negative_reverser",
     "normalize_to_sl",
-    "pair_rotation_split",
     "psl_report",
     "random_reverser_solution",
     "realify",
     "require_unimodular",
     "reverser",
-    "reverser_equation_basis",
-    "right_eigenvalues",
     "self_dual_check",
-    "similar",
-    "two_skew_involutions",
 ]

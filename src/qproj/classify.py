@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import _is_simple_data, _real_conjugate
-from .errors import NotReal, NotSimple, NotUnimodular
+from .errors import NotReal, NotSimple, NotUnimodular, QprojError
 from .matrix import QMatrix3, is_unimodular, require_unimodular, unimodular_gate
 from .quaternion import DEFAULT_TOL
-from .spectral import JordanData, _minimal_poly_from_data, jordan_form, minimal_poly_structure
+from .spectral import _jordan_dicts, _minimal_poly_from_data, jordan_form, minimal_poly_structure
 
 
 class Major(str, enum.Enum):
@@ -211,23 +211,6 @@ def classify_sl3r(a, tol: float = DEFAULT_TOL) -> DynType:
     return DynType.of(Minor.ELLIPTIC_REFLECTION if d == 1 else Minor.ELLIPTO_PARABOLIC)
 
 
-def unit_modulus_iff_traces_equal(a, tol: float = DEFAULT_TOL):
-    """Return (x, y, all_unit) for a real unimodular matrix.
-
-    all_unit is computed from the actual cubic roots.  The trace criterion
-    all_unit <=> x == y holds on the eigenvalue pattern r^-2, r e^{i t},
-    r e^{-i t}; with three distinct real eigenvalues x = y can hold with
-    non-unit moduli (e.g. diag(2, 1/2, 1)), so that direction is only
-    asserted on pattern-valid inputs.
-    """
-    arr = _as_real_sl3(a, tol)
-    pair = TracePair.from_real_matrix(arr)
-    roots = np.roots([1.0, -pair.x, pair.y, -1.0])
-    utol = 1e3 * max(tol, 1e-12)
-    all_unit = bool(np.all(np.abs(np.abs(roots) - 1.0) <= utol))
-    return pair.x, pair.y, all_unit
-
-
 # A real matrix carries non-real eigenvalues only as conjugate pairs, and a
 # pair collapses to ONE quaternionic class of multiplicity two, so the
 # "all eigenvalues distinct" real verdicts lift to their repeated-class
@@ -276,24 +259,27 @@ def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
 def classification_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> dict:
     """JSON-ready classification report for the CLI."""
     require_unimodular(A, tol)
-    return _classification_from_data(A, jordan_form(A, tol), tol)
-
-
-def _classification_from_data(A: QMatrix3, data: JordanData, tol: float) -> dict:
-    verdict = _classify_from_jordan(data, tol)
-    report = {
-        **verdict.to_json_dict(),
-        "f": None,
-        "x": None,
-        "y": None,
-        "d": _minimal_poly_from_data(data, tol)[1],
-        "jordan": data.to_json_dict(),
-    }
-    if _is_simple_data(data, tol):
-        b = _real_conjugate(A, data, tol)[1]
-        b = b if np.linalg.det(b) > 0 else -b
-        pair = TracePair.from_real_matrix(b)
-        report["x"] = pair.x
-        report["y"] = pair.y
-        report["f"] = discriminant_f(pair.x, pair.y)
+    (report,) = _classifications_from_data([A], [jordan_form(A, tol)], tol)
+    if isinstance(report, QprojError):
+        raise report
     return report
+
+
+def _classifications_from_data(As, datas, tol: float) -> list:
+    """The classification report of each A in As given its Jordan data, or the
+    QprojError it raises; the Jordan data of the whole batch is encoded by one
+    _jordan_dicts call."""
+    out = []
+    for A, data, jordan in zip(As, datas, _jordan_dicts(datas)):
+        report = {**_classify_from_jordan(data, tol).to_json_dict(), "f": None, "x": None,
+                  "y": None, "d": _minimal_poly_from_data(data, tol)[1], "jordan": jordan}
+        if _is_simple_data(data, tol):
+            try:
+                b = _real_conjugate(A, data, tol)[1]
+            except NotSimple as exc:
+                out.append(exc)
+                continue
+            pair = TracePair.from_real_matrix(b if np.linalg.det(b) > 0 else -b)
+            report.update(x=pair.x, y=pair.y, f=discriminant_f(pair.x, pair.y))
+        out.append(report)
+    return out

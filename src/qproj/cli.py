@@ -10,9 +10,11 @@ Output contract: every JSON document the CLI prints is one line,
 floats as Python's shortest round-trip repr), so stdout equals
 `json.dumps(json.loads(stdout), sort_keys=True) + "\n"`.  `_emit` is the only
 place that decides this.  The matrices of a batch's reports are encoded per
-kind by one `matrix._json_matrices` call: the inputs, the factors and
-conjugators of `decompose`, the witnesses of `reversibility`.  `--text` prints one human-readable line per report
-instead; `python -m json.tool` pretty-prints a JSON report.
+kind by one `matrix._json_matrices` call: the inputs, the Jordan similarities
+S of `classify`, the factors and conjugators of `decompose` and
+`simple-check`, the witnesses of `reversibility`.  `--text` prints one
+human-readable line per report instead; `python -m json.tool` pretty-prints a
+JSON report.
 
 `qproj verify` judges every certificate by replay_gate of its own `--tol`.
 A report's `tolerance` only replays the verdicts made at it (the dynamical
@@ -36,7 +38,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .classify import _classification_from_data, _classify_from_jordan
+from .classify import _classifications_from_data, _classify_from_jordan
 from .decompose import (_decomposition_dicts, _decompositions_from_data, _is_simple_data,
                         _led_by_identities)
 from .errors import CertificateError, QprojError
@@ -202,22 +204,6 @@ def _run_command(path, tol, as_json, worker, text_fn):
     _emit(reports, was_batch, as_json, text_fn)
 
 
-def _each(report):
-    """A batch worker running report(a, jordan_data, tol) per input, up to the first error."""
-
-    def worker(inputs, datas, tol):
-        results = []
-        for a, data in zip(inputs, datas):
-            try:
-                results.append(report(a, data, tol))
-            except QprojError as exc:
-                results.append(exc)
-                break
-        return results
-
-    return worker
-
-
 def _wrap_errors(fn):
     try:
         fn()
@@ -252,11 +238,9 @@ def main():
 def classify_cmd(tol, as_json, path):
     """Dynamical-type classification report."""
 
-    @_each
-    def worker(a, data, tol):
-        rep = _classification_from_data(a, data, tol)
-        rep["kind"] = "classification"
-        return rep
+    def worker(inputs, datas, tol):
+        return [rep if isinstance(rep, QprojError) else {**rep, "kind": "classification"}
+                for rep in _classifications_from_data(inputs, datas, tol)]
 
     def text(rep):
         extras = ""
@@ -337,7 +321,7 @@ def simple_check_cmd(tol, as_json, path):
 @main.command("gen")
 @click.option("--type", "type_name", required=True,
               type=click.Choice(sorted(DYNAMICAL_TYPES)), help="Canonical type to sample.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_json_flag
 def gen_cmd(type_name, seed, as_json):
     """Emit a random conjugate of a canonical type with its ground-truth label."""

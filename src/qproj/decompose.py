@@ -228,17 +228,6 @@ def _split_phases(theta: float, phi: float):
     return cmath.exp(1j * mu), cmath.exp(1j * nu), cmath.exp(-1j * nu)
 
 
-def pair_rotation_split(theta: float, phi: float):
-    """Split diag(e^{i theta}, e^{i phi}, 1) into two simple diagonal factors.
-
-    Returns (diag(e^{i mu}, e^{i mu}, 1), diag(e^{i nu}, e^{-i nu}, 1)) with
-    mu = (theta + phi)/2 and nu = (theta - phi)/2; the product multiplies back
-    exactly and each factor has one eigenvalue class of multiplicity two.
-    """
-    e_mu, e_nu, e_minus_nu = _split_phases(theta, phi)
-    return QMatrix3.diag(e_mu, e_mu, 1.0), QMatrix3.diag(e_nu, e_minus_nu, 1.0)
-
-
 # A canonical factor C = T B T^-1 is laid out as one row (d, u, T, B): C has
 # diagonal d and superdiagonal u, T is an index into the conjugator stacks or
 # a complex 3x3 list, and B is given by its nine entries row by row.

@@ -1,4 +1,4 @@
-"""Hamilton quaternion scalars, similarity classes and commutation predicates.
+"""Hamilton quaternion scalars and their similarity classes.
 
 A quaternion is stored as four floats over the basis (1, i, j, k) with
 i^2 = j^2 = k^2 = ijk = -1.  Internally much of the package works with the
@@ -169,34 +169,3 @@ class ClassRep(NamedTuple):
         ninv = -1.0 / self.as_complex()
         return ClassRep(ninv.real, abs(ninv.imag))
 
-
-def class_representative(q: Quaternion) -> ClassRep:
-    """Similarity-class representative of q: (w, |imaginary part|)."""
-    q = Quaternion.from_scalar(q)
-    return ClassRep(q.w, math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z))
-
-
-def similar(q: Quaternion, p: Quaternion, tol: float = DEFAULT_TOL) -> bool:
-    """True iff q and p lie in the same similarity class, within tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return class_representative(q).isclose(class_representative(p), tol)
-
-
-def commutant_membership(a: Quaternion, theta: float, mode: str, tol: float = DEFAULT_TOL) -> bool:
-    """Test a member of the (twisted) commutant of e^{i*theta}.
-
-    mode "flip" tests a * e^{i theta} == e^{-i theta} * a, which for
-    theta not in {0, pi} holds exactly for a in C*j; mode "same" tests
-    a * e^{i theta} == e^{i theta} * a, which holds exactly for a in C.
-    For theta in {0, pi} both hold for every quaternion.  The test is done
-    on the equation itself rather than on the structural description.
-    """
-    if mode not in ("same", "flip"):
-        raise ValueError(f"mode must be 'same' or 'flip', got {mode!r}")
-    a = Quaternion.from_scalar(a)
-    e = Quaternion(math.cos(theta), math.sin(theta))
-    left = a * e
-    right = (e.conj() if mode == "flip" else e) * a
-    scale = max(1.0, a.norm())
-    return (left - right).norm() <= tol * scale

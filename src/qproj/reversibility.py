@@ -14,11 +14,12 @@ All decisions route through Jordan data; no search for a reverser is ever
 performed.
 
 The witnesses follow jordan_form per batch (_psls_from_data): the CLI passes
-a whole batch, psl_report and the witness functions a batch of one.  The
-matchers run per member; every g, its pair and their residuals come from
-stacked complex-pair arithmetic, with one stacked inverse for the S of the
-batch.  No certificate inverts A: g A g^-1 = t A^-1 is checked as
-A g A = t g, which is the same relation once g^2 = +-I is certified.
+a whole batch, psl_report a batch of one, and reverser and
+involution_reverser pass one member to _witnesses.  The matchers run per
+member; every g, its pair and their residuals come from stacked complex-pair
+arithmetic, with one stacked inverse for the S of the batch.  No certificate
+inverts A: g A g^-1 = t A^-1 is checked as A g A = t g, which is the same
+relation once g^2 = +-I is certified.
 """
 
 from __future__ import annotations
@@ -252,19 +253,18 @@ def _witnesses(As, datas, matches, relations, tol: float, pair: bool) -> list:
     return out
 
 
-def _witnessed(A: QMatrix3, tol: float, matcher, relation, missing: QprojError,
-               pair: bool = False):
-    """(g, s1) of the witness of A that matcher finds, checked as by _witnesses;
-    raises missing when it finds none."""
+def _witnessed(A: QMatrix3, tol: float, matcher, relation, missing: QprojError) -> QMatrix3:
+    """The witness g of A that matcher finds, checked as by _witnesses; raises
+    missing when it finds none."""
     require_unimodular(A, tol)
     data = jordan_form(A, tol)
     match = matcher(data, tol)
     if match is None:
         raise missing
-    (result,) = _witnesses([A], [data], [match], [relation], tol, pair)
+    (result,) = _witnesses([A], [data], [match], [relation], tol, pair=False)
     if isinstance(result, QprojError):
         raise result
-    return result[0]
+    return result[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +281,7 @@ def is_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
 
 def reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     """A skew-involution g with g A g^-1 = A^-1, certificate-checked."""
-    return _witnessed(A, tol, _match_skew_involution, _SKEW, NotReversible(_NOT_REVERSIBLE))[0]
-
-
-def two_skew_involutions(A: QMatrix3, tol: float = DEFAULT_TOL):
-    """(s1, s2) with s1^2 = s2^2 = -I and s1 s2 = A."""
-    s2, s1 = _witnessed(A, tol, _match_skew_involution, _SKEW, NotReversible(_NOT_REVERSIBLE),
-                        pair=True)
-    return s1, s2
+    return _witnessed(A, tol, _match_skew_involution, _SKEW, NotReversible(_NOT_REVERSIBLE))
 
 
 def is_strongly_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
@@ -300,34 +293,17 @@ def is_strongly_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
 def involution_reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     """An involution g with g A g^-1 = A^-1, certificate-checked."""
     return _witnessed(A, tol, _match_involution, _INVOLUTION, NotStronglyReversible(
-        "no involution reverses this conjugacy class (interior angle present)"))[0]
-
-
-def is_negative_reversible(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
-    """True iff g A g^-1 = -A^-1 has a solution in SL(3,H)."""
-    require_unimodular(A, tol)
-    return _match_negative_involution(jordan_form(A, tol), tol) is not None
-
-
-def negative_reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
-    """An involution g with g A g^-1 = -A^-1, certificate-checked."""
-    return _witnessed(A, tol, _match_negative_involution, _NEGATIVE, NotReversible(
-        "Jordan blocks do not pair into a negative-reversible shape"))[0]
-
-
-def reverser_equation_basis(A: QMatrix3, tol: float = DEFAULT_TOL):
-    """Orthonormal basis of the real solution space of g A = A^-1 g.
-
-    The equation is real-linear in the 36 real coordinates of g; the basis is
-    returned as a list of QMatrix3.  This is the obstruction-test companion to
-    the shape classifiers: for the non-strongly-reversible shapes no solution
-    is an involution, which tests sample from this space.
-    """
-    return [_unvec36(row) for row in _reverser_null_rows(A, tol)]
+        "no involution reverses this conjugacy class (interior angle present)"))
 
 
 def _reverser_null_rows(A: QMatrix3, tol: float) -> np.ndarray:
-    """The basis of reverser_equation_basis as rows of _vec36 coordinates."""
+    """An orthonormal basis of the real solution space of g A = A^-1 g, as rows
+    of _vec36 coordinates.
+
+    The equation is real-linear in the 36 real coordinates of g.  For the
+    non-strongly-reversible shapes no solution is an involution;
+    random_reverser_solution samples this space.
+    """
     # X -> (-A^-1) X - X (-A) = X A - A^-1 X
     _, s, vh = np.linalg.svd(_sylvester_op(-inverse(A), -A))
     return vh[s < max(1e-8 * s[0], 1e3 * tol)]
@@ -352,12 +328,7 @@ def psl_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> ReversibilityReport:
     relation), and both project to involutions in PSL(3,H).
     """
     require_unimodular(A, tol)
-    return _psl_from_data(A, jordan_form(A, tol), tol)
-
-
-def _psl_from_data(A: QMatrix3, data: JordanData, tol: float) -> ReversibilityReport:
-    """psl_report(A) given its Jordan data: a batch of one."""
-    (report,) = _psls_from_data([A], [data], tol)
+    (report,) = _psls_from_data([A], [jordan_form(A, tol)], tol)
     if isinstance(report, QprojError):
         raise report
     return report

@@ -39,8 +39,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditioned, LiftFailure, SpectralFailure
-from .matrix import (QMatrix3, _adjoint, _blocks36, _invert_adjoint, _invert_adjoints, _qmul,
-                     _unvec36, _vec36, conjugation_residual, inverse)
+from .matrix import (QMatrix3, _adjoint, _blocks36, _invert_adjoint, _invert_adjoints,
+                     _json_matrices, _qmul, _stack, _unvec36, _vec36, conjugation_residual,
+                     inverse)
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 
 # Accept a candidate immediately when its relative residual is this good;
@@ -51,15 +52,6 @@ _POLISH_ITERATIONS = 16
 # Largest eigenvalue-gap (relative to spectral scale) that clustering may bridge.
 _MERGE_CAP = 3e-2
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class EigenClass:
-    """One quaternionic eigenvalue class with its multiplicities."""
-
-    rep: ClassRep
-    alg_mult: int
-    geo_mult: int
 
 
 @dataclass
@@ -78,20 +70,19 @@ class JordanData:
             grouped.setdefault(rep, []).append(size)
         return list(grouped.items())
 
-    def classes(self) -> list[EigenClass]:
-        return [EigenClass(rep, sum(sizes), len(sizes)) for rep, sizes in self.class_sizes()]
-
     def jordan_matrix(self) -> QMatrix3:
         return _assemble_jordan(self.blocks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "blocks": [
-                {"re": rep.re, "im": rep.im, "size": size} for rep, size in self.blocks
-            ],
-            "S": self.S.to_json_dict(),
-            "shape": self.shape_id,
-        }
+        return _jordan_dicts([self])[0]
+
+
+def _jordan_dicts(datas) -> list:
+    """to_json_dict of each JordanData in datas; all their S are encoded by one
+    _json_matrices call."""
+    return [{"blocks": [{"re": rep.re, "im": rep.im, "size": size} for rep, size in data.blocks],
+             "S": S, "shape": data.shape_id}
+            for data, S in zip(datas, _json_matrices(*_stack([data.S for data in datas])))]
 
 
 def _block_sort_key(block):
@@ -730,12 +721,6 @@ def _merged_classes(A: QMatrix3, data: JordanData, base: float) -> JordanData:
     return merged
 
 
-def right_eigenvalues(A: QMatrix3, tol: float = DEFAULT_TOL) -> list[EigenClass]:
-    """Eigenvalue classes of A as (representative, alg mult, geo mult)."""
-    data = jordan_form(A, tol)
-    return data.classes()
-
-
 def eigenvector_lift(u, v, lam, A: QMatrix3 | None = None, tol: float = DEFAULT_TOL):
     """Lift an adjoint eigenvector (u; v) of eigenvalue lam to x with A x = x lam.
 
@@ -757,11 +742,6 @@ def eigenvector_lift(u, v, lam, A: QMatrix3 | None = None, tol: float = DEFAULT_
                 f"lifted vector residual {_pair_norm(ru, rw) / denom:.3e} exceeds tolerance"
             )
     return [Quaternion.from_complex_pair(p[k], w[k]) for k in range(3)]
-
-
-def is_diagonalizable(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every Jordan block has size 1."""
-    return all(size == 1 for _, size in jordan_form(A, tol).blocks)
 
 
 def minimal_poly_structure(A: QMatrix3, tol: float = DEFAULT_TOL):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qproj import (
+    Major,
     Minor,
     NotReal,
     NotSimple,
@@ -13,7 +14,6 @@ from qproj import (
     classify_via_simple,
     discriminant_f,
     dynamical_type,
-    unit_modulus_iff_traces_equal,
 )
 from qproj.generate import REAL_TYPES, conjugated, generate, generate_real
 from oracles import classify_real_by_roots, cubic_discriminant_from_roots
@@ -140,22 +140,24 @@ def test_classify_sl3r_agrees_with_quaternionic_embedding(rng):
 
 
 def test_unit_modulus_trace_test_examples():
-    x, y, unit = unit_modulus_iff_traces_equal(rot3(np.pi / 3))
-    assert (x, y, unit) == (pytest.approx(2.0), pytest.approx(2.0), True)
-    # excluded pattern: three distinct real eigenvalues can have x = y without
-    # unit moduli
-    x, y, unit = unit_modulus_iff_traces_equal(np.diag([2.0, 0.5, 1.0]))
-    assert (x, y, unit) == (pytest.approx(3.5), pytest.approx(3.5), False)
-    x, y, unit = unit_modulus_iff_traces_equal(np.diag([-1.0, -1.0, 1.0]))
-    assert (x, y, unit) == (pytest.approx(-1.0), pytest.approx(-1.0), True)
+    # the trace pair (x, y), and whether classify_sl3r finds every modulus 1
+    # (a major type other than loxodromic)
+    for a, x, unit in ((rot3(np.pi / 3), 2.0, True),
+                       # excluded pattern: three distinct real eigenvalues can
+                       # have x = y without unit moduli
+                       (np.diag([2.0, 0.5, 1.0]), 3.5, False),
+                       (np.diag([-1.0, -1.0, 1.0]), -1.0, True)):
+        pair = TracePair.from_real_matrix(a)
+        assert (pair.x, pair.y) == (pytest.approx(x), pytest.approx(x))
+        assert (classify_sl3r(a).major is not Major.LOXODROMIC) is unit
 
 
 def test_unit_modulus_trace_test_on_pattern(rng):
-    # on the pattern r^-2, r e^{i t}, r e^{-i t} the biconditional is exact
-    for _ in range(300):
-        r = np.exp(rng.uniform(-1.0, 1.0))
+    # on the pattern r^-2, r e^{i t}, r e^{-i t} the moduli are all 1 exactly
+    # when x = y, which classify_sl3r reads as regular elliptic, not screw
+    for k in range(300):
+        r = 1.0 if k % 3 == 0 else np.exp(rng.uniform(-1.0, 1.0))
         t = rng.uniform(0.15, np.pi - 0.15)
-        a = rot3(0.0)  # placeholder shape
         a = np.zeros((3, 3))
         a[:2, :2] = r * np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
         a[2, 2] = 1.0 / (r * r)
@@ -164,8 +166,10 @@ def test_unit_modulus_trace_test_on_pattern(rng):
             continue
         g /= np.cbrt(np.linalg.det(g))
         a = g @ a @ np.linalg.inv(g)
-        x, y, unit = unit_modulus_iff_traces_equal(a)
-        assert unit == (abs(x - y) < 1e-6), (r, t, x, y, unit)
+        pair = TracePair.from_real_matrix(a)
+        assert (abs(pair.x - pair.y) < 1e-6) == (r == 1.0), (r, t, pair)
+        assert classify_sl3r(a).minor is (
+            Minor.REGULAR_ELLIPTIC if r == 1.0 else Minor.SCREW_LOXODROMIC), (r, t, pair)
 
 
 def test_trace_pair_invariant(rng):

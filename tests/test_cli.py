@@ -1,11 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qproj import QMatrix3, classification_report, decompose_simple, psl_report, realify
-from qproj import cli
+from qproj import cli, matrix
 from qproj.cli import main
 from qproj.generate import (
     DYNAMICAL_TYPES,
@@ -64,6 +65,13 @@ def test_gen_classify_roundtrip(runner, tmp_path):
         assert res.exit_code == 0, res.output
         rep = json.loads(res.output)
         assert rep["minor"] == gen_payload["type"]
+
+
+def test_gen_negative_seed_is_usage_error(runner):
+    res = runner.invoke(main, ["gen", "--type", "identity", "--seed", "-1"])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Invalid value for '--seed'" in res.stderr
 
 
 def test_gen_deterministic(runner):
@@ -728,7 +736,9 @@ def test_batch_reports_equal_the_library_objects_bitwise(runner):
     # library's by the batch of one
     mats = after_stage_samples()
     text = json.dumps([m.to_json_dict() for m in mats])
-    for cmd, build in (("decompose", decompose_simple), ("reversibility", psl_report),
+    for cmd, build in (("classify", classification_report),
+                       ("decompose", lambda m: decompose_simple(m).to_json_dict()),
+                       ("reversibility", lambda m: psl_report(m).to_json_dict()),
                        ("simple-check", None)):
         res = runner.invoke(main, [cmd, "-"], input=text)
         assert res.exit_code == 0, res.output
@@ -741,5 +751,27 @@ def test_batch_reports_equal_the_library_objects_bitwise(runner):
                 want = realify(m).to_json_dict() if rep["simple"] else None
                 rep = rep["certificate"]
             else:
-                want = build(m).to_json_dict()
+                want = build(m)
             assert json.dumps(rep, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose"])
+def test_one_encoder_call_per_kind_in_a_batch(runner, monkeypatch, cmd):
+    # a batch encodes the matrices of its reports (S, witnesses, or factors
+    # with their conjugators) in one call and its inputs in one more
+    batch = [generate("regular-elliptic", seed=seed).matrix for seed in range(12)]
+    text = json.dumps([m.to_json_dict() for m in batch])
+    calls = []
+    original = matrix._json_matrices
+
+    def counted(a, b):
+        calls.append(len(a))
+        return original(a, b)
+
+    for module in [m for name, m in sys.modules.items()
+                   if m is not None and (name == "qproj" or name.startswith("qproj."))]:
+        if getattr(module, "_json_matrices", None) is original:
+            monkeypatch.setattr(module, "_json_matrices", counted)
+    res = runner.invoke(main, [cmd, "-"], input=text)
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 2

@@ -9,11 +9,10 @@ from qproj import (
     det_h,
     inverse,
     is_simple,
-    pair_rotation_split,
     realify,
 )
 from qproj.decompose import (Decomposition, _canonical_rows, _canonical_stacks,
-                             _decompositions_from_data)
+                             _decompositions_from_data, _split_phases)
 from qproj.errors import CertificateError, QprojError
 from qproj.generate import (conjugated, generate, negative_shape, nonreversible_shape,
                             nonstrong_shape, reversible_shape, strong_shape)
@@ -96,10 +95,19 @@ def test_realify_random(rng):
             assert float(np.max(np.abs(QMatrix3.from_real(cert.B).b))) == 0.0
 
 
+def pair_rotation_split(theta, phi):
+    """The factors of the unit-diagonal route of diag(e^{i theta}, e^{i phi}, 1)
+    with the identities dropped: the half-angle split diag(e^{i mu}, e^{i mu}, 1),
+    diag(e^{i nu}, e^{-i nu}, 1), mu = (theta + phi)/2, nu = (theta - phi)/2.
+    The route's third factor, diag(1, e^{-i s}, e^{i s}) at s = 0, is I."""
+    data = canonical("diag", [(e(theta), 1), (e(phi), 1), (1.0 + 0j, 1)])
+    ca, cb, *_ = _canonical_stacks(_canonical_rows(data, 1e-9))
+    return [QMatrix3(a, b) for a, b in zip(ca, cb)]
+
+
 def test_pair_rotation_split_examples():
-    f1, f2 = pair_rotation_split(np.pi / 2, np.pi / 2)
+    (f1,) = pair_rotation_split(np.pi / 2, np.pi / 2)  # nu = 0: the second factor is I
     assert f1.isclose(QMatrix3.diag(1j, 1j, 1))
-    assert f2.isclose(QMatrix3.identity())
 
     f1, f2 = pair_rotation_split(np.pi / 2, 0.0)
     assert f1.isclose(QMatrix3.diag(e(np.pi / 4), e(np.pi / 4), 1))
@@ -107,16 +115,15 @@ def test_pair_rotation_split_examples():
     assert is_simple(f1)
     assert is_simple(f2)
 
-    f1, f2 = pair_rotation_split(0.0, 0.0)
-    assert f1.isclose(QMatrix3.identity())
-    assert f2.isclose(QMatrix3.identity())
+    assert pair_rotation_split(0.0, 0.0) == []
 
 
 def test_pair_rotation_split_identity(rng):
     for _ in range(100):
         t, p = rng.uniform(0, np.pi, size=2)
-        f1, f2 = pair_rotation_split(t, p)
-        prod = f1 @ f2
+        prod = QMatrix3.identity()
+        for f in pair_rotation_split(t, p):
+            prod = prod @ f
         assert (prod - QMatrix3.diag(e(t), e(p), 1)).norm() < 1e-12
 
 
@@ -315,6 +322,6 @@ def test_pair_rotation_split_matches_the_assembled_pair_diagonals(angles):
     t, p, s = angles
     data = canonical("diag", [(e(a), 1) for a in angles])
     ca = _canonical_stacks(_canonical_rows(data, 1e-9))[0]
-    first, second = pair_rotation_split(t, p + s)
-    assert ca[0].diagonal().tobytes() == first.a.diagonal().tobytes()
-    assert ca[1].diagonal().tobytes() == second.a.diagonal().tobytes()
+    e_mu, e_nu, e_minus_nu = _split_phases(t, p + s)
+    assert ca[0].diagonal().tobytes() == np.array([e_mu, e_mu, 1.0]).tobytes()
+    assert ca[1].diagonal().tobytes() == np.array([e_nu, e_minus_nu, 1.0]).tobytes()

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproj import (
-    ClassRep,
-    DegenerateInput,
-    Quaternion,
-    class_representative,
-    commutant_membership,
-    similar,
-)
+from qproj import DegenerateInput, Quaternion
 from oracles import quaternion_left_mult_matrix, solve_right_inverse
 
 ONE = Quaternion(1)
@@ -86,69 +79,6 @@ def test_inverse_roundtrip(rng):
             continue
         assert (q.inverse() * q).isclose(1, tol=1e-10)
         assert (q * q.inverse()).isclose(1, tol=1e-10)
-
-
-def test_class_representative_examples():
-    assert class_representative(J) == ClassRep(0.0, 1.0)
-    assert class_representative(Quaternion(3, 0, 4, 0)) == ClassRep(3.0, 4.0)
-    # sign of the imaginary part is folded to non-negative
-    assert class_representative(Quaternion(1, -1, 0, 0)) == ClassRep(1.0, 1.0)
-
-
-def test_similar_examples():
-    assert similar(J, K)
-    theta = math.pi / 3
-    assert similar(
-        Quaternion(math.cos(theta), math.sin(theta)),
-        Quaternion(math.cos(theta), -math.sin(theta)),
-    )
-    assert not similar(Quaternion(0, 2), Quaternion(0, 1))
-
-
-def test_unit_class_representative_modulus(rng):
-    for _ in range(10_000):
-        v = rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        rep = class_representative(Quaternion(*v))
-        assert abs(rep.modulus() - 1.0) < 1e-12
-
-
-def test_class_representative_conjugation_invariant(rng):
-    for _ in range(2000):
-        q = Quaternion(*rng.standard_normal(4))
-        p = Quaternion(*rng.standard_normal(4))
-        if p.norm() < 1e-6:
-            continue
-        conj = p * q * p.inverse()
-        r1, r2 = class_representative(q), class_representative(conj)
-        scale = max(1.0, r1.modulus())
-        assert abs(r1.re - r2.re) <= 1e-9 * scale
-        assert abs(r1.im - r2.im) <= 1e-9 * scale
-
-
-def test_commutant_membership_examples():
-    theta = math.pi / 4
-    assert commutant_membership(Quaternion(0, 0, 2, -1), theta, "flip")
-    assert commutant_membership(Quaternion(1, 1), theta, "same")
-    assert not commutant_membership(J, theta, "same")
-    # boundary angles commute with everything
-    for q in (I, J, K, Quaternion(1, 2, 3, 4)):
-        assert commutant_membership(q, 0.0, "same")
-        assert commutant_membership(q, math.pi, "flip")
-
-
-def test_commutant_structure_random(rng):
-    # flip-commutant at interior angles is exactly C*j; same-commutant exactly C
-    for _ in range(300):
-        theta = rng.uniform(0.1, math.pi - 0.1)
-        u, v = rng.standard_normal(2)
-        assert commutant_membership(Quaternion(0, 0, u, v), theta, "flip")
-        assert commutant_membership(Quaternion(u, v, 0, 0), theta, "same")
-        q = Quaternion(*rng.standard_normal(4))
-        in_cj = math.hypot(q.w, q.x) <= 1e-12
-        assert commutant_membership(q, theta, "flip") == in_cj
-        in_c = math.hypot(q.y, q.z) <= 1e-12
-        assert commutant_membership(q, theta, "same") == in_c
 
 
 def test_twisted_intertwiner_forces_zero(rng):

@@ -12,16 +12,12 @@ from qproj import (
     decompose_simple,
     inverse,
     involution_reverser,
-    is_negative_reversible,
     is_reversible_sl,
     is_strongly_reversible_sl,
-    negative_reverser,
     psl_report,
     random_reverser_solution,
     reverser,
-    reverser_equation_basis,
     self_dual_check,
-    two_skew_involutions,
 )
 from qproj.generate import (
     DYNAMICAL_TYPES,
@@ -35,8 +31,8 @@ from qproj.generate import (
 )
 from qproj import decompose, reversibility
 from qproj.matrix import conjugation_residual, replay_gate, square_residual
-from qproj.reversibility import _psls_from_data
-from qproj.spectral import _vec36, jordan_form
+from qproj.reversibility import _match_negative_involution, _psls_from_data, _reverser_null_rows
+from qproj.spectral import _unvec36, jordan_form
 from oracles import conditioned_conjugator, psl_report_per_member
 
 J = Quaternion(0, 0, 1)
@@ -88,14 +84,15 @@ def test_reverser_rejects_nonreversible():
 
 
 def test_two_skew_involutions(rng):
-    s1, s2 = two_skew_involutions(I3)
+    # the pair (s1, g) of a reverser g that is a skew-involution
+    s1, s2 = psl_report(I3).psl_involution_pair
     assert (s1 @ s1 + I3).norm() < 1e-12
     assert (s2 @ s2 + I3).norm() < 1e-12
     assert (s1 @ s2).isclose(I3)
 
     for kind in ("i", "ii", "iii", "iv"):
         a, _ = conjugated(reversible_shape(kind, rng), rng)
-        s1, s2 = two_skew_involutions(a)
+        s1, s2 = psl_report(a).psl_involution_pair
         assert (s1 @ s1 + I3).norm() < 1e-8
         assert (s2 @ s2 + I3).norm() < 1e-8
         assert ((s1 @ s2) - a).norm() / a.norm() < 1e-8
@@ -147,17 +144,18 @@ def test_nonstrong_shapes_rejected(rng):
 
 
 def test_negative_reversible_examples():
-    assert is_negative_reversible(QMatrix3.diag(e(np.pi / 3), e(2 * np.pi / 3), 1j))
-    assert is_negative_reversible(j3(1j))
-    g = negative_reverser(j3(1j))
+    assert psl_report(QMatrix3.diag(e(np.pi / 3), e(2 * np.pi / 3), 1j)).negative_reversible
+    assert psl_report(j3(1j)).negative_reversible
+    # the closed form g0 with g0 J g0^-1 = -J^-1 of the canonical J = J3(i)
+    _, g = _match_negative_involution(jordan_form(j3(1j)), 1e-9)
     assert g.isclose(QMatrix3.from_complex([[1, -1j, 0], [0, -1, 0], [0, 0, 1]]))
-    assert not is_negative_reversible(QMatrix3.diag(e(np.pi / 3), e(np.pi / 4), e(np.pi / 5)))
-    with pytest.raises(NotReversible):
-        negative_reverser(QMatrix3.diag(e(np.pi / 3), e(np.pi / 4), e(np.pi / 5)))
+    rep = psl_report(QMatrix3.diag(e(np.pi / 3), e(np.pi / 4), e(np.pi / 5)))
+    assert not rep.negative_reversible
     # every class in [i]: the pair order is the identity and the witness exact
     a = QMatrix3.diag(1j, 1j, 1j)
-    assert is_negative_reversible(a)
-    g = negative_reverser(a)
+    assert psl_report(a).negative_reversible
+    perm, g = _match_negative_involution(jordan_form(a), 1e-9)
+    assert perm == (0, 1, 2)
     assert conjugation_residual(g, a, -inverse(a)) == 0.0
     assert square_residual(g, 1.0) == 0.0
 
@@ -166,7 +164,15 @@ def test_negative_reverser_random(rng):
     for kind in ("i", "ii", "iii", "iv"):
         for _ in range(15):
             a, _ = conjugated(negative_shape(kind, rng), rng)
-            g = negative_reverser(a)
+            rep = psl_report(a)
+            assert rep.negative_reversible and rep.reversible_psl
+            # only shape ii has a modulus other than 1, so only there is A not
+            # reversible in SL(3,H) and psl_report's reverser the involution
+            assert rep.reversible_sl == (kind != "ii")
+            if kind != "ii":
+                continue
+            assert rep.reverser_kind == "involution"
+            g = rep.reverser
             neg_inv = -1.0 * inverse(a)
             assert conj_residual(g, a, neg_inv) < 1e-8
             assert (g @ g - I3).norm() < 1e-8
@@ -234,10 +240,10 @@ def test_reverser_conjugation_equivariance(rng):
 def test_obstruction_solution_space_structure(rng):
     # scalar canonical form: solutions are exactly P j with P complex (18 dims)
     a = QMatrix3.diag(e(0.8), e(0.8), e(0.8))
-    basis = reverser_equation_basis(a)
-    assert len(basis) == 18
-    for b in basis:
-        assert float(np.max(np.abs(b.a))) < 1e-9  # pure j-form
+    rows = _reverser_null_rows(a, 1e-9)
+    assert len(rows) == 18
+    for row in rows:
+        assert float(np.max(np.abs(_unvec36(row).a))) < 1e-9  # pure j-form
 
 
 def test_obstruction_no_involution_among_solutions(rng):
@@ -273,14 +279,15 @@ def test_solution_space_contains_skew_reverser(rng):
 def test_two_skew_sign_guard():
     # the sign bookkeeping must reject a wrong-sign product
     a = QMatrix3.diag(2, 0.5, 1)
-    s1, s2 = two_skew_involutions(a)
+    s1, s2 = psl_report(a).psl_involution_pair
     assert ((s1 @ s2) - a).norm() < 1e-9
 
 
 def test_negative_branch_pair_is_gated(rng, monkeypatch):
     a, _ = conjugated(negative_shape("ii", rng), rng)
-    assert not is_reversible_sl(a) and is_negative_reversible(a)
-    assert psl_report(a).residuals["pair_product"] < 1e-8
+    rep = psl_report(a)
+    assert not rep.reversible_sl and rep.negative_reversible
+    assert rep.residuals["pair_product"] < 1e-8
     # fail only the two-factor rows, the pair's s1 g = A; the reverser's A g A rows pass
     product_residuals = reversibility._product_residuals
     monkeypatch.setattr(reversibility, "_product_residuals", lambda fa, fb, ma, mb: (
@@ -321,12 +328,12 @@ def test_translation_under_ill_conditioned_conjugator_is_never_singular(rng):
 def test_reverser_equation_basis_solves_and_is_orthonormal(rng, sampler, kind):
     a, _ = conjugated(sampler(kind, rng), rng)
     a_inv = inverse(a)
-    basis = reverser_equation_basis(a)
-    assert basis
-    for g in basis:
+    rows = _reverser_null_rows(a, 1e-9)
+    assert len(rows)
+    for row in rows:
+        g = _unvec36(row)
         assert (g @ a - a_inv @ g).norm() <= 1e-9 * max(1.0, a.norm())
-    coords = np.array([_vec36(g) for g in basis])
-    assert np.allclose(coords @ coords.T, np.eye(len(basis)), atol=1e-12)
+    assert np.allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-12)
 
 
 def test_random_reverser_solution_of_empty_space_is_zero(rng):

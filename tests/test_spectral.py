@@ -9,10 +9,8 @@ from qproj import (
     Singular,
     eigenvector_lift,
     inverse,
-    is_diagonalizable,
     jordan_form,
     minimal_poly_structure,
-    right_eigenvalues,
 )
 from qproj import spectral
 from qproj.classify import _classify_from_jordan
@@ -28,7 +26,7 @@ from qproj.generate import (
     reversible_shape,
     strong_shape,
 )
-from qproj.reversibility import _psl_from_data
+from qproj.reversibility import _psls_from_data
 from qproj.spectral import (
     _MERGE_CAP,
     _class_points,
@@ -57,29 +55,28 @@ def j3(lam):
     return QMatrix3.from_complex([[lam, 1, 0], [0, lam, 1], [0, 0, lam]])
 
 
-def classes_as_tuples(classes):
-    return sorted(
-        (round(c.rep.re, 6), round(c.rep.im, 6), c.alg_mult, c.geo_mult) for c in classes
-    )
+def right_eigenvalues(a):
+    """The eigenvalue classes of a in its Jordan data, as sorted (re, im, alg
+    mult, geo mult): a class's multiplicities are its block sizes' sum and count."""
+    return sorted((round(rep.re, 6), round(rep.im, 6), sum(sizes), len(sizes))
+                  for rep, sizes in jordan_form(a).class_sizes())
 
 
 def test_right_eigenvalues_examples():
     # diag(j, k, 1): j and k share the class of i
-    got = classes_as_tuples(right_eigenvalues(QMatrix3.diag(J, K, 1)))
-    assert got == [(0.0, 1.0, 2, 2), (1.0, 0.0, 1, 1)]
+    assert right_eigenvalues(QMatrix3.diag(J, K, 1)) == [(0.0, 1.0, 2, 2), (1.0, 0.0, 1, 1)]
 
-    got = right_eigenvalues(j3(1j))
-    assert len(got) == 1
-    assert got[0].rep.isclose(ClassRep(0.0, 1.0), 1e-9)
-    assert (got[0].alg_mult, got[0].geo_mult) == (3, 1)
+    ((rep, sizes),) = jordan_form(j3(1j)).class_sizes()
+    assert rep.isclose(ClassRep(0.0, 1.0), 1e-9)
+    assert sizes == [3]
 
-    got = classes_as_tuples(right_eigenvalues(QMatrix3.diag(2, 0.5, 1)))
+    got = right_eigenvalues(QMatrix3.diag(2, 0.5, 1))
     assert got == [(0.5, 0.0, 1, 1), (1.0, 0.0, 1, 1), (2.0, 0.0, 1, 1)]
 
 
 def test_right_eigenvalues_requires_invertible():
     with pytest.raises(Singular):
-        right_eigenvalues(QMatrix3.zeros())
+        jordan_form(QMatrix3.zeros())
 
 
 def test_jordan_examples():
@@ -121,10 +118,10 @@ def test_jordan_reconstruction_random_families(rng):
 
 def test_jordan_class_invariance(rng):
     m = QMatrix3.diag(2 * e(0.9), 0.5 * e(0.9), e(1.3))
-    base = classes_as_tuples(right_eigenvalues(m))
+    base = right_eigenvalues(m)
     for _ in range(20):
         a, _ = conjugated(m, rng)
-        got = classes_as_tuples(right_eigenvalues(a))
+        got = right_eigenvalues(a)
         for (r1, i1, a1, g1), (r2, i2, a2, g2) in zip(base, got):
             assert abs(r1 - r2) < 1e-7 and abs(i1 - i2) < 1e-7
             assert (a1, g1) == (a2, g2)
@@ -179,11 +176,7 @@ def test_dimension_law():
     k = np.sum(np.linalg.svd(phi - 1j * np.eye(6), compute_uv=False) < 1e-9)
     assert k == 1  # geo of class [i] is 1
 
-    classes = {}
-    for c in right_eigenvalues(QMatrix3.diag(J, 1, 1)):
-        classes[(round(c.rep.re, 6), round(c.rep.im, 6))] = (c.alg_mult, c.geo_mult)
-    assert classes[(0.0, 1.0)] == (1, 1)
-    assert classes[(1.0, 0.0)] == (2, 2)
+    assert right_eigenvalues(QMatrix3.diag(J, 1, 1)) == [(0.0, 1.0, 1, 1), (1.0, 0.0, 2, 2)]
 
 
 def test_eigenvector_lift_examples():
@@ -220,9 +213,10 @@ def test_eigenvector_lift_failure():
 
 
 def test_is_diagonalizable_examples():
-    assert is_diagonalizable(QMatrix3.diag(J, K, 1))
-    assert not is_diagonalizable(j2(1, 1))
-    assert not is_diagonalizable(j3(1j))
+    # diagonalizable iff every Jordan block has size 1
+    for a, diagonalizable in ((QMatrix3.diag(J, K, 1), True), (j2(1, 1), False),
+                              (j3(1j), False)):
+        assert all(size == 1 for _, size in jordan_form(a).blocks) is diagonalizable
 
 
 def test_minimal_poly_examples():
@@ -448,7 +442,7 @@ def first_stage_samples():
 
 
 def verdicts(a, data):
-    rev = _psl_from_data(a, data, 1e-9)
+    (rev,) = _psls_from_data([a], [data], 1e-9)
     return (_classify_from_jordan(data, 1e-9),
             rev.reversible_sl, rev.strongly_reversible_sl, rev.negative_reversible,
             rev.reversible_psl, len(_decomposition_from_data(a, data, 1e-9)))
