@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import _is_simple_data, _real_conjugate
+from .decompose import _is_simple_data, _real_matrix
 from .errors import NotReal, NotSimple, NotUnimodular, QprojError
 from .matrix import QMatrix3, is_unimodular, require_unimodular, unimodular_gate
 from .quaternion import DEFAULT_TOL
@@ -243,7 +243,7 @@ def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
     data = jordan_form(A, tol)
     if not _is_simple_data(data, tol):
         raise NotSimple("matrix is not conjugate to a real matrix")
-    b = _real_conjugate(A, data, tol)[1]
+    b = _real_matrix(A, data, tol)
     flipped = False
     if np.linalg.det(b) < 0:
         b = -b
@@ -275,7 +275,7 @@ def _classifications_from_data(As, datas, tol: float) -> list:
                   "y": None, "d": _minimal_poly_from_data(data, tol)[1], "jordan": jordan}
         if _is_simple_data(data, tol):
             try:
-                b = _real_conjugate(A, data, tol)[1]
+                b = _real_matrix(A, data, tol)
             except NotSimple as exc:
                 out.append(exc)
                 continue

@@ -150,14 +150,19 @@ def realify(A: QMatrix3, tol: float = DEFAULT_TOL) -> SimpleCertificate:
     data = None if A.is_real(tol) else jordan_form(A, tol)
     if data is not None and not _is_simple_data(data, tol):
         raise NotSimple("a non-real class has Jordan blocks that do not pair up by size")
-    return _decomposition_from_data(A, data, tol).certificates[0]
+    (result,) = _decompositions_from_data([A], [data], tol)
+    if isinstance(result, QprojError):
+        raise result
+    return result.certificates[0]
 
 
-def _realify_data(A: QMatrix3, data: JordanData, tol: float):
-    """(T, B) with A = T B T^-1 for a non-real A with simple Jordan data."""
+def _realify_data(data: JordanData, tol: float):
+    """(s0, B) for a non-real A with simple Jordan data: A = T B T^-1 with B
+    real, for T = S when every class is real (s0 None), else for
+    T = S _pair_conjugator(s0, True), the equal pair in slots s0, s0 + 1."""
     reps = [rep for rep, _ in data.blocks]
     if all(rep.is_real(tol) for rep in reps):
-        return data.S, data.jordan_matrix().real_part()
+        return None, data.jordan_matrix().real_part()
 
     # diag(λ, λ, μ) with λ non-real: the pair occupies adjacent columns
     pair_pos = None
@@ -180,16 +185,21 @@ def _realify_data(A: QMatrix3, data: JordanData, tol: float):
     B[s1, s0] = -r * math.sin(theta)
     B[s1, s1] = r * math.cos(theta)
     B[other, other] = mu.re
-
-    return data.S @ _pair_conjugator(pair_pos, True), B
+    return pair_pos, B
 
 
 def _real_conjugate(A: QMatrix3, data: JordanData | None, tol: float):
     """(T, B) with A = T B T^-1 for a simple A: (I, Re A) for an A real within
-    tol, else _realify_data."""
+    tol, else read off _realify_data."""
     if A.is_real(tol):
         return QMatrix3.identity(), A.real_part()
-    return _realify_data(A, data, tol)
+    pair_pos, B = _realify_data(data, tol)
+    return (data.S if pair_pos is None else data.S @ _pair_conjugator(pair_pos, True)), B
+
+
+def _real_matrix(A: QMatrix3, data: JordanData | None, tol: float) -> np.ndarray:
+    """The B of _real_conjugate alone, with no conjugator built."""
+    return A.real_part() if A.is_real(tol) else _realify_data(data, tol)[1]
 
 
 def _pair_conjugator(s0: int, same: bool) -> QMatrix3:
@@ -354,12 +364,7 @@ def decompose_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> Decomposition:
     (S T, B) of its canonical factor C = T B T^-1.
     """
     require_unimodular(A, tol)
-    return _decomposition_from_data(A, jordan_form(A, tol), tol)
-
-
-def _decomposition_from_data(A: QMatrix3, data: JordanData | None, tol: float) -> Decomposition:
-    """decompose_simple(A) given its Jordan data: a batch of one."""
-    (result,) = _decompositions_from_data([A], [data], tol)
+    (result,) = _decompositions_from_data([A], [jordan_form(A, tol)], tol)
     if isinstance(result, QprojError):
         raise result
     return result

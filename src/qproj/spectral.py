@@ -9,28 +9,29 @@ complex chains through x = u - conj(v) * j.
 
 Floating point makes Jordan detection ambiguous: a conjugated Jordan block
 has its adjoint eigenvalues split by roughly eps^(1/k), and a defective real
-eigenvalue is indistinguishable from a tight conjugate pair.  The extractor
-therefore searches cluster partitions (single linkage, finest first) x
-real/complex readings per cluster.  Within a candidate, each class takes the
-first block-size partition, largest block first, whose Jordan chains can be
-built; a size too large fails because its power of N vanishes.  Each
-candidate is polished, and the one with the best reconstruction residual
-after a conditioning penalty wins.
+eigenvalue is indistinguishable from a tight conjugate pair.  So the
+structure is read before anything is built (_read): the coarsest
+single-linkage cluster partition of the adjoint eigenvalues in which every
+cluster is one class, read as a real class or a conjugate pair (_one_class).
+That reading builds the one candidate: each class takes the first
+block-size partition, largest block first, whose Jordan chains can be
+built (a size too large fails because its power of N vanishes), and the
+candidate is polished when its residual needs it.
 
 A first stage (_generic_jordan) runs on a whole stack of adjoints at once:
 the CLI passes one stack per batch, jordan_form a stack of one.  One stacked
-eig decides which members the search would give exactly one candidate
-(_one_candidate): three non-real classes, each a conjugate pair within the
-search's base level, more than _MERGE_CAP * scale apart and clear of the
-ambiguous band.  For those the candidate is built directly from the upper
-eigenvectors, and kept only when its residual needs no polish; everything
-else goes to the search, which then answers exactly as it would alone.
+eig picks the members with three non-real classes, each a conjugate pair
+within the base level, more than _MERGE_CAP * scale apart and clear of the
+ambiguous band (_one_candidate).  Their candidate is built directly from
+the upper eigenvectors, and kept only when its residual needs no polish;
+every other member goes to the read, which then answers as it would alone.
 jordan_form applies the same test to its Schur diagonal first, so an input
-that goes to the search pays no eig.
+that goes to the read pays no eig.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,9 +45,6 @@ from .matrix import (QMatrix3, _adjoint, _blocks36, _invert_adjoint, _invert_adj
                      inverse)
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 
-# Accept a candidate immediately when its relative residual is this good;
-# otherwise all candidates are scored and the best one wins.
-_EARLY_ACCEPT = 1e-10
 # Gauss-Newton steps of the Sylvester polish at most.
 _POLISH_ITERATIONS = 16
 # Largest eigenvalue-gap (relative to spectral scale) that clustering may bridge.
@@ -122,7 +120,7 @@ def _class_points(eigs):
 
 
 def _base_level(tol_abs, scale):
-    """The finest merge level of the search: eigenvalues this close are one class."""
+    """The finest merge level: eigenvalues this close are one class."""
     return max(10.0 * tol_abs, 1e4 * _EPS * scale)
 
 
@@ -174,13 +172,8 @@ class _CandidateFailed(Exception):
     pass
 
 
-def _partitions_of(n):
-    """Block-size lists of multiplicity n, largest block first (the search order)."""
-    if n == 1:
-        return [(1,)]
-    if n == 2:
-        return [(2,), (1, 1)]
-    return [(3,), (2, 1), (1, 1, 1)]
+# Block-size lists of each multiplicity, largest block first: the order chains are tried in.
+_BLOCK_SIZES = {1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
 
 
 def _orth_columns(cols):
@@ -231,7 +224,7 @@ def _class_chains(N, sizes, real_class, tau, floor):
     """Complex Jordan chains inside one class subspace.
 
     Returns one list of vectors per quaternionic block.  Sizes come in the
-    order of _partitions_of, so at most one block is longer than 1 and it is
+    order of _BLOCK_SIZES, so at most one block is longer than 1 and it is
     built first, with no chain before it.  For real classes the complex
     structure is doubled, so newly picked vectors must stay independent of
     the tau-images (quaternionic structure map) of everything already used.
@@ -282,23 +275,13 @@ def _class_chains(N, sizes, real_class, tau, floor):
 
 def _lift_to_quaternionic(full):
     """C^6 -> H^3 with x = p - conj(q) j, as the complex pair (u, w)."""
-    p = full[:3]
-    q = full[3:]
-    return p, -q.conj()
-
-
-def _apply_qmatrix_to_pair(m: QMatrix3, u, w):
-    return m.a @ u - m.b @ w.conj(), m.a @ w + m.b @ u.conj()
-
-
-def _pair_norm(u, w):
-    return math.sqrt(float(np.sum(np.abs(u) ** 2) + np.sum(np.abs(w) ** 2)))
+    return full[:3], -full[3:].conj()
 
 
 def _reorder_schur(T0, Z0, mask):
     """Move the masked diagonal positions of a complex Schur form to the front."""
     select = np.zeros(T0.shape[0], dtype=np.int32)
-    select[mask] = 1
+    select[list(mask)] = 1
     ts, qs, _, m, _, _, info = sla.lapack.ztrsen(select, T0, Z0, job=b"N", lwork=1)
     if info != 0 or m != len(mask):
         raise _CandidateFailed(f"schur reordering failed (info={info})")
@@ -328,8 +311,8 @@ def _realness_options(summary, level, scale):
     """Per-cluster interpretations to try: real axis class or conjugate pair.
 
     A defective real eigenvalue perturbs into a tight conjugate pair, so a
-    small centroid imaginary part is ambiguous; both readings are produced
-    (complex first, the reconstruction residual arbitrates).
+    small centroid imaginary part is ambiguous; both readings are produced,
+    complex first (_read tries them in reverse).
     """
     ambiguous_band = max(1e-3 * scale, 10.0 * level)
     options = []
@@ -346,36 +329,97 @@ def _realness_options(summary, level, scale):
 def _single_block(alg, N, floor):
     """True when a class can only be one block of size 1.
 
-    The chain search would then return the size list (1,) and the lead e0,
-    up to a sign that _normalize_similarity removes, so the class takes the
-    first column of its Schur basis directly.
+    The chain construction would then return the size list (1,) and the lead
+    e0, up to a sign that _normalize_similarity removes, so the class takes
+    the first column of its Schur basis directly.
     """
     return alg == 1 and not np.linalg.norm(N) > floor
 
 
-def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness):
+def _class_mask(eigs, cluster, real_class):
+    """Schur positions that span a class: the whole cluster for a real class,
+    its upper half for a conjugate pair; None when the halves are unbalanced."""
+    mask = cluster if real_class else tuple(i for i in cluster if eigs[i].imag > 0)
+    return mask if real_class or 2 * len(mask) == len(cluster) else None
+
+
+def _class_block(T, want, real_class):
+    """Representative lam and nilpotent part N = M - lam I of the leading
+    want x want block M of a reordered Schur form."""
+    M = T[:want, :want]
+    lam = np.trace(M) / want
+    if real_class:
+        lam = complex(lam.real, 0.0)
+    elif lam.imag < 0:
+        lam = lam.conjugate()
+    return lam, M - lam * np.eye(want)
+
+
+def _norm2(m):
+    return np.linalg.svd(m, compute_uv=False)[0]
+
+
+def _one_class(N, alg, floor, backward, base):
+    """True when N = M - lam I, the block of a class of multiplicity alg, is
+    one class: its diagonal spreads no further than the base level, or than
+    2 (backward ||N||^(k-1))^(1/k), the split of a Jordan block of N's
+    nilpotency index k (the least power <= alg with ||N^k|| <= floor) under
+    the backward error.  Two distinct classes split by their distance.
+    """
+    nu = norm = _norm2(N)
+    k, power = 1, N
+    while k < alg and norm > floor:
+        power = power @ N
+        norm = _norm2(power)
+        k += 1
+    return np.abs(np.diag(N)).max() <= max(base, 2.0 * (backward * nu ** (k - 1)) ** (1.0 / k))
+
+
+def _read(eigs, partitions, pts, scale, tol_abs, backward, front):
+    """(clusters, level, realness) of the coarsest cluster partition that reads
+    as one class per cluster.
+
+    A cluster takes the first of its readings, real before complex, whose
+    halves balance and that is one class: a lone eigenvalue pair with one
+    reading is, any other must pass _one_class on its block of the Schur
+    form that front reorders.
+    """
+    points = pts.tolist()
+    base = _base_level(tol_abs, scale)
+    for clusters, level in reversed(partitions):
+        floor = max(2.0 * level, tol_abs)
+        realness = []
+        for cluster, options in zip(clusters, _realness_options(
+                _cluster_summary(points, clusters), level, scale)):
+            for real_class in options[::-1]:
+                mask = _class_mask(eigs, cluster, real_class)
+                if mask is None:
+                    continue
+                if len(cluster) == 2 and len(options) == 1 or _one_class(
+                        _class_block(front(mask)[0], len(mask), real_class)[1],
+                        len(cluster) // 2, floor, backward, base):
+                    realness.append(real_class)
+                    break
+            else:
+                break
+        else:
+            return clusters, level, realness
+    raise _CandidateFailed("no cluster partition reads as one class per cluster")
+
+
+def _extract_candidate(A, eigs, clusters, level, realness, tol_abs, front):
+    """The JordanData of one reading: per cluster a class, real or a conjugate
+    pair, whose chains are built in its block of the Schur form that front
+    reorders to put the class first."""
     blocks = []
     columns = []  # per block, list of (u, w) complex pairs
+    floor = max(2.0 * level, tol_abs)
     for cluster, real_class in zip(clusters, realness):
         alg = len(cluster) // 2
-        if real_class:
-            mask = list(cluster)
-        else:
-            mask = [i for i in cluster if eigs[i].imag > 0]
-        want = 2 * alg if real_class else alg
-        if len(mask) != want:
-            raise _CandidateFailed("conjugate halves of the class are unbalanced")
-        T, Z = _reorder_schur(T0, Z0, mask)
-        Z1 = Z[:, :want]
-        M = T[:want, :want]
-        lam_c = np.trace(M) / want
-        if real_class:
-            lam_c = complex(lam_c.real, 0.0)
-        elif lam_c.imag < 0:
-            lam_c = lam_c.conjugate()
-        N = M - lam_c * np.eye(want)
-
-        floor = max(2.0 * level, tol_abs)
+        mask = _class_mask(eigs, cluster, real_class)
+        T, Z = front(mask)
+        Z1 = Z[:, :len(mask)]
+        lam_c, N = _class_block(T, len(mask), real_class)
         rep = ClassRep(lam_c.real, abs(lam_c.imag))
         if _single_block(alg, N, floor):
             blocks.append((rep, 1))
@@ -387,7 +431,7 @@ def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness):
             tfull = np.concatenate([full[3:].conj(), -full[:3].conj()])
             return Z1.conj().T @ tfull
 
-        for sizes in _partitions_of(alg):
+        for sizes in _BLOCK_SIZES[alg]:
             try:
                 chains = _class_chains(N, sizes, real_class, tau, floor)
             except _CandidateFailed:
@@ -402,17 +446,11 @@ def _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness):
 
     order = sorted(range(len(blocks)), key=lambda k: _block_sort_key(blocks[k]))
     blocks = [blocks[k] for k in order]
-    columns = [columns[k] for k in order]
-
-    S = QMatrix3.zeros()
-    col = 0
-    for pairs in columns:
-        for u, w in pairs:
-            S.a[:, col] = u
-            S.b[:, col] = w
-            col += 1
-    if col != 3:
+    pairs = [pair for k in order for pair in columns[k]]
+    if len(pairs) != 3:
         raise _CandidateFailed("chain columns do not fill H^3")
+    S = QMatrix3(np.column_stack([u for u, _ in pairs]),
+                 np.column_stack([w for _, w in pairs]))
 
     data = JordanData(
         blocks=blocks, S=_normalize_similarity(S, blocks), shape_id=_shape_id(blocks), residual=np.inf
@@ -548,14 +586,14 @@ def _sylvester_polish(A: QMatrix3, data: JordanData):
 
 
 # ---------------------------------------------------------------------------
-# first stage: stacks whose search would have exactly one candidate
+# first stage: stacks of three simple non-real classes
 
 
 def _one_candidate(eigs, tol):
-    """Mask of the rows of (N, 6) adjoint eigenvalues whose search has one candidate.
+    """Mask of the rows of (N, 6) adjoint eigenvalues read as three simple non-real classes.
 
     Every |Im| is above the ambiguous band (one reading: non-real classes),
-    every eigenvalue has exactly one other within the search's base level,
+    every eigenvalue has exactly one other within the base level,
     its conjugate partner, and the three pairs are more than
     _MERGE_CAP * scale apart (one cluster partition of three classes, each
     a single block).
@@ -580,13 +618,13 @@ def _generic_jordan(phis: np.ndarray, tol: float) -> list:
     """Jordan data of each adjoint in an (N, 6, 6) stack, or None.
 
     The first stage of jordan_form, run on a whole stack at once.  One
-    stacked eig decides: a member goes on only when the candidate search
-    would have exactly one candidate (_one_candidate).  For those, that
-    candidate is built here: each class is the lift of its upper
-    eigenvector, in canonical block order and per-block gauge.  A member
-    whose adjoint or Phi(S) fails the singular rule, or whose residual is
-    above 1e-12 (the search would polish it) or above 1e3 * tol, gets None,
-    and jordan_form then runs the search.
+    stacked eig decides: a member goes on only when the read has three
+    simple non-real classes (_one_candidate).  For those, its candidate is
+    built here: each class is the lift of its upper eigenvector, in
+    canonical block order and per-block gauge.  A member whose adjoint or
+    Phi(S) fails the singular rule, or whose residual is above 1e-12 (the
+    read would polish it) or above 1e3 * tol, gets None, and jordan_form
+    then runs the read.
     """
     out = [None] * len(phis)
     try:
@@ -636,8 +674,10 @@ def _generic_jordan(phis: np.ndarray, tol: float) -> list:
 def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     """Jordan data of an invertible A: blocks, similarity S and shape tag.
 
-    Raises IllConditioned when no candidate clustering reconstructs A within
-    1e3 * tol relative residual (the best achieved residual is reported).
+    Raises IllConditioned when the one candidate of the structure read does
+    not reconstruct A within 1e3 * tol relative residual (the residual is
+    reported), and SpectralFailure when the read finds no structure or its
+    chains cannot be built.
     """
     phi = A.adjoint()
     _invert_adjoint(phi)  # raises Singular
@@ -646,7 +686,7 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     except sla.LinAlgError as exc:
         raise SpectralFailure(f"Schur decomposition of the adjoint failed: {exc}") from exc
     eigs = np.diag(T0).copy()
-    # the first stage's test, read off the Schur diagonal the search needs
+    # the first stage's test, read off the Schur diagonal the read needs
     # anyway, spares every other input the stage's eig
     if _one_candidate(eigs[None], tol)[0]:
         data = _generic_jordan(phi[None], tol)[0]
@@ -654,71 +694,28 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
             return data
     scale = max(1.0, float(np.max(np.abs(eigs))))
     tol_abs = tol * scale
-
     pts = _class_points(eigs)
     partitions = _partitions_from_points(pts, tol_abs, scale)
     if not partitions:
         raise SpectralFailure("adjoint eigenvalues admit no conjugate-closed clustering")
 
-    # Candidates are scored by residual plus a conditioning penalty: anything
-    # conjugated through S (witnesses, canonical factors) picks up roughly
-    # eps * cond(Phi(S))^2 of error, so between two reconstructions of similar
-    # quality the better-conditioned similarity must win.
-    def score(data):
-        sv = np.linalg.svd(data.S.adjoint(), compute_uv=False)
-        cond = sv[0] / sv[-1]
-        return data.residual + 1e-16 * cond * cond
-
-    best = None
-    best_score = np.inf
-    points = pts.tolist()
-    for clusters, level in partitions:
-        summary = _cluster_summary(points, clusters)
-        for realness in itertools.product(*_realness_options(summary, level, scale)):
-            try:
-                data = _extract_candidate(A, T0, Z0, eigs, clusters, level, tol_abs, realness)
-            except _CandidateFailed:
-                continue
-            if 1e-12 < data.residual <= 1e-1:
-                data = _sylvester_polish(A, data)
-            s = score(data)
-            if s < best_score:
-                best, best_score = data, s
-            if best_score < _EARLY_ACCEPT:
-                break
-        if best_score < _EARLY_ACCEPT:
-            break
-    if best is None:
-        raise SpectralFailure("no eigenvalue clustering produced a Jordan structure")
-    best = _merged_classes(A, best, _base_level(tol_abs, scale))
-
+    # Schur forms with a class in front, shared by the read and the extraction
+    front = functools.cache(lambda mask: _reorder_schur(T0, Z0, mask))
+    try:
+        reading = _read(eigs, partitions, pts, scale, tol_abs,
+                        1e4 * _EPS * _norm2(phi), front)
+        data = _extract_candidate(A, eigs, *reading, tol_abs, front)
+    except _CandidateFailed as exc:
+        raise SpectralFailure(f"no Jordan structure read: {exc}") from exc
+    if 1e-12 < data.residual <= 1e-1:
+        data = _sylvester_polish(A, data)
     target = 1e3 * tol
-    if not best.residual <= target:
+    if not data.residual <= target:
         raise IllConditioned(
-            f"Jordan reconstruction residual {best.residual:.3e} exceeds {target:.1e}",
-            residual=best.residual,
+            f"Jordan reconstruction residual {data.residual:.3e} exceeds {target:.1e}",
+            residual=data.residual,
         )
-    return best
-
-
-def _merged_classes(A: QMatrix3, data: JordanData, base: float) -> JordanData:
-    """data with each block's representative replaced by the first earlier one
-    within base of it, and the residual of the merged J.
-
-    The early accept can take a finer cluster partition than the merged one,
-    so one class may come back split into representatives closer than the
-    search's base level.  S and the block order stay as they are.
-    """
-    reps = []
-    for rep, _ in data.blocks:
-        reps.append(next((r for r in reps if math.hypot(r.re - rep.re, r.im - rep.im) <= base),
-                         rep))
-    if reps == [rep for rep, _ in data.blocks]:
-        return data
-    blocks = [(rep, size) for rep, (_, size) in zip(reps, data.blocks)]
-    merged = JordanData(blocks=blocks, S=data.S, shape_id=data.shape_id, residual=np.inf)
-    merged.residual = conjugation_residual(data.S, merged.jordan_matrix(), A)
-    return merged
+    return data
 
 
 def eigenvector_lift(u, v, lam, A: QMatrix3 | None = None, tol: float = DEFAULT_TOL):
@@ -733,14 +730,13 @@ def eigenvector_lift(u, v, lam, A: QMatrix3 | None = None, tol: float = DEFAULT_
     p, w = _lift_to_quaternionic(np.concatenate([u, v]))
     if A is not None:
         lam = complex(lam)
-        au, aw = _apply_qmatrix_to_pair(A, p, w)
-        ru = au - p * lam
-        rw = aw - w * lam.conjugate()
-        denom = max(_pair_norm(p, w), 1e-300) * max(1.0, A.norm())
-        if _pair_norm(ru, rw) > tol * denom * 10:
-            raise LiftFailure(
-                f"lifted vector residual {_pair_norm(ru, rw) / denom:.3e} exceeds tolerance"
-            )
+        # A x - x lam, with A x = (a p - b conj(w)) + (a w + b conj(p)) j
+        residual = np.concatenate([A.a @ p - A.b @ w.conj() - p * lam,
+                                   A.a @ w + A.b @ p.conj() - w * lam.conjugate()])
+        ratio = np.linalg.norm(residual) / (max(np.linalg.norm(np.concatenate([p, w])), 1e-300)
+                                            * max(1.0, A.norm()))
+        if ratio > 10 * tol:
+            raise LiftFailure(f"lifted vector residual {ratio:.3e} exceeds tolerance")
     return [Quaternion.from_complex_pair(p[k], w[k]) for k in range(3)]
 
 

@@ -483,7 +483,7 @@ def _one_at_a_time(runner, cmd, mats):
 
 @pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose", "simple-check"])
 def test_report_is_the_same_alone_or_in_a_batch(runner, cmd):
-    # generic inputs take the batch's first stage; the others go to the search
+    # generic inputs take the batch's first stage; the others go to the structure read
     mats = [generate(t, seed=s).matrix for s in (1, 2)
             for t in ("regular-elliptic", "screw-loxodromic", "regular-loxodromic",
                       "loxo-parabolic", "ellipto-translation", "homothety")]

@@ -9,7 +9,8 @@ singular just because its determinant is small.
 import numpy as np
 import pytest
 
-from qproj import QprojError, Singular, classification_report, decompose_simple, psl_report
+from qproj import (QprojError, Singular, classification_report, decompose_simple, is_simple,
+                   psl_report)
 from qproj.cli import _jordan_data
 from qproj.generate import DYNAMICAL_TYPES
 from qproj.spectral import jordan_form
@@ -87,15 +88,35 @@ def test_batch_jordan_data_equals_jordan_form_alone(c):
 
 @pytest.mark.parametrize("c", [1e2, 1e3])
 def test_conjugated_vertical_translation_keeps_one_class(c):
-    # J2(1) + 1: the search accepts the first partition below _EARLY_ACCEPT,
-    # which can read the one class as two whose representatives differ by
-    # about 1e-14; jordan_form merges them back
+    # J2(1) + 1: its six adjoint eigenvalues can split into a cluster of four
+    # and a pair; the read takes the coarsest partition whose clusters are
+    # each one class, so the pair does not come back as a class of its own
     sampler, _ = DYNAMICAL_TYPES["vertical-translation"]
     rng = np.random.default_rng(11)
     for _ in range(60):
         g, g_inv = conditioned_conjugator(c, rng)
         data = jordan_form(g @ sampler(rng) @ g_inv)
         assert [sizes for _, sizes in data.class_sizes()] == [[2, 1]]
+
+
+@pytest.mark.parametrize("type_name", ["elliptic-reflection", "homothety"])
+def test_double_class_comes_back_as_one_class_at_cond_1e5(type_name):
+    # diag(lam, lam, mu): at cond 1e5 the two eigenvalue pairs near lam can lie
+    # further apart than the base level; they must still be one class, or
+    # is_simple calls the simple input not simple.  A typed error is allowed
+    sampler, _ = DYNAMICAL_TYPES[type_name]
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        g, g_inv = conditioned_conjugator(1e5, rng)
+        canon = sampler(rng)
+        a = g @ canon @ g_inv
+        data = jordan_or_error(a, 1e-9)
+        if isinstance(data, QprojError):
+            continue
+        want = jordan_form(canon)
+        assert sorted(sizes for _, sizes in data.class_sizes()) == sorted(
+            sizes for _, sizes in want.class_sizes())
+        assert is_simple(a) == is_simple(canon)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -14,7 +14,7 @@ from qproj import (
 )
 from qproj import spectral
 from qproj.classify import _classify_from_jordan
-from qproj.decompose import _decomposition_from_data
+from qproj.decompose import _decompositions_from_data
 from qproj.generate import (
     DYNAMICAL_TYPES,
     conjugated,
@@ -38,8 +38,9 @@ from qproj.spectral import (
     _vec36,
 )
 
-from oracles import (cluster_readings_numpy, cluster_summary_numpy, normalize_similarity_loop,
-                     partitions_per_level, scale_columns_loop, sylvester_matrix)
+from oracles import (cluster_readings_numpy, cluster_summary_numpy, conditioned_conjugator,
+                     normalize_similarity_loop, partitions_per_level, scale_columns_loop,
+                     sylvester_matrix)
 from test_matrix import random_qmatrix
 
 J = Quaternion(0, 0, 1)
@@ -243,7 +244,7 @@ def test_jordan_canonical_order(rng):
     assert [s for _, s in data.blocks] == [2, 1]
 
     # classes of one modulus come out in angle order, whatever rounding
-    # noise their moduli carry, through the first stage and the search alike
+    # noise their moduli carry, through the first stage and the read alike
     for a in [generate("regular-elliptic", rng=rng).matrix for _ in range(20)]:
         for data in (jordan_form(a), spectral._generic_jordan(a.adjoint()[None], 1e-9)[0]):
             angles = [rep.angle() for rep, _ in data.blocks]
@@ -329,14 +330,14 @@ def type_and_shape_samples():
     return mats
 
 
-def search_only(monkeypatch):
-    """Switch off jordan_form's first stage, so every input goes through the search."""
+def read_only(monkeypatch):
+    """Switch off jordan_form's first stage, so every input goes through the structure read."""
     monkeypatch.setattr(spectral, "_generic_jordan", lambda phis, tol: [None] * len(phis))
 
 
-def test_single_block_shortcut_matches_chain_search(monkeypatch):
+def test_single_block_shortcut_matches_chain_construction(monkeypatch):
     samples = type_and_shape_samples()
-    search_only(monkeypatch)
+    read_only(monkeypatch)
     taken = []
     single_block = spectral._single_block
 
@@ -348,14 +349,88 @@ def test_single_block_shortcut_matches_chain_search(monkeypatch):
     monkeypatch.setattr(spectral, "_single_block", recording)
     fast = [jordan_form(m) for m in samples]
     monkeypatch.setattr(spectral, "_single_block", lambda alg, N, floor: False)
-    searched = [jordan_form(m) for m in samples]
+    built = [jordan_form(m) for m in samples]
     # both real (2-dim subspace) and non-real (1-dim) classes take the shortcut
     assert {dim for hit, dim in taken if hit} == {1, 2}
-    for got, want in zip(fast, searched):
+    for got, want in zip(fast, built):
         assert got.blocks == want.blocks
         assert got.S.a.tobytes() == want.S.a.tobytes()
         assert got.S.b.tobytes() == want.S.b.tobytes()
         assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+
+
+DEFECTIVE_TYPES = ("vertical-translation", "non-vertical-translation", "ellipto-parabolic",
+                   "ellipto-translation", "loxo-parabolic")
+
+
+def test_the_read_builds_one_candidate_per_input(monkeypatch):
+    rng = np.random.default_rng(1)
+    samples = [generate(t, rng=rng).matrix for t in DEFECTIVE_TYPES for _ in range(4)]
+    for sampler, kinds in SHAPE_SAMPLERS:
+        for kind in kinds:
+            samples += [conjugated(sampler(kind, rng), rng)[0] for _ in range(2)]
+    read_only(monkeypatch)
+    built, polished = [], []
+    extract, polish = spectral._extract_candidate, spectral._sylvester_polish
+
+    def counted_extract(*args):
+        built.append(args)
+        return extract(*args)
+
+    def counted_polish(A, data):
+        polished.append(data.residual)
+        return polish(A, data)
+
+    monkeypatch.setattr(spectral, "_extract_candidate", counted_extract)
+    monkeypatch.setattr(spectral, "_sylvester_polish", counted_polish)
+    for a in samples:
+        built.clear()
+        polished.clear()
+        jordan_form(a)
+        assert len(built) == 1
+        # only a candidate above 1e-12 is polished
+        assert all(r > 1e-12 for r in polished)
+
+
+def close_class_samples(seed):
+    """Conjugated reversible shape i, diag(e^{ia}, e^{ib}, e^{ic}), and negative
+    shape i, diag(e^{it}, -e^{-it}, i): two or three of their classes can lie
+    close together.  Each with its canonical sample."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for sampler in (reversible_shape, negative_shape):
+        for _ in range(48):
+            canon = sampler("i", rng)
+            out.append((conjugated(canon, rng)[0], canon))
+    return out
+
+
+def assert_classes(data, values, tol):
+    """data has one class of size [1] for each of values, within tol."""
+    classes = data.class_sizes()
+    assert len(classes) == len(values)
+    for value in values:
+        rep = ClassRep(value.real, abs(value.imag))
+        assert [sizes for r, sizes in classes if r.isclose(rep, tol)] == [[1]]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_close_distinct_classes_of_shapes_stay_distinct(seed):
+    for a, canon in close_class_samples(seed):
+        assert_classes(jordan_form(a), list(np.diag(canon.a)), 1e-6)
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3])
+@pytest.mark.parametrize("delta", [1e-6, 1e-4, 1e-3])
+def test_classes_delta_apart_stay_distinct(cond, delta):
+    # diag(lam, lam + delta, mu) under a conjugator with cond Phi(g) = cond:
+    # the four adjoint eigenvalues near lam are two classes, not one
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        lam, mu = np.exp(1j * rng.uniform(0.3, 2.8, 2))
+        g, g_inv = conditioned_conjugator(cond, rng)
+        data = jordan_form(g @ QMatrix3.diag(lam, lam + delta, mu) @ g_inv)
+        assert_classes(data, [lam, lam + delta, mu], delta / 10)
 
 
 def test_cluster_summaries_match_numpy(rng):
@@ -445,21 +520,21 @@ def verdicts(a, data):
     (rev,) = _psls_from_data([a], [data], 1e-9)
     return (_classify_from_jordan(data, 1e-9),
             rev.reversible_sl, rev.strongly_reversible_sl, rev.negative_reversible,
-            rev.reversible_psl, len(_decomposition_from_data(a, data, 1e-9)))
+            rev.reversible_psl, len(_decompositions_from_data([a], [data], 1e-9)[0]))
 
 
-def test_first_stage_matches_the_search(monkeypatch):
+def test_first_stage_matches_the_read(monkeypatch):
     samples = first_stage_samples()
     first = spectral._generic_jordan(np.stack([m.adjoint() for m in samples]), 1e-9)
     fast = [jordan_form(m) for m in samples]
-    search_only(monkeypatch)
-    searched = [jordan_form(m) for m in samples]
+    read_only(monkeypatch)
+    read = [jordan_form(m) for m in samples]
     taken = [k for k, data in enumerate(first) if data is not None]
     # nearly every generic input takes the first stage (a screw-loxodromic
     # with a real class does not), and some shape inputs do
     assert sum(k < 48 for k in taken) >= 40 and 48 < taken[-1] and len(taken) < len(samples)
     for k in taken:
-        got, want, a = first[k], searched[k], samples[k]
+        got, want, a = first[k], read[k], samples[k]
         # one stacked call and N = 1 inside jordan_form are the same code
         assert got.S.a.tobytes() == fast[k].S.a.tobytes()
         assert got.S.b.tobytes() == fast[k].S.b.tobytes()
@@ -470,7 +545,7 @@ def test_first_stage_matches_the_search(monkeypatch):
         assert verdicts(a, got) == verdicts(a, want)
 
 
-def test_first_stage_leaves_the_rest_to_the_search():
+def test_first_stage_leaves_the_rest_to_the_read():
     # repeated classes, real classes, Jordan blocks and a singular adjoint
     # all get None; so does an unreachable tolerance
     rng = np.random.default_rng(5)
