@@ -437,13 +437,17 @@ class _Replay:
                               self._checked("square", "pair square 1", s1, -1.0)])
         elif kind == "decomposition":
             factors = [self._matrix(f) for f in rep["factors"]]
+            certificates = rep["certificates"]
             if len(factors) > 4:
                 steps.append(lambda failures: failures.append(
                     f"{len(factors)} factors exceed the bound of four"))
+            if len(certificates) != len(factors):
+                steps.append(lambda failures: failures.append(
+                    f"{len(certificates)} certificates for {len(factors)} factors"))
             steps.append(self._checked("product", "factor product", factors, a))
             real_conjugates = [
                 (f"factor {k} real conjugate", f, cert)
-                for k, (f, cert) in enumerate(zip(factors, rep["certificates"]))
+                for k, (f, cert) in enumerate(zip(factors, certificates))
             ]
         elif kind == "simple-check":
             jordan = self._verdict(a, report_tol)
@@ -456,6 +460,9 @@ class _Replay:
             steps.append(recomputed)
             if rep["certificate"] is not None:
                 real_conjugates = [("real conjugate", a, rep["certificate"])]
+            elif rep["simple"]:
+                steps.append(lambda failures: failures.append(
+                    "simple-check flag True carries no certificate"))
         else:
             steps.append(lambda failures: failures.append(f"unknown report kind {kind!r}"))
 

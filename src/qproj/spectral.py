@@ -13,10 +13,10 @@ eigenvalue is indistinguishable from a tight conjugate pair.  So the
 structure is read before anything is built (_read): the coarsest
 single-linkage cluster partition of the adjoint eigenvalues in which every
 cluster is one class, read as a real class or a conjugate pair (_one_class).
-That reading builds the one candidate: each class takes the first
-block-size partition, largest block first, whose Jordan chains can be
-built (a size too large fails because its power of N vanishes), and the
-candidate is polished when its residual needs it.
+The read also fixes each class's block sizes: (k, 1, ..., 1), where k is
+the nilpotency index of the class's nilpotent part N, found while judging
+the class.  The one candidate builds each class's chains with those sizes,
+and is polished when its residual needs it.
 
 A first stage (_generic_jordan) runs on a whole stack of adjoints at once:
 the CLI passes one stack per batch, jordan_form a stack of one.  One stacked
@@ -172,10 +172,6 @@ class _CandidateFailed(Exception):
     pass
 
 
-# Block-size lists of each multiplicity, largest block first: the order chains are tried in.
-_BLOCK_SIZES = {1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
-
-
 def _orth_columns(cols):
     if not cols:
         return np.zeros((0, 0), dtype=complex)
@@ -220,57 +216,44 @@ def _chain_from_lead(N, lead, size):
     return [c * scale for c in chain]
 
 
-def _class_chains(N, sizes, real_class, tau, floor):
+def _class_chains(N, power, sizes, real_class, tau, floor):
     """Complex Jordan chains inside one class subspace.
 
-    Returns one list of vectors per quaternionic block.  Sizes come in the
-    order of _BLOCK_SIZES, so at most one block is longer than 1 and it is
-    built first, with no chain before it.  For real classes the complex
+    Returns one list of vectors per quaternionic block.  Sizes are
+    (k, 1, ..., 1) for N's nilpotency index k, so at most one block is
+    longer than 1 and it is built first, with no chain before it, from the
+    leads power = N^(k-1) maps furthest.  For real classes the complex
     structure is doubled, so newly picked vectors must stay independent of
     the tau-images (quaternionic structure map) of everything already used.
     """
-    dim = N.shape[0]
     chains = []
-    used = []
-
-    for size in sizes:
-        if size == 1:
-            pool = _kernel_basis(N, floor) if np.linalg.norm(N) > floor else np.eye(dim, dtype=complex)
-            if pool.shape[1] == 0:
-                pool = np.eye(dim, dtype=complex)
-            forb = list(used)
-            if real_class:
-                forb.extend(tau(c) for c in used)
-            lead = _pick_independent(pool, _orth_columns(forb))
-            chain = [lead]
+    if sizes[0] > 1:
+        for lead in np.linalg.svd(power)[2].conj():  # candidate leads, dominant image first
+            try:
+                chain = _chain_from_lead(N, lead, sizes[0])
+            except _CandidateFailed:
+                continue
+            cols = chain + [tau(c) for c in chain] if real_class else chain
+            s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+            if s[-1] > 1e-6 * s[0]:
+                chains.append(chain)
+                break
         else:
-            power = np.linalg.matrix_power(N, size - 1)
-            _, s, vh = np.linalg.svd(power)
-            if s[0] < floor:
-                raise _CandidateFailed("nilpotent power vanished for requested size")
-            ranked = vh.conj().T  # candidate leads, dominant image first
-            chain = None
-            for k in range(ranked.shape[1]):
-                lead = ranked[:, k]
-                try:
-                    cand = _chain_from_lead(N, lead, size)
-                except _CandidateFailed:
-                    continue
-                cols = cand + [tau(c) for c in cand] if real_class else cand
-                m = np.column_stack(cols)
-                s2 = np.linalg.svd(m, compute_uv=False)
-                if s2[-1] > 1e-6 * s2[0]:
-                    chain = cand
-                    break
-            if chain is None:
-                raise _CandidateFailed("no usable chain lead")
-        chains.append(chain)
-        used.extend(chain)
+            raise _CandidateFailed("no usable chain lead")
+    dim = N.shape[0]
+    for _ in sizes[len(chains):]:
+        pool = _kernel_basis(N, floor) if np.linalg.norm(N) > floor else np.eye(dim, dtype=complex)
+        if pool.shape[1] == 0:
+            pool = np.eye(dim, dtype=complex)
+        forb = [c for chain in chains for c in chain]
+        if real_class:
+            forb += [tau(c) for c in forb]
+        chains.append([_pick_independent(pool, _orth_columns(forb))])
     return chains
 
 
 # ---------------------------------------------------------------------------
-# per-candidate extraction
+# the one candidate, built from the read
 
 
 def _lift_to_quaternionic(full):
@@ -312,7 +295,7 @@ def _realness_options(summary, level, scale):
 
     A defective real eigenvalue perturbs into a tight conjugate pair, so a
     small centroid imaginary part is ambiguous; both readings are produced,
-    complex first (_read tries them in reverse).
+    real first, the order _read tries them in.
     """
     ambiguous_band = max(1e-3 * scale, 10.0 * level)
     options = []
@@ -320,7 +303,7 @@ def _realness_options(summary, level, scale):
         if im <= max(4.0 * radius, level):
             options.append((True,))
         elif im <= ambiguous_band:
-            options.append((False, True))
+            options.append((True, False))
         else:
             options.append((False,))
     return options
@@ -360,66 +343,73 @@ def _norm2(m):
 
 
 def _one_class(N, alg, floor, backward, base):
-    """True when N = M - lam I, the block of a class of multiplicity alg, is
-    one class: its diagonal spreads no further than the base level, or than
-    2 (backward ||N||^(k-1))^(1/k), the split of a Jordan block of N's
-    nilpotency index k (the least power <= alg with ||N^k|| <= floor) under
-    the backward error.  Two distinct classes split by their distance.
+    """(k, N^(k-1)) when N = M - lam I, the block of a class of multiplicity
+    alg, is one class, else None.
+
+    k is N's nilpotency index, the least power <= alg with ||N^k|| <= floor,
+    so ||N^(k-1)|| > floor when k > 1; for k = 1, None stands for N^0.  The
+    block is one class when its diagonal spreads no further than the base
+    level, or than 2 (backward ||N||^(k-1))^(1/k), the split of a Jordan
+    block of index k under the backward error.  Two distinct classes split
+    by their distance.
     """
     nu = norm = _norm2(N)
-    k, power = 1, N
+    k, lead, power = 1, None, N
     while k < alg and norm > floor:
-        power = power @ N
+        lead, power = power, power @ N
         norm = _norm2(power)
         k += 1
-    return np.abs(np.diag(N)).max() <= max(base, 2.0 * (backward * nu ** (k - 1)) ** (1.0 / k))
+    if np.abs(np.diag(N)).max() <= max(base, 2.0 * (backward * nu ** (k - 1)) ** (1.0 / k)):
+        return k, lead
+    return None
 
 
 def _read(eigs, partitions, pts, scale, tol_abs, backward, front):
-    """(clusters, level, realness) of the coarsest cluster partition that reads
-    as one class per cluster.
+    """(floor, classes) of the coarsest cluster partition that reads as one
+    class per cluster.
 
     A cluster takes the first of its readings, real before complex, whose
     halves balance and that is one class: a lone eigenvalue pair with one
     reading is, any other must pass _one_class on its block of the Schur
-    form that front reorders.
+    form that front reorders to put the class first.  Each class comes as
+    (real_class, lam, N, Z1, alg, sizes, power): its reading, the lam and N
+    of its block, the Schur basis Z1 of that block, its multiplicity, its
+    block sizes (k, 1, ..., 1) and N^(k-1), from its nilpotency index k.
     """
     points = pts.tolist()
     base = _base_level(tol_abs, scale)
     for clusters, level in reversed(partitions):
         floor = max(2.0 * level, tol_abs)
-        realness = []
+        classes = []
         for cluster, options in zip(clusters, _realness_options(
                 _cluster_summary(points, clusters), level, scale)):
-            for real_class in options[::-1]:
+            alg = len(cluster) // 2
+            for real_class in options:
                 mask = _class_mask(eigs, cluster, real_class)
                 if mask is None:
                     continue
-                if len(cluster) == 2 and len(options) == 1 or _one_class(
-                        _class_block(front(mask)[0], len(mask), real_class)[1],
-                        len(cluster) // 2, floor, backward, base):
-                    realness.append(real_class)
+                T, Z = front(mask)
+                lam, N = _class_block(T, len(mask), real_class)
+                index = (1, None) if alg == 1 and len(options) == 1 else _one_class(
+                    N, alg, floor, backward, base)
+                if index is not None:
+                    k, power = index
+                    classes.append((real_class, lam, N, Z[:, :len(mask)], alg,
+                                    (k,) + (1,) * (alg - k), power))
                     break
             else:
                 break
         else:
-            return clusters, level, realness
+            return floor, classes
     raise _CandidateFailed("no cluster partition reads as one class per cluster")
 
 
-def _extract_candidate(A, eigs, clusters, level, realness, tol_abs, front):
-    """The JordanData of one reading: per cluster a class, real or a conjugate
-    pair, whose chains are built in its block of the Schur form that front
-    reorders to put the class first."""
+def _build_candidate(A, floor, classes):
+    """The JordanData of the read's classes: the chains of each class, built
+    with its block sizes in its Schur block and lifted to H^3."""
     blocks = []
     columns = []  # per block, list of (u, w) complex pairs
-    floor = max(2.0 * level, tol_abs)
-    for cluster, real_class in zip(clusters, realness):
-        alg = len(cluster) // 2
-        mask = _class_mask(eigs, cluster, real_class)
-        T, Z = front(mask)
-        Z1 = Z[:, :len(mask)]
-        lam_c, N = _class_block(T, len(mask), real_class)
+    for real_class, lam_c, N, Z1, alg, sizes, power in classes:
         rep = ClassRep(lam_c.real, abs(lam_c.imag))
         if _single_block(alg, N, floor):
             blocks.append((rep, 1))
@@ -431,24 +421,13 @@ def _extract_candidate(A, eigs, clusters, level, realness, tol_abs, front):
             tfull = np.concatenate([full[3:].conj(), -full[:3].conj()])
             return Z1.conj().T @ tfull
 
-        for sizes in _BLOCK_SIZES[alg]:
-            try:
-                chains = _class_chains(N, sizes, real_class, tau, floor)
-            except _CandidateFailed:
-                continue
-            for size, chain in zip(sizes, chains):
-                pairs = [_lift_to_quaternionic(Z1 @ c) for c in chain]
-                blocks.append((rep, size))
-                columns.append(pairs)
-            break
-        else:
-            raise _CandidateFailed("no chain construction succeeded")
+        for size, chain in zip(sizes, _class_chains(N, power, sizes, real_class, tau, floor)):
+            blocks.append((rep, size))
+            columns.append([_lift_to_quaternionic(Z1 @ c) for c in chain])
 
     order = sorted(range(len(blocks)), key=lambda k: _block_sort_key(blocks[k]))
     blocks = [blocks[k] for k in order]
     pairs = [pair for k in order for pair in columns[k]]
-    if len(pairs) != 3:
-        raise _CandidateFailed("chain columns do not fill H^3")
     S = QMatrix3(np.column_stack([u for u, _ in pairs]),
                  np.column_stack([w for _, w in pairs]))
 
@@ -699,12 +678,12 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     if not partitions:
         raise SpectralFailure("adjoint eigenvalues admit no conjugate-closed clustering")
 
-    # Schur forms with a class in front, shared by the read and the extraction
+    # Schur forms with a class in front, each reordered once however many
+    # partitions the read tries its cluster in
     front = functools.cache(lambda mask: _reorder_schur(T0, Z0, mask))
     try:
-        reading = _read(eigs, partitions, pts, scale, tol_abs,
-                        1e4 * _EPS * _norm2(phi), front)
-        data = _extract_candidate(A, eigs, *reading, tol_abs, front)
+        data = _build_candidate(A, *_read(eigs, partitions, pts, scale, tol_abs,
+                                          1e4 * _EPS * _norm2(phi), front))
     except _CandidateFailed as exc:
         raise SpectralFailure(f"no Jordan structure read: {exc}") from exc
     if 1e-12 < data.residual <= 1e-1:

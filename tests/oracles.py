@@ -232,7 +232,7 @@ def cluster_readings_numpy(pts, clusters, level, scale):
         if centroid[1] <= max(4.0 * radius, level):
             options.append((True,))
         elif centroid[1] <= ambiguous_band:
-            options.append((False, True))
+            options.append((True, False))
         else:
             options.append((False,))
     return options

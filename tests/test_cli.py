@@ -590,6 +590,23 @@ def singular_conjugator(rep):
     rep["certificates"][0]["T"] = QMatrix3.zeros().to_json_dict()
 
 
+def cut_certificates(rep):
+    del rep["certificates"][1:]
+
+
+def no_certificates(rep):
+    rep["certificates"].clear()
+
+
+def surplus_certificate(rep):
+    rep["certificates"].append(rep["certificates"][0])
+
+
+def uncertified_simple(rep):
+    assert rep["simple"]
+    rep["certificate"] = None
+
+
 def edited_block_re(rep):
     rep["jordan"]["blocks"][0]["re"] += 0.5
 
@@ -612,6 +629,15 @@ TAMPERED_BATCH_MEMBERS = {
                         ("factor product residual",)),
     "singular-T": ("decompose", "regular-elliptic", singular_conjugator,
                    ("factor 0 real conjugate residual inf exceeds",)),
+    # each factor needs its own certificate, however many there are
+    "cut-certificates": ("decompose", "regular-elliptic", cut_certificates,
+                         ("1 certificates for 3 factors",)),
+    "no-certificates": ("decompose", "regular-elliptic", no_certificates,
+                        ("0 certificates for 3 factors",)),
+    "surplus-certificate": ("decompose", "regular-elliptic", surplus_certificate,
+                            ("4 certificates for 3 factors",)),
+    "uncertified-simple": ("simple-check", "vertical-translation", uncertified_simple,
+                           ("simple-check flag True carries no certificate",)),
     "edited-block-re": ("classify", "regular-loxodromic", edited_block_re,
                         ("jordan reconstruction residual",)),
     "edited-block-size": ("classify", "loxo-parabolic", edited_block_sizes,

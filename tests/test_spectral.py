@@ -370,26 +370,40 @@ def test_the_read_builds_one_candidate_per_input(monkeypatch):
         for kind in kinds:
             samples += [conjugated(sampler(kind, rng), rng)[0] for _ in range(2)]
     read_only(monkeypatch)
-    built, polished = [], []
-    extract, polish = spectral._extract_candidate, spectral._sylvester_polish
+    built, chained, polished = [], [], []
+    single_block, chains = spectral._single_block, spectral._class_chains
+    polish = spectral._sylvester_polish
 
-    def counted_extract(*args):
-        built.append(args)
-        return extract(*args)
+    def counted_single_block(alg, N, floor):
+        hit = single_block(alg, N, floor)
+        built.append(hit)
+        return hit
+
+    def counted_chains(*args):
+        chained.append(args)
+        return chains(*args)
 
     def counted_polish(A, data):
         polished.append(data.residual)
         return polish(A, data)
 
-    monkeypatch.setattr(spectral, "_extract_candidate", counted_extract)
+    monkeypatch.setattr(spectral, "_single_block", counted_single_block)
+    monkeypatch.setattr(spectral, "_class_chains", counted_chains)
     monkeypatch.setattr(spectral, "_sylvester_polish", counted_polish)
+    split = set()
     for a in samples:
         built.clear()
+        chained.clear()
         polished.clear()
         jordan_form(a)
-        assert len(built) == 1
+        # each class that is no single block builds its chains once, with the
+        # sizes the read gave it
+        assert len(chained) == built.count(False)
+        split.update(sizes for _, _, sizes, *_ in chained if len(sizes) > 1)
         # only a candidate above 1e-12 is polished
         assert all(r > 1e-12 for r in polished)
+    # classes whose nilpotency index is below their multiplicity occur
+    assert {(2, 1), (1, 1)} <= split
 
 
 def close_class_samples(seed):
@@ -461,7 +475,7 @@ def test_cluster_summaries_match_numpy(rng):
             got = _realness_options(summary, level, scale)
             assert got == cluster_readings_numpy(pts, clusters, level, scale)
             readings.update(got)
-    assert readings == {(True,), (False, True), (False,)}
+    assert readings == {(True,), (True, False), (False,)}
 
 
 def test_gauge_and_fold_match_column_loop(rng):
