@@ -49,7 +49,7 @@ from .matrix import (QMatrix3, _adjoint, _blocks36, _conjugation_residuals, _det
                      require_unimodular, unimodular_gate)
 from .quaternion import DEFAULT_TOL, ClassRep
 from .reversibility import _psls_from_data, _reversibility_dicts
-from .spectral import _assemble_jordan, _generic_jordan, jordan_form
+from .spectral import _assemble_jordan, _generic_jordan, _read_jordan
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -101,6 +101,8 @@ def _read_payload(path: str):
         return json.loads(text)
     except OSError as exc:
         raise _CliFailure(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+    except UnicodeDecodeError as exc:
+        raise _CliFailure(f"{path} is not UTF-8 text: {exc}", EXIT_PARSE) from exc
     except json.JSONDecodeError as exc:
         raise _CliFailure(f"invalid JSON in {path}: {exc}", EXIT_PARSE) from exc
 
@@ -139,32 +141,34 @@ def _emit(reports, was_batch, as_json, text_fn):
 
 
 def _jordan_data(matrices, tol):
-    """Yield the JordanData of each matrix in turn, or the QprojError jordan_form raises.
+    """The JordanData of each matrix, or the exception jordan_form raises on it.
 
-    One _generic_jordan call covers the whole stack, on the first request;
-    jordan_form serves each member it leaves out when that member is
-    reached, and only then.  Either way a member gets the data jordan_form
-    alone gives it, provided a member whose stacked eig passes _one_candidate
-    and whose Schur diagonal fails it misses the stage's residual bound.
+    One _generic_jordan call covers the whole stack, and one _read_jordan
+    call every member it leaves out: jordan_form alone would send such a
+    member to the read as well, since its first stage decides bitwise as the
+    stacked one does.  So every member gets the data jordan_form alone gives
+    it, provided a member whose stacked eig passes _one_candidate and whose
+    Schur diagonal fails it misses the stage's residual bound.
     """
-    stage = _generic_jordan(_adjoint(*_stack(matrices)), tol) if matrices else []
-    for a, data in zip(matrices, stage):
-        if data is None:
-            try:
-                data = jordan_form(a, tol)
-            except QprojError as exc:
-                data = exc
-        yield data
+    phis = _adjoint(*_stack(matrices))
+    datas = _generic_jordan(phis, tol)
+    rejected = [k for k, data in enumerate(datas) if data is None]
+    read = _read_jordan([matrices[k] for k in rejected], phis[rejected], tol)
+    for k, data in zip(rejected, read):
+        datas[k] = data
+    return datas
 
 
 def _run_command(path, tol, as_json, worker, text_fn):
     """Run worker(inputs, jordan_data, tol) on the batch, report in input order.
 
-    The Jordan data comes from _jordan_data over the inputs up to the first
-    one that fails, asked for in order and no further than the first input
-    that raises.  The worker returns one report or QprojError per
-    input, in order, and may stop after the first error.  All of this runs
-    silently; then the inputs are replayed in order, each printing its
+    The Jordan data comes from one _jordan_data call over the inputs up to
+    the first one that fails the determinant check.  The inputs are then
+    taken in order up to the first that fails: a member's exception from
+    _jordan_data is raised only when that member is reached, so an error of
+    a later member never shows.  The worker returns one report or QprojError
+    per input, in order, and may stop after the first error.  All of this
+    runs silently; then the inputs are replayed in order, each printing its
     warning and raising its error, so the first error ends the command just
     as if the inputs had come one at a time.
     """
@@ -182,8 +186,8 @@ def _run_command(path, tol, as_json, worker, text_fn):
         try:
             if note is not None:
                 require_unimodular(a, tol)  # the normalized matrix, as the library checks it
-            data = next(jordan)
-            if isinstance(data, QprojError):
+            data = jordan[len(datas)]
+            if isinstance(data, Exception):
                 raise data
             datas.append(data)
         except QprojError as exc:
@@ -370,7 +374,7 @@ class _Replay:
         self.rows = {"conjugation": [], "product": [], "square": []}
         self.residuals = {relation: [] for relation in self.rows}
         self.verdicts = {}  # report tolerance -> pool rows of the inputs of its verdicts
-        self.jordan = {}  # report tolerance -> (unimodular, datas so far, pending datas)
+        self.jordan = {}  # report tolerance -> (unimodular, datas)
 
     # -- reading ---------------------------------------------------------
 
@@ -503,13 +507,11 @@ class _Replay:
         return lambda: self._jordan_of(report_tol, row)
 
     def _jordan_of(self, report_tol, row):
-        unimodular, datas, pending = self.jordan[report_tol]
+        unimodular, datas = self.jordan[report_tol]
         if not unimodular[row]:
             require_unimodular(self.matrix(self.verdicts[report_tol][row]), report_tol)
-        while len(datas) <= row:
-            datas.append(next(pending))
         data = datas[row]
-        if isinstance(data, QprojError):
+        if isinstance(data, Exception):
             raise data
         return data
 
@@ -549,7 +551,7 @@ class _Replay:
             # a member that fails require_unimodular ends the walk before its
             # Jordan data is asked for
             self.jordan[report_tol] = (
-                (np.abs(dets - 1.0) <= unimodular_gate(report_tol)).tolist(), [],
+                (np.abs(dets - 1.0) <= unimodular_gate(report_tol)).tolist(),
                 _jordan_data([self.matrix(a) for a in rows], report_tol))
 
     def worst(self):

@@ -18,15 +18,19 @@ the nilpotency index of the class's nilpotent part N, found while judging
 the class.  The one candidate builds each class's chains with those sizes,
 and is polished when its residual needs it.
 
-A first stage (_generic_jordan) runs on a whole stack of adjoints at once:
-the CLI passes one stack per batch, jordan_form a stack of one.  One stacked
-eig picks the members with three non-real classes, each a conjugate pair
-within the base level, more than _MERGE_CAP * scale apart and clear of the
-ambiguous band (_one_candidate).  Their candidate is built directly from
-the upper eigenvectors, and kept only when its residual needs no polish;
-every other member goes to the read, which then answers as it would alone.
-jordan_form applies the same test to its Schur diagonal first, so an input
-that goes to the read pays no eig.
+Both stages run on a whole batch at once: the CLI passes its batch, and
+jordan_form a batch of one.  The first stage (_generic_jordan) decides by one
+stacked eig, which picks the members with three non-real classes, each a
+conjugate pair within the base level, more than _MERGE_CAP * scale apart and
+clear of the ambiguous band (_one_candidate).  Their candidate is built
+directly from the upper eigenvectors, and kept only when its residual needs
+no polish.  Every other member goes to the read (_read_jordan), which makes
+the singular check, the 2-norm, the gauge and the residual of all its
+members in one stacked call each, and runs Schur, the read and the chains
+per member; each member gets the answer it would get alone.  jordan_form
+applies the first stage's test to its Schur diagonal first, so an input that
+goes to the read pays no eig; the CLI does not test again a member its
+stacked stage rejected, since that test would decide bitwise the same.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import IllConditioned, LiftFailure, SpectralFailure
-from .matrix import (QMatrix3, _adjoint, _blocks36, _invert_adjoint, _invert_adjoints,
-                     _json_matrices, _qmul, _stack, _unvec36, _vec36, conjugation_residual,
-                     inverse)
+from .errors import IllConditioned, LiftFailure, Singular, SpectralFailure
+from .matrix import (QMatrix3, _adjoint, _blocks36, _conjugation_residuals, _invert_adjoint,
+                     _invert_adjoints, _json_matrices, _qmul, _stack, _unvec36, _vec36,
+                     conjugation_residual, inverse)
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 
 # Gauss-Newton steps of the Sylvester polish at most.
@@ -93,17 +97,23 @@ def _block_sort_key(block):
     return (-size, -round(rep.modulus(), 9), rep.angle())
 
 
+def _jordan_matrices(block_lists) -> np.ndarray:
+    """The complex Jordan matrix of each list of blocks, as an (N, 3, 3) stack."""
+    J = np.zeros((len(block_lists), 3, 3), dtype=complex)
+    for m, blocks in enumerate(block_lists):
+        col = 0
+        for rep, size in blocks:
+            lam = rep.as_complex()
+            for k in range(size):
+                J[m, col + k, col + k] = lam
+                if k > 0:
+                    J[m, col + k - 1, col + k] = 1.0
+            col += size
+    return J
+
+
 def _assemble_jordan(blocks) -> QMatrix3:
-    J = np.zeros((3, 3), dtype=complex)
-    col = 0
-    for rep, size in blocks:
-        lam = rep.as_complex()
-        for k in range(size):
-            J[col + k, col + k] = lam
-            if k > 0:
-                J[col + k - 1, col + k] = 1.0
-        col += size
-    return QMatrix3.from_complex(J)
+    return QMatrix3.from_complex(_jordan_matrices([blocks])[0])
 
 
 def _shape_id(blocks) -> str:
@@ -140,24 +150,28 @@ def _partitions_from_points(pts, tol_abs, scale):
     gaps = sorted({d for d, _, _ in pairs if base < d <= _MERGE_CAP * scale})
     levels.extend(g * (1 + 1e-9) + base for g in gaps)
 
-    # levels rise, so each one merges the pairs the previous one left out
+    # levels rise, so each one merges the pairs the previous one left out; a
+    # level that joins no two clusters repeats the partition before it, and
+    # one that does gives a coarser partition than every one before it
     label = list(range(n))
     merged = 0
-    seen = set()
+    changed = True  # the first level's partition is new
     out = []
     for level in levels:
         while merged < len(pairs) and pairs[merged][0] <= level:
             _, i, j = pairs[merged]
             keep, drop = label[i], label[j]
-            label = [keep if k == drop else k for k in label]
+            if keep != drop:
+                label = [keep if k == drop else k for k in label]
+                changed = True
             merged += 1
+        if not changed:
+            continue
+        changed = False
         groups: dict[int, list[int]] = {}
         for i in range(n):
             groups.setdefault(label[i], []).append(i)
         clusters = tuple(sorted(tuple(g) for g in groups.values()))
-        if clusters in seen:
-            continue
-        seen.add(clusters)
         if any(len(c) % 2 for c in clusters):
             continue
         out.append((clusters, level))
@@ -404,9 +418,10 @@ def _read(eigs, partitions, pts, scale, tol_abs, backward, front):
     raise _CandidateFailed("no cluster partition reads as one class per cluster")
 
 
-def _build_candidate(A, floor, classes):
-    """The JordanData of the read's classes: the chains of each class, built
-    with its block sizes in its Schur block and lifted to H^3."""
+def _build_candidate(floor, classes):
+    """The raw (blocks, S) of the read's classes: the chains of each class,
+    built with its block sizes in its Schur block and lifted to H^3, in
+    canonical block order and not yet gauged."""
     blocks = []
     columns = []  # per block, list of (u, w) complex pairs
     for real_class, lam_c, N, Z1, alg, sizes, power in classes:
@@ -428,14 +443,8 @@ def _build_candidate(A, floor, classes):
     order = sorted(range(len(blocks)), key=lambda k: _block_sort_key(blocks[k]))
     blocks = [blocks[k] for k in order]
     pairs = [pair for k in order for pair in columns[k]]
-    S = QMatrix3(np.column_stack([u for u, _ in pairs]),
-                 np.column_stack([w for _, w in pairs]))
-
-    data = JordanData(
-        blocks=blocks, S=_normalize_similarity(S, blocks), shape_id=_shape_id(blocks), residual=np.inf
-    )
-    data.residual = conjugation_residual(data.S, data.jordan_matrix(), A)
-    return data
+    return blocks, QMatrix3(np.column_stack([u for u, _ in pairs]),
+                            np.column_stack([w for _, w in pairs]))
 
 
 def _gauge(heads):
@@ -463,17 +472,25 @@ def _gauge(heads):
     return gauge.reshape(heads.shape[:-1])
 
 
-def _normalize_similarity(S: QMatrix3, blocks) -> QMatrix3:
-    """Deterministic per-block gauge on the similarity transform.
+def _gauged(sa, sb, sizes):
+    """Per-block gauge on a stack of similarities (sa, sb), (N, 3, 3) each,
+    where sizes[m] lists the block sizes of member m.
 
     A whole chain may be rescaled by one right complex scalar without
     disturbing A = S J S^-1 (the scalar block commutes with its Jordan
     block), so each chain is scaled by the _gauge of its eigenvector column.
     """
-    sizes = [size for _, size in blocks]
-    heads = list(itertools.accumulate([0] + sizes[:-1]))
-    gauge = np.repeat(_gauge(np.concatenate([S.a, S.b])[:, heads].T), sizes)
-    return QMatrix3(S.a * gauge, S.b * gauge.conj())
+    members = [m for m, member in enumerate(sizes) for _ in member]
+    heads = [h for member in sizes for h in itertools.accumulate([0] + member[:-1])]
+    gauge = _gauge(np.concatenate([sa, sb], axis=1)[members, :, heads])
+    scale = np.repeat(gauge, [size for member in sizes for size in member]).reshape(-1, 1, 3)
+    return sa * scale, sb * scale.conj()
+
+
+def _normalize_similarity(S: QMatrix3, blocks) -> QMatrix3:
+    """_gauged on one similarity."""
+    sa, sb = _gauged(S.a[None], S.b[None], [[size for _, size in blocks]])
+    return QMatrix3(sa[0], sb[0])
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +664,109 @@ def _generic_jordan(phis: np.ndarray, tol: float) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the structure read, run on a batch
+
+
+def _schur(phi):
+    """Complex Schur form (T, Z) of one adjoint; raises SpectralFailure."""
+    try:
+        return sla.schur(phi, output="complex")
+    except sla.LinAlgError as exc:
+        raise SpectralFailure(f"Schur decomposition of the adjoint failed: {exc}") from exc
+
+
+def _candidate(T0, Z0, backward, tol):
+    """The raw (blocks, S) of the one candidate the read of a Schur form
+    (T0, Z0) builds, given the backward error 1e4 eps ||Phi(A)||_2."""
+    eigs = np.diag(T0).copy()
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    tol_abs = tol * scale
+    pts = _class_points(eigs)
+    partitions = _partitions_from_points(pts, tol_abs, scale)
+    if not partitions:
+        raise SpectralFailure("adjoint eigenvalues admit no conjugate-closed clustering")
+
+    # Schur forms with a class in front, each reordered once however many
+    # partitions the read tries its cluster in
+    front = functools.cache(lambda mask: _reorder_schur(T0, Z0, mask))
+    try:
+        return _build_candidate(*_read(eigs, partitions, pts, scale, tol_abs, backward, front))
+    except _CandidateFailed as exc:
+        raise SpectralFailure(f"no Jordan structure read: {exc}") from exc
+
+
+def _accepted(A: QMatrix3, data: JordanData, tol: float) -> JordanData:
+    """The candidate data, polished when its residual needs it; raises
+    IllConditioned when it still misses 1e3 * tol."""
+    if 1e-12 < data.residual <= 1e-1:
+        data = _sylvester_polish(A, data)
+    target = 1e3 * tol
+    if not data.residual <= target:
+        raise IllConditioned(
+            f"Jordan reconstruction residual {data.residual:.3e} exceeds {target:.1e}",
+            residual=data.residual,
+        )
+    return data
+
+
+def _read_jordan(As, phis, tol, schurs=None) -> list:
+    """Jordan data of each input in As, or the exception jordan_form raises on it.
+
+    The structure read of jordan_form, run on a whole batch at once, without
+    the first stage; phis is the (N, 6, 6) stack of the inputs' adjoints.
+    One _invert_adjoints over the stack makes the singular check (a member
+    that fails gets the Singular of _invert_adjoint on it alone), and one
+    stacked SVD gives ||Phi(A)||_2 of the members that pass.  Schur, the
+    read and the lift of its chains run per member; then one _gauged covers
+    the chain heads of every candidate and one _conjugation_residuals their
+    residuals.  Each member is then polished when needed and gated by
+    itself.  Any exception, a QprojError or not, is kept in its member's
+    slot, for the caller to raise when it reaches that member.
+
+    schurs, when given, holds the complex Schur form (T, Z) of each
+    member's adjoint; its caller has made the singular check before them.
+    """
+    if not As:
+        return []
+    out = [None] * len(As)
+    if schurs is None:
+        _, ok = _invert_adjoints(phis)
+        for k in np.flatnonzero(~ok).tolist():
+            try:
+                _invert_adjoint(phis[k])
+            except Singular as exc:
+                out[k] = exc
+        live = np.flatnonzero(ok)
+    else:  # a Schur form is made after the singular check
+        live = np.arange(len(As))
+    backward = 1e4 * _EPS * np.linalg.svd(phis[live], compute_uv=False)[:, 0]
+    built = []  # (member, blocks, raw S)
+    for k, bound in zip(live.tolist(), backward):
+        try:
+            built.append((k, *_candidate(*(schurs[k] if schurs else _schur(phis[k])), bound, tol)))
+        except Exception as exc:
+            out[k] = exc
+    if not built:
+        return out
+
+    members = [k for k, _, _ in built]
+    block_lists = [blocks for _, blocks, _ in built]
+    sa, sb = _gauged(*_stack([S for _, _, S in built]),
+                     [[size for _, size in blocks] for blocks in block_lists])
+    J = _jordan_matrices(block_lists)
+    residuals = _conjugation_residuals(sa, sb, J, np.zeros_like(J),
+                                       phis[members, :3, :3], phis[members, :3, 3:])
+    for m, ((k, blocks, _), residual) in enumerate(zip(built, residuals.tolist())):
+        data = JordanData(blocks=blocks, S=QMatrix3(sa[m], sb[m]), shape_id=_shape_id(blocks),
+                          residual=residual)
+        try:
+            out[k] = _accepted(As[k], data, tol)
+        except Exception as exc:
+            out[k] = exc
+    return out
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -660,40 +780,16 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     """
     phi = A.adjoint()
     _invert_adjoint(phi)  # raises Singular
-    try:
-        T0, Z0 = sla.schur(phi, output="complex")
-    except sla.LinAlgError as exc:
-        raise SpectralFailure(f"Schur decomposition of the adjoint failed: {exc}") from exc
-    eigs = np.diag(T0).copy()
+    T0, Z0 = _schur(phi)
     # the first stage's test, read off the Schur diagonal the read needs
     # anyway, spares every other input the stage's eig
-    if _one_candidate(eigs[None], tol)[0]:
+    if _one_candidate(np.diag(T0)[None], tol)[0]:
         data = _generic_jordan(phi[None], tol)[0]
         if data is not None:
             return data
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    tol_abs = tol * scale
-    pts = _class_points(eigs)
-    partitions = _partitions_from_points(pts, tol_abs, scale)
-    if not partitions:
-        raise SpectralFailure("adjoint eigenvalues admit no conjugate-closed clustering")
-
-    # Schur forms with a class in front, each reordered once however many
-    # partitions the read tries its cluster in
-    front = functools.cache(lambda mask: _reorder_schur(T0, Z0, mask))
-    try:
-        data = _build_candidate(A, *_read(eigs, partitions, pts, scale, tol_abs,
-                                          1e4 * _EPS * _norm2(phi), front))
-    except _CandidateFailed as exc:
-        raise SpectralFailure(f"no Jordan structure read: {exc}") from exc
-    if 1e-12 < data.residual <= 1e-1:
-        data = _sylvester_polish(A, data)
-    target = 1e3 * tol
-    if not data.residual <= target:
-        raise IllConditioned(
-            f"Jordan reconstruction residual {data.residual:.3e} exceeds {target:.1e}",
-            residual=data.residual,
-        )
+    data = _read_jordan([A], phi[None], tol, [(T0, Z0)])[0]
+    if isinstance(data, Exception):
+        raise data
     return data
 
 

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from qproj import QMatrix3, classification_report, decompose_simple, psl_report, realify
-from qproj import cli, matrix
+from qproj import cli, matrix, spectral
 from qproj.cli import main
 from qproj.generate import (
     DYNAMICAL_TYPES,
@@ -274,6 +274,15 @@ def test_parse_error_exit_code(runner, tmp_path):
     bad.write_text(json.dumps(payload))
     res = runner.invoke(main, ["classify", str(bad)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("cmd", ["classify", "verify"])
+def test_file_that_is_not_utf8_is_a_parse_error(runner, tmp_path, cmd):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    res = runner.invoke(main, [cmd, str(bad)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(f"error: {bad} is not UTF-8 text")
 
 
 def test_precondition_exit_code(runner, tmp_path):
@@ -781,23 +790,73 @@ def test_batch_reports_equal_the_library_objects_bitwise(runner):
             assert json.dumps(rep, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
+def counted_everywhere(monkeypatch, module, name):
+    """The list of argument tuples of every call to module.name, which is
+    wrapped in every qproj namespace that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    for m in [m for n, m in sys.modules.items()
+              if m is not None and (n == "qproj" or n.startswith("qproj."))]:
+        for attr, value in list(vars(m).items()):
+            if value is original:
+                monkeypatch.setattr(m, attr, counted)
+    return calls
+
+
 @pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose"])
 def test_one_encoder_call_per_kind_in_a_batch(runner, monkeypatch, cmd):
     # a batch encodes the matrices of its reports (S, witnesses, or factors
     # with their conjugators) in one call and its inputs in one more
     batch = [generate("regular-elliptic", seed=seed).matrix for seed in range(12)]
     text = json.dumps([m.to_json_dict() for m in batch])
-    calls = []
-    original = matrix._json_matrices
-
-    def counted(a, b):
-        calls.append(len(a))
-        return original(a, b)
-
-    for module in [m for name, m in sys.modules.items()
-                   if m is not None and (name == "qproj" or name.startswith("qproj."))]:
-        if getattr(module, "_json_matrices", None) is original:
-            monkeypatch.setattr(module, "_json_matrices", counted)
+    calls = counted_everywhere(monkeypatch, matrix, "_json_matrices")
     res = runner.invoke(main, [cmd, "-"], input=text)
     assert res.exit_code == 0, res.output
     assert len(calls) == 2
+
+
+DEFECTIVE_TYPES = ("vertical-translation", "non-vertical-translation", "ellipto-parabolic",
+                   "ellipto-translation", "loxo-parabolic")
+
+
+def test_defective_batch_tests_the_first_stage_once(runner, monkeypatch):
+    # every member of a defective batch goes to the structure read, which
+    # takes it as the stacked first stage left it: no member is tested again
+    # on its Schur diagonal, and each is put in Schur form once
+    batch = [generate(t, seed=seed).matrix for t in DEFECTIVE_TYPES for seed in (1, 2)]
+    tests = counted_everywhere(monkeypatch, spectral, "_one_candidate")
+    schurs = counted_everywhere(monkeypatch, spectral.sla, "schur")
+    text = json.dumps([m.to_json_dict() for m in batch])
+    res = runner.invoke(main, ["classify", "-"], input=text)
+    assert res.exit_code == 0, res.output
+    assert len(tests) == 1 and tests[0][0].shape == (len(batch), 6)
+    assert len(schurs) == len(batch)
+
+
+def test_read_error_of_a_later_member_stays_unseen(runner, monkeypatch):
+    # the batch reads every member the first stage leaves out at once, but a
+    # member's error, of whatever type, is raised only when that member is
+    # reached: here the first member fails the singular rule, and a crash in
+    # the chains of the one after it must not replace that precondition error
+    singular = QMatrix3.diag(1e7, 1e-7, 1.0)
+    defective = generate("loxo-parabolic", seed=1).matrix
+
+    def crash(*args):
+        raise RuntimeError("chain construction crashed")
+
+    monkeypatch.setattr(spectral, "_class_chains", crash)
+    res = runner.invoke(main, ["classify", "-"],
+                        input=json.dumps([m.to_json_dict() for m in (singular, defective)]))
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr == ("error: Singular: cond_1 of the adjoint is 1.000e+14, "
+                          "not below 1e+13\n")
+    # the crash is real: it ends a batch it leads
+    res = runner.invoke(main, ["classify", "-"],
+                        input=json.dumps([m.to_json_dict() for m in (defective, singular)]))
+    assert isinstance(res.exception, RuntimeError)

@@ -73,17 +73,19 @@ def jordan_or_error(a, tol):
 @pytest.mark.parametrize("c", [1e2, 1e3, 1e4, 1e5, 1e6])
 def test_batch_jordan_data_equals_jordan_form_alone(c):
     # the sweep's inputs at seed 0 as one CLI batch: the stacked first stage
-    # must hand every member the data jordan_form gives it alone, or the same
-    # error, however ill-conditioned the member
+    # and the stacked read must hand every member the data jordan_form gives
+    # it alone, residual bits included, or the same error, however
+    # ill-conditioned the member
     mats = [a for a, _ in conjugated_samples(c, np.random.default_rng(0))]
     for batch, alone in zip(_jordan_data(mats, 1e-9), (jordan_or_error(a, 1e-9) for a in mats),
                             strict=True):
         if isinstance(alone, QprojError):
-            assert type(batch) is type(alone)
+            assert (type(batch), str(batch)) == (type(alone), str(alone))
         else:
             assert batch.blocks == alone.blocks
             assert (batch.S.a.tobytes(), batch.S.b.tobytes()) == (alone.S.a.tobytes(),
                                                                    alone.S.b.tobytes())
+            assert float(batch.residual).hex() == float(alone.residual).hex()
 
 
 @pytest.mark.parametrize("c", [1e2, 1e3])
