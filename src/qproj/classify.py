@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import _is_simple_data, _real_matrix
-from .errors import NotReal, NotSimple, NotUnimodular, QprojError
+from .errors import NotReal, NotSimple, NotUnimodular
 from .matrix import QMatrix3, is_unimodular, require_unimodular, unimodular_gate
 from .quaternion import DEFAULT_TOL
 from .spectral import _jordan_dicts, _minimal_poly_from_data, jordan_form, minimal_poly_structure
@@ -259,26 +259,18 @@ def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
 def classification_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> dict:
     """JSON-ready classification report for the CLI."""
     require_unimodular(A, tol)
-    (report,) = _classifications_from_data([A], [jordan_form(A, tol)], tol)
-    if isinstance(report, QprojError):
-        raise report
-    return report
+    return _classifications_from_data([A], [jordan_form(A, tol)], tol)[0]
 
 
 def _classifications_from_data(As, datas, tol: float) -> list:
-    """The classification report of each A in As given its Jordan data, or the
-    QprojError it raises; the Jordan data of the whole batch is encoded by one
-    _jordan_dicts call."""
+    """The classification report of each A in As given its Jordan data; the
+    Jordan data of the whole batch is encoded by one _jordan_dicts call."""
     out = []
     for A, data, jordan in zip(As, datas, _jordan_dicts(datas)):
         report = {**_classify_from_jordan(data, tol).to_json_dict(), "f": None, "x": None,
                   "y": None, "d": _minimal_poly_from_data(data, tol)[1], "jordan": jordan}
         if _is_simple_data(data, tol):
-            try:
-                b = _real_matrix(A, data, tol)
-            except NotSimple as exc:
-                out.append(exc)
-                continue
+            b = _real_matrix(A, data, tol)
             pair = TracePair.from_real_matrix(b if np.linalg.det(b) > 0 else -b)
             report.update(x=pair.x, y=pair.y, f=discriminant_f(pair.x, pair.y))
         out.append(report)

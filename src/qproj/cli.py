@@ -43,13 +43,13 @@ from .decompose import (_decomposition_dicts, _decompositions_from_data, _is_sim
                         _led_by_identities)
 from .errors import CertificateError, QprojError
 from .generate import DYNAMICAL_TYPES, generate
-from .matrix import (QMatrix3, _adjoint, _blocks36, _conjugation_residuals, _dets_h,
+from .matrix import (QMatrix3, _blocks36, _conjugation_residuals, _dets_h,
                      _json_entries, _json_matrices, _product_residuals, _square_residuals, _stack,
                      _vec36, check_certificate, is_unimodular, normalize_to_sl, replay_gate,
                      require_unimodular, unimodular_gate)
 from .quaternion import DEFAULT_TOL, ClassRep
 from .reversibility import _psls_from_data, _reversibility_dicts
-from .spectral import _assemble_jordan, _generic_jordan, _read_jordan
+from .spectral import _assemble_jordan, _jordan_forms
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -140,32 +140,13 @@ def _emit(reports, was_batch, as_json, text_fn):
             click.echo(text_fn(rep))
 
 
-def _jordan_data(matrices, tol):
-    """The JordanData of each matrix, or the exception jordan_form raises on it.
-
-    One _generic_jordan call covers the whole stack, and one _read_jordan
-    call every member it leaves out: jordan_form alone would send such a
-    member to the read as well, since its first stage decides bitwise as the
-    stacked one does.  So every member gets the data jordan_form alone gives
-    it, provided a member whose stacked eig passes _one_candidate and whose
-    Schur diagonal fails it misses the stage's residual bound.
-    """
-    phis = _adjoint(*_stack(matrices))
-    datas = _generic_jordan(phis, tol)
-    rejected = [k for k, data in enumerate(datas) if data is None]
-    read = _read_jordan([matrices[k] for k in rejected], phis[rejected], tol)
-    for k, data in zip(rejected, read):
-        datas[k] = data
-    return datas
-
-
 def _run_command(path, tol, as_json, worker, text_fn):
     """Run worker(inputs, jordan_data, tol) on the batch, report in input order.
 
-    The Jordan data comes from one _jordan_data call over the inputs up to
+    The Jordan data comes from one _jordan_forms call over the inputs up to
     the first one that fails the determinant check.  The inputs are then
     taken in order up to the first that fails: a member's exception from
-    _jordan_data is raised only when that member is reached, so an error of
+    _jordan_forms is raised only when that member is reached, so an error of
     a later member never shows.  The worker returns one report or QprojError
     per input, in order, and may stop after the first error.  All of this
     runs silently; then the inputs are replayed in order, each printing its
@@ -177,7 +158,7 @@ def _run_command(path, tol, as_json, worker, text_fn):
     inputs = [_unimodular_input(m, d, tol)
               for m, d in zip(matrices, _dets_h(*_stack(matrices)).tolist())]
     usable = [a for a, _ in itertools.takewhile(lambda item: item[0] is not None, inputs)]
-    jordan = _jordan_data(usable, tol)
+    jordan = _jordan_forms(usable, tol)
     datas, failure = [], None
     for a, note in inputs:
         if a is None:
@@ -243,7 +224,7 @@ def classify_cmd(tol, as_json, path):
     """Dynamical-type classification report."""
 
     def worker(inputs, datas, tol):
-        return [rep if isinstance(rep, QprojError) else {**rep, "kind": "classification"}
+        return [{**rep, "kind": "classification"}
                 for rep in _classifications_from_data(inputs, datas, tol)]
 
     def text(rep):
@@ -358,7 +339,7 @@ class _Replay:
     checked as the product A g A against t g, a pool row of its own, so no
     check inverts A.  compute() then finds every residual of the payload in
     one stacked call per relation, and every verdict's Jordan data through
-    _jordan_data, one per report tolerance.  Run in order, the steps of a
+    _jordan_forms, one per report tolerance.  Run in order, the steps of a
     report append its failures and raise its error at the point a replay of
     that report alone would: a parse error after the checks before it, the
     QprojError of a verdict before the checks after it.  Certificates are
@@ -431,6 +412,10 @@ class _Replay:
             # (not -A)
             if (rep["reverser"] is None) != (rep["pair_s1"] is None):
                 raise ValueError("reverser and pair_s1 must be both present or both null")
+            broken = _broken_flag_rule(rep)
+            if broken is not None:
+                steps.append(lambda failures: failures.append(
+                    f"reversibility flags break the rule {broken}"))
             if rep["reverser"] is not None:
                 g, s1 = self._matrix(rep["reverser"]), self._matrix(rep["pair_s1"])
                 sign = -1.0 if rep["reverser_kind"] == "skew-involution" else 1.0
@@ -534,7 +519,7 @@ class _Replay:
         if self.rows["conjugation"]:
             _, t, b, m = zip(*self.rows["conjugation"])
             self.residuals["conjugation"] = _conjugation_residuals(
-                *self.stacked(t), *self.stacked(b), *self.stacked(m)).tolist()
+                *self.stacked(t), *self.stacked(b), *self.stacked(m))[0].tolist()
         if self.rows["product"]:
             _, factors, m = zip(*self.rows["product"])
             counts = [len(fs) for fs in factors]
@@ -552,7 +537,7 @@ class _Replay:
             # Jordan data is asked for
             self.jordan[report_tol] = (
                 (np.abs(dets - 1.0) <= unimodular_gate(report_tol)).tolist(),
-                _jordan_data([self.matrix(a) for a in rows], report_tol))
+                _jordan_forms([self.matrix(a) for a in rows], report_tol))
 
     def worst(self):
         """(kind, largest residual) of each certificate kind of the payload; the
@@ -564,6 +549,23 @@ class _Replay:
                 found.setdefault(kind, []).append(residual)
         return [(kind, math.nan if any(map(math.isnan, found[kind])) else max(found[kind]))
                 for kind in _CERTIFICATE_KINDS if kind in found]
+
+
+def _broken_flag_rule(rep):
+    """The first rule that the flags and witness of a reversibility report
+    break, or None; read off the report alone, as the library sets them."""
+    sl, strong, negative, psl = (bool(rep[flag]) for flag in (
+        "reversible_sl", "strongly_reversible_sl", "negative_reversible", "reversible_psl"))
+    kind = rep["reverser_kind"]
+    rules = (
+        (not strong or sl, "strongly_reversible_sl implies reversible_sl"),
+        (psl == (sl or negative), "reversible_psl == (reversible_sl or negative_reversible)"),
+        ((rep["reverser"] is not None) == psl, "a reverser is present iff reversible_psl"),
+        ((kind == "skew-involution") == sl, "reverser_kind skew-involution iff reversible_sl"),
+        ((kind == "involution") == (not sl and negative),
+         "reverser_kind involution iff negative_reversible and not reversible_sl"),
+    )
+    return next((rule for holds, rule in rules if not holds), None)
 
 
 def _raising(exc):

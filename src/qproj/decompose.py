@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, NotSimple, QprojError
-from .matrix import (QMatrix3, _adjoint, _build_gate, _conjugation_residuals, _invert_adjoints,
-                     _json_matrices, _norms, _product_residuals, _qmul, _stack, check_certificate,
-                     conjugation_residual, require_unimodular)
+from .matrix import (QMatrix3, _build_gate, _conjugation_residuals, _json_matrices, _norms,
+                     _product_residuals, _qmul, _stack, check_certificate, conjugation_residual,
+                     require_unimodular)
 from .quaternion import DEFAULT_TOL
 from .spectral import JordanData, jordan_form
 
@@ -159,19 +159,18 @@ def realify(A: QMatrix3, tol: float = DEFAULT_TOL) -> SimpleCertificate:
 def _realify_data(data: JordanData, tol: float):
     """(s0, B) for a non-real A with simple Jordan data: A = T B T^-1 with B
     real, for T = S when every class is real (s0 None), else for
-    T = S _pair_conjugator(s0, True), the equal pair in slots s0, s0 + 1."""
+    T = S _pair_conjugator(s0, True), the equal pair in slots s0, s0 + 1.
+
+    data must pass _is_simple_data.  A non-real class then has blocks
+    diag(λ, λ) and the third class μ is real; the two λ blocks share one
+    ClassRep, so they sort next to each other.
+    """
     reps = [rep for rep, _ in data.blocks]
     if all(rep.is_real(tol) for rep in reps):
         return None, data.jordan_matrix().real_part()
 
-    # diag(λ, λ, μ) with λ non-real: the pair occupies adjacent columns
-    pair_pos = None
-    for k in range(2):
-        if not reps[k].is_real(tol) and reps[k].isclose(reps[k + 1], 1e3 * tol):
-            pair_pos = k
-            break
-    if pair_pos is None:
-        raise NotSimple("non-real classes do not pair up")
+    # diag(λ, λ, μ) with λ non-real: the pair leads unless μ does
+    pair_pos = 1 if reps[0].is_real(tol) else 0
     other = 2 if pair_pos == 0 else 0
     lam = reps[pair_pos]
     mu = reps[other]
@@ -380,9 +379,9 @@ def _decompositions_from_data(As, datas, tol: float) -> list:
     for its canonical factors C = T B T^-1, certified by (S T, B); one
     assembly lays the canonical factors of the whole batch into stacks
     (_canonical_stacks).  All factors of the batch form one stack, which
-    each Decomposition keeps its rows of: S^-1 comes from one stacked
-    inverse, and every conjugation residual from one stacked call, in which
-    a conjugator that fails the singular rule gives inf.  Each member's
+    each Decomposition keeps its rows of: S^-1 is the one the Jordan data
+    carries, and every conjugation residual comes from one stacked call, in
+    which a conjugator that fails the singular rule gives inf.  Each member's
     gates run in the order of a batch of one, certificates in factor order
     and then the product, so a member's error does not depend on its batch.
     """
@@ -396,22 +395,19 @@ def _decompositions_from_data(As, datas, tol: float) -> list:
             split.append(k)
             rows += member_rows
         else:
-            try:
-                direct.append((k, *_real_conjugate(A, data, tol)))
-            except NotSimple as exc:
-                out[k] = exc
+            direct.append((k, *_real_conjugate(A, data, tol)))
 
     parts = []  # stacks (F, F', T, T', B) of the canonical rows, then of the direct members
-    counts, products, s_ok = [], [], np.ones(0, dtype=bool)
+    counts, products = [], []
     if split:
         ca, cb, ta, tb, b, keep = _canonical_stacks(rows)
         owner = np.asarray(owner)[keep]
         counts = np.bincount(owner, minlength=len(split)).tolist()
-        # the factors S C S^-1 and their conjugators S T, S^-1 from one stacked inverse
+        # the factors S C S^-1 and their conjugators S T
         sa, sb = _stack([datas[k].S for k in split])
-        s_inv, s_ok = _invert_adjoints(_adjoint(sa, sb))
-        sa, sb, s_inv, s_ok = sa[owner], sb[owner], s_inv[owner], s_ok[owner]
-        fa, fb = _qmul(*_qmul(sa, sb, ca, cb), s_inv[:, :3, :3], s_inv[:, :3, 3:])
+        ia, ib = _stack([datas[k].S_inv for k in split])
+        sa, sb, ia, ib = sa[owner], sb[owner], ia[owner], ib[owner]
+        fa, fb = _qmul(*_qmul(sa, sb, ca, cb), ia, ib)
         ta, tb = _qmul(sa, sb, ta, tb)
         products = _product_residuals(*_led_by_identities(fa, fb, counts, owner),
                                       *_stack([As[k] for k in split])).tolist()
@@ -424,9 +420,7 @@ def _decompositions_from_data(As, datas, tol: float) -> list:
     # one residual call for the rows of both kinds
     fa, fb, ta, tb, B = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     residuals = _conjugation_residuals(ta, tb, B.astype(complex), np.zeros(B.shape, dtype=complex),
-                                       fa, fb)
-    residuals[:len(s_ok)][~s_ok] = np.inf
-    residuals = residuals.tolist()
+                                       fa, fb)[0].tolist()
 
     gate = _build_gate(tol)
     sizes = counts + [1] * len(direct)

@@ -207,13 +207,13 @@ def generate(type_name: str, seed=None, rng=None) -> GeneratedInstance:
 # canonical reversibility families (used heavily by the test suite)
 
 
-def reversible_shape(kind: str, rng, r_low: float = 0.2, r_high: float = 5.0) -> QMatrix3:
+def reversible_shape(kind: str, rng) -> QMatrix3:
     """Random canonical representative of a reversible shape (i)-(iv)."""
     if kind == "i":
         return QMatrix3.diag(*(_e(rng.uniform(0.0, np.pi)) for _ in range(3)))
     if kind == "ii":
         while True:
-            r = float(np.exp(rng.uniform(np.log(r_low), np.log(r_high))))
+            r = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
             if abs(r - 1.0) >= 0.2:
                 break
         t = rng.uniform(0.0, np.pi)

@@ -337,28 +337,28 @@ def inverse(m: QMatrix3) -> QMatrix3:
 
 
 def _conjugation_residuals(ta, tb, ba, bb, ma, mb):
-    """||T B T^-1 - M|| / ||M|| of stacks of complex pairs T, B and M, (N, 3, 3) each.
+    """||T B T^-1 - M|| / ||M|| of stacks of complex pairs T, B and M, (N, 3, 3) each,
+    and the stack of Phi(T)^-1 it was measured with, from _invert_adjoints.
 
-    A member whose T fails the singular rule gets inf; the others are
-    computed as if alone.
+    A member whose T fails the singular rule gets inf and a zero inverse;
+    the others are computed as if alone.
     """
     t_inv, ok = _invert_adjoints(_adjoint(ta, tb))
     ra, rb = _qmul(*_qmul(ta, tb, ba, bb), t_inv[:, :3, :3], t_inv[:, :3, 3:])
     residuals = _norms(ra - ma, rb - mb) / np.maximum(_norms(ma, mb), 1e-300)
-    return np.where(ok, residuals, math.inf)
+    return np.where(ok, residuals, math.inf), t_inv
 
 
 def conjugation_residual(T: QMatrix3, B: QMatrix3, M: QMatrix3) -> float:
     """||T B T^-1 - M|| / ||M||, or inf when T is singular: one member of
     _conjugation_residuals.
 
-    Serves the conjugacy certificates that carry their conjugator: a Jordan
-    similarity (S, J, A) and a real conjugate (T, B, factor).  A reverser g
-    with g^2 = +-I needs no inverse: g A g^-1 = t A^-1 is checked as
-    product_residual([A, g, A], t g).
+    Serves the certificates that carry their conjugator, such as a real
+    conjugate (T, B, factor).  A reverser g with g^2 = +-I needs no inverse:
+    g A g^-1 = t A^-1 is checked as product_residual([A, g, A], t g).
     """
     return float(_conjugation_residuals(T.a[None], T.b[None], B.a[None], B.b[None],
-                                        M.a[None], M.b[None])[0])
+                                        M.a[None], M.b[None])[0][0])
 
 
 def _square_residuals(ga, gb, signs):

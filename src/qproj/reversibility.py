@@ -17,9 +17,9 @@ The witnesses follow jordan_form per batch (_psls_from_data): the CLI passes
 a whole batch, psl_report a batch of one, and reverser and
 involution_reverser pass one member to _witnesses.  The matchers run per
 member; every g, its pair and their residuals come from stacked complex-pair
-arithmetic, with one stacked inverse for the S of the batch.  No certificate
-inverts A: g A g^-1 = t A^-1 is checked as A g A = t g, which is the same
-relation once g^2 = +-I is certified.
+arithmetic, with the S^-1 that comes with each member's Jordan data.  No
+certificate inverts A: g A g^-1 = t A^-1 is checked as A g A = t g, which
+is the same relation once g^2 = +-I is certified.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotReversible, NotStronglyReversible, QprojError
-from .matrix import (QMatrix3, _adjoint, _build_gate, _invert_adjoints, _json_matrices,
-                     _product_residuals, _qmul, _square_residuals, _stack, check_certificate,
-                     inverse, require_unimodular)
+from .matrix import (QMatrix3, _build_gate, _json_matrices, _product_residuals, _qmul,
+                     _square_residuals, _stack, check_certificate, inverse, require_unimodular)
 from .quaternion import DEFAULT_TOL, ClassRep
 from .spectral import JordanData, _sylvester_op, _unvec36, jordan_form
 
@@ -200,22 +199,19 @@ def _witnesses(As, datas, matches, relations, tol: float, pair: bool) -> list:
     the residuals of A g A = t g and g^2 = s I.  Once g^2 = s I is certified,
     g is invertible and A g A = t g says g A g^-1 = t A^-1, with no A^-1.
     With pair, s1 = -t A g, so that s1 g = -t s A = A, and the residuals of
-    that product and of s1^2 = -I follow; without it s1 is None.  S^-1 of
-    the whole batch comes from one stacked inverse, and each relation's
-    residuals from one stacked call.  Each member's gates run in the order
-    of a batch of one: Singular from S^-1, then its residuals in the order
-    above, so a member's error does not depend on its batch.
+    that product and of s1^2 = -I follow; without it s1 is None.  S^-1 is
+    the one each member's Jordan data carries, and each relation's
+    residuals come from one stacked call.  Each member's gates run in the
+    order above, so a member's error does not depend on its batch.
     """
     n = len(As)
     ma, mb = _stack(As)
-    sa, sb = _stack([data.S for data in datas])
-    s_inv, ok = _invert_adjoints(_adjoint(sa, sb))
     # g = S P g0 P^T S^-1, multiplied left to right
     order = [_ORDER[perm] for perm, _ in matches]
-    ga, gb = _qmul(sa, sb, _P[order], _NO_J)
+    ga, gb = _qmul(*_stack([data.S for data in datas]), _P[order], _NO_J)
     ga, gb = _qmul(ga, gb, *_stack([g0 for _, g0 in matches]))
     ga, gb = _qmul(ga, gb, _PT[order], _NO_J)
-    ga, gb = _qmul(ga, gb, s_inv[:, :3, :3], s_inv[:, :3, 3:])
+    ga, gb = _qmul(ga, gb, *_stack([data.S_inv for data in datas]))
     what, t, s = zip(*relations)
     # the members with t = -1, negated through np.where: a product by t could
     # flip the sign of a zero, and s1 = -(A g) of a t = 1 member stays bitwise
@@ -236,10 +232,8 @@ def _witnesses(As, datas, matches, relations, tol: float, pair: bool) -> list:
 
     gate = _build_gate(tol)
     out = []
-    for k, data in enumerate(datas):
+    for k in range(n):
         try:
-            if not ok[k]:
-                inverse(data.S)  # raises the Singular the stacked inverse found
             residuals = [check_certificate(conjugations[k], f"{what[k]} conjugation", gate),
                          check_certificate(squares[k], f"{what[k]} square", gate)]
             if pair:

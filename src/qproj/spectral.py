@@ -18,19 +18,20 @@ the nilpotency index of the class's nilpotent part N, found while judging
 the class.  The one candidate builds each class's chains with those sizes,
 and is polished when its residual needs it.
 
-Both stages run on a whole batch at once: the CLI passes its batch, and
-jordan_form a batch of one.  The first stage (_generic_jordan) decides by one
-stacked eig, which picks the members with three non-real classes, each a
-conjugate pair within the base level, more than _MERGE_CAP * scale apart and
-clear of the ambiguous band (_one_candidate).  Their candidate is built
-directly from the upper eigenvectors, and kept only when its residual needs
-no polish.  Every other member goes to the read (_read_jordan), which makes
-the singular check, the 2-norm, the gauge and the residual of all its
-members in one stacked call each, and runs Schur, the read and the chains
-per member; each member gets the answer it would get alone.  jordan_form
-applies the first stage's test to its Schur diagonal first, so an input that
-goes to the read pays no eig; the CLI does not test again a member its
-stacked stage rejected, since that test would decide bitwise the same.
+Both stages run on a whole batch at once: the CLI passes its batch to
+_jordan_forms, and jordan_form is a batch of one.  The first stage
+(_generic_jordan) decides by one stacked eig, which picks the members with
+three non-real classes, each a conjugate pair within the base level, more than
+_MERGE_CAP * scale apart and clear of the ambiguous band (_one_candidate).
+Their candidate is built directly from the upper eigenvectors, and kept only
+when its residual needs no polish.  Every other member goes to the read
+(_read_jordan), which makes the singular check, the 2-norm, the gauge and the
+residual of all its members in one stacked call each, and runs Schur, the read
+and the chains per member; each member gets the answer it would get alone.
+jordan_form applies the first stage's test to its Schur diagonal first, so an
+input that goes to the read pays no eig; _jordan_forms does not test again a
+member its stacked stage rejected, since that test would decide bitwise the
+same.  Either stage keeps, with S, the S^-1 its residual was measured with.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ import scipy.linalg as sla
 
 from .errors import IllConditioned, LiftFailure, Singular, SpectralFailure
 from .matrix import (QMatrix3, _adjoint, _blocks36, _conjugation_residuals, _invert_adjoint,
-                     _invert_adjoints, _json_matrices, _qmul, _stack, _unvec36, _vec36,
-                     conjugation_residual, inverse)
+                     _invert_adjoints, _json_matrices, _qmul, _stack, _unvec36, _vec36)
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 
 # Gauss-Newton steps of the Sylvester polish at most.
@@ -58,10 +58,12 @@ _EPS = np.finfo(float).eps
 
 @dataclass
 class JordanData:
-    """Jordan blocks, the similarity A = S J S^-1 and the shape tag."""
+    """Jordan blocks, the similarity A = S J S^-1, the S^-1 its residual was
+    measured with, and the shape tag."""
 
     blocks: list  # [(ClassRep, size)], canonical order
     S: QMatrix3
+    S_inv: QMatrix3
     shape_id: str  # "diag" | "j2" | "j3"
     residual: float
 
@@ -547,7 +549,7 @@ def _sylvester_polish(A: QMatrix3, data: JordanData):
         diagonal = 16 * np.arange(3)
         shift[diagonal, 2 * column_class] = 1.0
         shift[diagonal + 1, 2 * column_class + 1] = 1.0
-        R = (inverse(best.S) @ A @ best.S) - J
+        R = (best.S_inv @ A @ best.S) - J
         op = np.hstack([_sylvester_op(J, J), -shift])
         sol, *_ = np.linalg.lstsq(op, -_vec36(R), rcond=None)
         X = _unvec36(sol[:36])
@@ -561,14 +563,11 @@ def _sylvester_polish(A: QMatrix3, data: JordanData):
             folded_blocks, s_candidate = _fold_negative_classes(
                 new_blocks, best.S @ (QMatrix3.identity() + fraction * X)
             )
-            cand = JordanData(
-                blocks=folded_blocks,
-                S=_normalize_similarity(s_candidate, folded_blocks),
-                shape_id=best.shape_id,
-                residual=np.inf,
-            )
-            cand.residual = conjugation_residual(cand.S, cand.jordan_matrix(), A)
-            return cand
+            S = _normalize_similarity(s_candidate, folded_blocks)
+            (residual,), (s_inv,) = _conjugation_residuals(
+                *_stack([S]), *_stack([_assemble_jordan(folded_blocks)]), *_stack([A]))
+            return JordanData(blocks=folded_blocks, S=S, S_inv=QMatrix3.from_adjoint(s_inv),
+                              shape_id=best.shape_id, residual=float(residual))
 
         # Gauss-Newton overshoots near the defective orbit; backtrack
         cand = min((stepped(f) for f in (1.0, 0.5, 0.25)), key=lambda c: c.residual)
@@ -658,8 +657,9 @@ def _generic_jordan(phis: np.ndarray, tol: float) -> list:
     keep = ok[:len(live)] & ok[len(live):] & (residual <= min(1e-12, 1e3 * tol))
     for k in np.flatnonzero(keep).tolist():
         blocks = [(reps[3 * k + i], 1) for i in order[k]]
-        out[live[k]] = JordanData(blocks=blocks, S=QMatrix3(sa[k], sb[k]), shape_id="diag",
-                                  residual=float(residual[k]))
+        out[live[k]] = JordanData(blocks=blocks, S=QMatrix3(sa[k], sb[k]),
+                                  S_inv=QMatrix3.from_adjoint(inverses[len(live) + k]),
+                                  shape_id="diag", residual=float(residual[k]))
     return out
 
 
@@ -719,8 +719,8 @@ def _read_jordan(As, phis, tol, schurs=None) -> list:
     stacked SVD gives ||Phi(A)||_2 of the members that pass.  Schur, the
     read and the lift of its chains run per member; then one _gauged covers
     the chain heads of every candidate and one _conjugation_residuals their
-    residuals.  Each member is then polished when needed and gated by
-    itself.  Any exception, a QprojError or not, is kept in its member's
+    residuals and the S^-1 each keeps.  Each member is then polished when
+    needed and gated by itself.  Any exception, a QprojError or not, is kept in its member's
     slot, for the caller to raise when it reaches that member.
 
     schurs, when given, holds the complex Schur form (T, Z) of each
@@ -754,10 +754,11 @@ def _read_jordan(As, phis, tol, schurs=None) -> list:
     sa, sb = _gauged(*_stack([S for _, _, S in built]),
                      [[size for _, size in blocks] for blocks in block_lists])
     J = _jordan_matrices(block_lists)
-    residuals = _conjugation_residuals(sa, sb, J, np.zeros_like(J),
-                                       phis[members, :3, :3], phis[members, :3, 3:])
+    residuals, inverses = _conjugation_residuals(sa, sb, J, np.zeros_like(J),
+                                                 phis[members, :3, :3], phis[members, :3, 3:])
     for m, ((k, blocks, _), residual) in enumerate(zip(built, residuals.tolist())):
-        data = JordanData(blocks=blocks, S=QMatrix3(sa[m], sb[m]), shape_id=_shape_id(blocks),
+        data = JordanData(blocks=blocks, S=QMatrix3(sa[m], sb[m]),
+                          S_inv=QMatrix3.from_adjoint(inverses[m]), shape_id=_shape_id(blocks),
                           residual=residual)
         try:
             out[k] = _accepted(As[k], data, tol)
@@ -791,6 +792,25 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     if isinstance(data, Exception):
         raise data
     return data
+
+
+def _jordan_forms(As, tol: float) -> list:
+    """The JordanData of each A in As, or the exception jordan_form raises on it.
+
+    One _generic_jordan call covers the whole stack, and one _read_jordan
+    call every member it leaves out: jordan_form alone would send such a
+    member to the read as well, since its first stage decides bitwise as the
+    stacked one does.  So every member gets the data jordan_form alone gives
+    it, provided a member whose stacked eig passes _one_candidate and whose
+    Schur diagonal fails it misses the stage's residual bound.
+    """
+    phis = _adjoint(*_stack(As))
+    datas = _generic_jordan(phis, tol)
+    rejected = [k for k, data in enumerate(datas) if data is None]
+    read = _read_jordan([As[k] for k in rejected], phis[rejected], tol)
+    for k, data in zip(rejected, read):
+        datas[k] = data
+    return datas
 
 
 def eigenvector_lift(u, v, lam, A: QMatrix3 | None = None, tol: float = DEFAULT_TOL):

@@ -62,7 +62,7 @@ def test_criterion_1_reverser_certificates():
     t0 = time.time()
     for kind in ("i", "ii", "iii", "iv"):
         for _ in range(n_per):
-            a, _ = conjugated(reversible_shape(kind, rng, 0.2, 5.0), rng)
+            a, _ = conjugated(reversible_shape(kind, rng), rng)
             g = reverser(a)
             a_inv = inverse(a)
             rc = (g @ a @ inverse(g) - a_inv).norm() / a_inv.norm()

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qproj import QMatrix3, classification_report, decompose_simple, psl_report, spectral
+from qproj import (QMatrix3, classification_report, decompose, decompose_simple, psl_report,
+                   reversibility, spectral)
 from qproj.cli import main
 from qproj.generate import conjugated, generate, negative_shape, reversible_shape
 from test_cli import counted_everywhere
@@ -62,3 +63,29 @@ def test_one_extraction_per_simple_check(jordan_calls, monkeypatch):
     assert res.exit_code == 0, res.output
     assert json.loads(res.stdout)["simple"] is True
     assert len(jordan_calls) + sum(len(args[0]) for args in reads) == 1
+
+
+def test_after_stages_take_the_inverse_of_s_from_the_jordan_data(monkeypatch):
+    # generic and unit-J2 inputs split into three or four factors and have
+    # skew-involution reversers; the negative shape has an involution witness
+    mats = [generate(t, seed=seed).matrix for seed in (1, 2)
+            for t in ("regular-elliptic", "regular-loxodromic", "ellipto-parabolic")]
+    mats.append(INPUTS["negative-shape"])
+    text = json.dumps([m.to_json_dict() for m in mats])
+    runner = CliRunner()
+    want = {cmd: runner.invoke(main, [cmd, "-"], input=text).stdout
+            for cmd in ("reversibility", "decompose")}
+    library = [(psl_report(a).to_json_dict(), decompose_simple(a).to_json_dict()) for a in mats]
+    assert all(len(dec["factors"]) > 1 for _, dec in library)
+
+    def refused(*args):
+        raise AssertionError("an after-stage inverted a matrix")
+
+    for module in (reversibility, decompose):
+        for name in ("_invert_adjoints", "inverse"):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    assert [(psl_report(a).to_json_dict(), decompose_simple(a).to_json_dict())
+            for a in mats] == library
+    for cmd, stdout in want.items():
+        res = runner.invoke(main, [cmd, "-"], input=text)
+        assert (res.exit_code, res.stdout) == (0, stdout), res.output

@@ -100,6 +100,7 @@ TAMPERINGS = {
     "reverser": ("reversibility", ("reverser", "matrix", 0, 0), [9.0, 0.0, 0.0, 0.0]),
     "pair-s1": ("reversibility", ("pair_s1", "matrix", 0, 1), [9.0, 0.0, 0.0, 0.0]),
     "factor-B": ("decompose", ("certificates", 0, "B", 0, 0), 9.0),
+    "reversible-psl": ("reversibility", ("reversible_psl",), False),
     "simple-T": (
         "simple-check", ("certificate", "T", "matrix", 0, 1), [9.0, 0.0, 0.0, 0.0]
     ),
@@ -616,6 +617,11 @@ def uncertified_simple(rep):
     rep["certificate"] = None
 
 
+def unflagged_psl(rep):
+    assert rep["reversible_psl"]
+    rep["reversible_psl"] = False
+
+
 def edited_block_re(rep):
     rep["jordan"]["blocks"][0]["re"] += 0.5
 
@@ -647,6 +653,9 @@ TAMPERED_BATCH_MEMBERS = {
                             ("4 certificates for 3 factors",)),
     "uncertified-simple": ("simple-check", "vertical-translation", uncertified_simple,
                            ("simple-check flag True carries no certificate",)),
+    # the witness still checks out; only the flags contradict each other
+    "unflagged-psl": ("reversibility", "regular-elliptic", unflagged_psl,
+                      ("reversibility flags break the rule reversible_psl == ",)),
     "edited-block-re": ("classify", "regular-loxodromic", edited_block_re,
                         ("jordan reconstruction residual",)),
     "edited-block-size": ("classify", "loxo-parabolic", edited_block_sizes,
@@ -670,6 +679,41 @@ def test_tampered_report_fails_alone_and_mid_batch(runner, name):
                   for c in ("reversibility", "simple-check")]
     batch = verified(runner, [neighbours[0], rep, neighbours[1]])
     assert batch[:4] == ("", ["report 0: ok", "report 1: FAIL", "report 2: ok"], failures, 4)
+
+
+def no_witness(rep):
+    rep["reverser"] = rep["pair_s1"] = None
+
+
+# (generated type or None for a conjugated negative shape, edit, the rule it breaks first)
+FLAG_EDITS = {
+    "strong-not-sl": ("regular-elliptic",
+                      lambda rep: rep.update(reversible_sl=False, strongly_reversible_sl=True),
+                      "strongly_reversible_sl implies reversible_sl"),
+    "not-psl": ("regular-elliptic", unflagged_psl,
+                "reversible_psl == (reversible_sl or negative_reversible)"),
+    "no-witness": ("regular-elliptic", no_witness, "a reverser is present iff reversible_psl"),
+    "involution-kind": ("regular-elliptic", lambda rep: rep.update(reverser_kind="involution"),
+                        "reverser_kind skew-involution iff reversible_sl"),
+    "no-kind": (None, lambda rep: rep.update(reverser_kind="none"),
+                "reverser_kind involution iff negative_reversible and not reversible_sl"),
+}
+
+
+@pytest.mark.parametrize("name", list(FLAG_EDITS))
+def test_verify_rejects_reversibility_flags_that_contradict_each_other(runner, name):
+    type_name, edit, rule = FLAG_EDITS[name]
+    if type_name is None:
+        rng = np.random.default_rng(1)
+        m = conjugated(negative_shape("ii", rng), rng)[0]
+    else:
+        m = generate(type_name, seed=1).matrix
+    rep = report_of(runner, "reversibility", m)
+    assert verified(runner, [rep])[3] == 0
+    edit(rep)
+    _, statuses, failures, code, _ = verified(runner, [rep])
+    assert (statuses, code) == (["report 0: FAIL"], 4)
+    assert failures[0] == f"verification failure: reversibility flags break the rule {rule}"
 
 
 def test_jordan_blocks_beyond_three_columns_are_malformed(runner):

@@ -6,14 +6,17 @@ be correct or a typed QprojError; a similarity S is never rejected as
 singular just because its determinant is small.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qproj import (QprojError, Singular, classification_report, decompose_simple, is_simple,
                    psl_report)
-from qproj.cli import _jordan_data
 from qproj.generate import DYNAMICAL_TYPES
-from qproj.spectral import jordan_form
+from qproj.matrix import inverse
+from qproj.spectral import _jordan_forms, jordan_form
 from oracles import conditioned_conjugator
 
 _LOXODROMIC = ("RegularLoxodromic", "ScrewLoxodromic", "Homothety", "LoxoParabolic")
@@ -77,7 +80,7 @@ def test_batch_jordan_data_equals_jordan_form_alone(c):
     # it alone, residual bits included, or the same error, however
     # ill-conditioned the member
     mats = [a for a, _ in conjugated_samples(c, np.random.default_rng(0))]
-    for batch, alone in zip(_jordan_data(mats, 1e-9), (jordan_or_error(a, 1e-9) for a in mats),
+    for batch, alone in zip(_jordan_forms(mats, 1e-9), (jordan_or_error(a, 1e-9) for a in mats),
                             strict=True):
         if isinstance(alone, QprojError):
             assert (type(batch), str(batch)) == (type(alone), str(alone))
@@ -86,6 +89,40 @@ def test_batch_jordan_data_equals_jordan_form_alone(c):
             assert (batch.S.a.tobytes(), batch.S.b.tobytes()) == (alone.S.a.tobytes(),
                                                                    alone.S.b.tobytes())
             assert float(batch.residual).hex() == float(alone.residual).hex()
+
+
+def carries_its_inverse(data):
+    """True when data.S_inv is inverse(data.S), bit for bit."""
+    want = inverse(data.S)
+    return (data.S_inv.a.tobytes(), data.S_inv.b.tobytes()) == (want.a.tobytes(),
+                                                                 want.b.tobytes())
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("c", [1e2, 1e3, 1e4, 1e5, 1e6])
+def test_jordan_data_carries_the_inverse_of_its_similarity(seed, c):
+    # the sweep reaches both stages and the polish; each keeps the S^-1 its
+    # residual was measured with
+    mats = [a for a, _ in conjugated_samples(c, np.random.default_rng(seed))]
+    datas = [*_jordan_forms(mats, 1e-9), *(jordan_or_error(a, 1e-9) for a in mats)]
+    assert all(carries_its_inverse(data) for data in datas if not isinstance(data, QprojError))
+
+
+def workloads():
+    """perfbench/workloads.py, which builds the benchmark's corpora."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["generic", "defective", "shapes"])
+def test_workload_jordan_data_carries_the_inverse_of_its_similarity(workload):
+    # the first chunk of the seed-1 corpus, as one batch and one input at a time
+    mats = [item["matrix"] for item in workloads().build_corpus(workload, 1)[0]]
+    datas = [*_jordan_forms(mats, 1e-9), *(jordan_form(a, 1e-9) for a in mats)]
+    assert all(carries_its_inverse(data) for data in datas)
 
 
 @pytest.mark.parametrize("c", [1e2, 1e3])

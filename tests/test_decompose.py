@@ -271,7 +271,8 @@ def test_real_route_certificate_is_measured_and_gated():
 def canonical(shape, blocks):
     """JordanData of a canonical Jordan matrix: blocks of (complex λ, size), S = I."""
     return JordanData(blocks=[(ClassRep(lam.real, lam.imag), size) for lam, size in blocks],
-                      S=QMatrix3.identity(), shape_id=shape, residual=0.0)
+                      S=QMatrix3.identity(), S_inv=QMatrix3.identity(), shape_id=shape,
+                      residual=0.0)
 
 
 # every route of the canonical factors; |λ| != 1 on J3 is the defensive branch

@@ -313,7 +313,8 @@ def test_stacked_inverse_fails_only_the_members_that_fail():
                 assert not inv.any()
         # T I T^-1 = I: a conjugator that fails gets inf, the others their lone residual
         eye = [QMatrix3.identity()] * len(members)
-        residuals = _conjugation_residuals(*_stack(members), *_stack(eye), *_stack(eye))
+        residuals, used = _conjugation_residuals(*_stack(members), *_stack(eye), *_stack(eye))
+        assert used.tobytes() == inverses.tobytes()
         for m, r, passed in zip(members, residuals, ok):
             assert r == conjugation_residual(m, QMatrix3.identity(), QMatrix3.identity())
             assert (r < 1e-12) if passed else (r == np.inf)

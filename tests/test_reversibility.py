@@ -350,7 +350,7 @@ def test_library_gate_is_no_looser_than_replay_gate(rng, monkeypatch):
     monkeypatch.setattr(reversibility, "_square_residuals",
                         lambda ga, gb, signs: np.full(len(ga), 5e-6))
     monkeypatch.setattr(decompose, "_conjugation_residuals",
-                        lambda ta, tb, ba, bb, ma, mb: np.full(len(ta), 5e-6))
+                        lambda ta, tb, ba, bb, ma, mb: (np.full(len(ta), 5e-6), None))
     with pytest.raises(CertificateError, match="reverser square"):
         psl_report(rev, 1e-9)
     with pytest.raises(CertificateError, match="real-conjugate"):
