@@ -439,6 +439,7 @@ class _Replay:
                 for k, (f, cert) in enumerate(zip(factors, certificates))
             ]
         elif kind == "simple-check":
+            _flag(rep, "simple")
             jordan = self._verdict(a, report_tol)
 
             def recomputed(failures):
@@ -551,10 +552,17 @@ class _Replay:
                 for kind in _CERTIFICATE_KINDS if kind in found]
 
 
+def _flag(rep, name):
+    """rep[name]; a TypeError, so a malformed report, unless it is a JSON boolean."""
+    if not isinstance(rep[name], bool):
+        raise TypeError(f"{name} is {rep[name]!r}, not a boolean")
+    return rep[name]
+
+
 def _broken_flag_rule(rep):
     """The first rule that the flags and witness of a reversibility report
     break, or None; read off the report alone, as the library sets them."""
-    sl, strong, negative, psl = (bool(rep[flag]) for flag in (
+    sl, strong, negative, psl = (_flag(rep, flag) for flag in (
         "reversible_sl", "strongly_reversible_sl", "negative_reversible", "reversible_psl"))
     kind = rep["reverser_kind"]
     rules = (

@@ -15,11 +15,11 @@ performed.
 
 The witnesses follow jordan_form per batch (_psls_from_data): the CLI passes
 a whole batch, psl_report a batch of one, and reverser and
-involution_reverser pass one member to _witnesses.  The matchers run per
-member; every g, its pair and their residuals come from stacked complex-pair
-arithmetic, with the S^-1 that comes with each member's Jordan data.  No
-certificate inverts A: g A g^-1 = t A^-1 is checked as A g A = t g, which
-is the same relation once g^2 = +-I is certified.
+involution_reverser pass one member to _witnesses.  _matches reads each
+member's shape once; every g = S g0 S^-1, its pair and their residuals come
+from stacked complex-pair arithmetic, with the S^-1 of each member's Jordan
+data.  No certificate inverts A: g A g^-1 = t A^-1 is checked as A g A = t g,
+which is the same relation once g^2 = +-I is certified.
 """
 
 from __future__ import annotations
@@ -76,17 +76,21 @@ def _reversibility_dicts(reports) -> list:
 
 
 # ---------------------------------------------------------------------------
-# one matcher per relation: Jordan data -> (perm, g0) or None, where g0 is the
-# published closed-form witness for the canonical Jordan matrix J and perm[k]
-# is the Jordan slot that provides canonical slot k
+# one reading of the Jordan shape: Jordan data -> the published closed-form
+# witness g0 of each relation, placed in the Jordan slots of J, or None
 
-_ID = (0, 1, 2)
-# slot orders that put a pair in canonical slots 0, 1 and a singleton in slot 2
-_PAIR_ORDERS = (_ID, (0, 2, 1), (1, 2, 0))
+# slot orders p that put a pair in slots p[0], p[1] and a singleton in p[2]
+_PAIR_ORDERS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 _ALL_ORDERS = _PAIR_ORDERS + ((1, 0, 2), (2, 0, 1), (2, 1, 0))
 _ZERO = np.zeros((3, 3))
 _SWAP = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 _FLIP = np.diag([1.0, -1.0, 1.0])
+# the closed forms of a pair in slots 0, 1 and a singleton in slot 2; in the
+# involution [[0, j, 0], [-j, 0, 0], [0, 0, 1]], -j is the negated j, zeros -0.0
+_SKEW_PAIR = QMatrix3(_ZERO, _SWAP)
+_NEGATIVE_PAIR = QMatrix3(_SWAP, _ZERO)
+_INVOLUTION_PAIR = QMatrix3([[0.0, 0.0, 0.0], [-0j, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                            [[0.0, 1.0, 0.0], [complex(-1.0, -0.0), 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def _boundary_angle(rep: ClassRep, tol: float) -> bool:
@@ -95,83 +99,58 @@ def _boundary_angle(rep: ClassRep, tol: float) -> bool:
     return min(abs(theta), abs(math.pi - theta)) <= 1e3 * tol
 
 
-def _inverse_pair(reps, tol: float):
-    """The slot order (a, a^-1, c) of a diagonal shape with |a| != 1 and |c| = 1."""
-    for p in _PAIR_ORDERS:
-        a, b, c = (reps[k] for k in p)
-        if c.is_unit(tol) and not a.is_unit(tol) and b.isclose(a.inverse_class(), 1e3 * tol):
-            return p
-    return None
-
-
-def _match_skew_involution(data: JordanData, tol: float):
-    """(perm, g0) with g0 J g0^-1 = J^-1 and g0^2 = -I, or None: A ~ A^-1.
-
-    Blocks either pair up as {a, a^-1} with |a| != 1 or stand alone with
-    |a| = 1; only a diagonal shape has room for a pair.
-    """
-    reps = [rep for rep, _ in data.blocks]
-    unit = all(rep.is_unit(tol) for rep in reps)
-    if data.shape_id == "diag":
-        if unit:
-            return _ID, QMatrix3(_ZERO, np.eye(3))  # diag(j, j, j)
-        p = _inverse_pair(reps, tol)
-        return None if p is None else (p, QMatrix3(_ZERO, _SWAP))
-    if not unit:
+def _placed(p, g0: QMatrix3):
+    """g0 with its entry (k, l) moved to the Jordan slots (p[k], p[l]); None when p is."""
+    if p is None:
         return None
-    theta = reps[0].angle()
-    if data.shape_id == "j2":
-        return _ID, QMatrix3(_ZERO, np.diag([-cmath.exp(-2j * theta), 1.0, 1.0]))
-    return _ID, QMatrix3(_ZERO, [[cmath.exp(-4j * theta), cmath.exp(-3j * theta), 0.0],
-                                 [0.0, -cmath.exp(-2j * theta), 0.0], [0.0, 0.0, 1.0]])
+    out, at = QMatrix3.zeros(), np.ix_(p, p)
+    out.a[at], out.b[at] = g0.a, g0.b
+    return out
 
 
-def _match_involution(data: JordanData, tol: float):
-    """(perm, g0) with g0 J g0^-1 = J^-1 and g0^2 = I, or None: A strongly reversible.
+def _matches(data: JordanData, tol: float):
+    """(skew, involution, negative): the witness g0 of each relation of J, or None.
 
-    A subset of the skew-involution shapes: the classes that stand alone
-    have angle 0 or pi, and two equal unit classes may pair up.
+    skew: g0 J g0^-1 = J^-1, g0^2 = -I (A ~ A^-1); blocks pair up as {a, a^-1}
+    with |a| != 1 or stand alone with |a| = 1.  involution: the same with
+    g0^2 = I (strongly reversible); lone classes have angle 0 or pi, and two
+    equal unit classes may pair up.  negative: g0 J g0^-1 = -J^-1, g0^2 = I;
+    blocks pair up as {a, -a^-1} or stand alone in [i].  Only a diagonal
+    shape has room for a pair.  A J2 or J3 shape in [i] has unit moduli, so
+    skew witnesses it too, and its negative is True rather than a g0.
     """
     reps = [rep for rep, _ in data.blocks]
-    if data.shape_id == "diag":
-        if all(rep.is_unit(tol) for rep in reps):  # two equal classes pair up
-            p = next((p for p in _PAIR_ORDERS if reps[p[0]].isclose(reps[p[1]], 1e3 * tol)
-                      and _boundary_angle(reps[p[2]], tol)), None)
-        else:
-            p = _inverse_pair(reps, tol)
-        if p is None or not _boundary_angle(reps[p[2]], tol):
-            return None
-        # [[0, j, 0], [-j, 0, 0], [0, 0, 1]]; -j is the negated quaternion j, zeros -0.0
-        return p, QMatrix3([[0.0, 0.0, 0.0], [-0j, 0.0, 0.0], [0.0, 0.0, 1.0]],
-                           [[0.0, 1.0, 0.0], [complex(-1.0, -0.0), 0.0, 0.0], [0.0, 0.0, 0.0]])
-    if not all(rep.is_unit(tol) and _boundary_angle(rep, tol) for rep in reps):
-        return None
-    if data.shape_id == "j2":
-        return _ID, QMatrix3(_FLIP, _ZERO)
-    sign = 1.0 if abs(reps[0].angle()) <= math.pi / 2 else -1.0
-    return _ID, QMatrix3([[1.0, sign, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]], _ZERO)
-
-
-def _match_negative_involution(data: JordanData, tol: float):
-    """(perm, g0) with g0 J g0^-1 = -J^-1 and g0^2 = I, or None: A ~ -A^-1.
-
-    Blocks pair up as {a, -a^-1} or stand alone in the class of i.
-    """
-    reps = [rep for rep, _ in data.blocks]
+    unit = [rep.is_unit(tol) for rep in reps]
     in_i = [rep.isclose(ClassRep(0.0, 1.0), 1e3 * tol) for rep in reps]
     if data.shape_id == "diag":
-        for p in _ALL_ORDERS:  # the first order is the identity, taken when all are in [i]
-            a, b, _ = (reps[k] for k in p)
-            if all(in_i) or (in_i[p[2]] and b.isclose(a.negated_inverse_class(), 1e3 * tol)):
-                return p, QMatrix3(_SWAP, _ZERO)
-        return None
-    if not all(in_i):
-        return None
+        if all(unit):
+            skew = QMatrix3(_ZERO, np.eye(3))  # diag(j, j, j)
+            pair = next((p for p in _PAIR_ORDERS if reps[p[0]].isclose(reps[p[1]], 1e3 * tol)
+                         and _boundary_angle(reps[p[2]], tol)), None)
+        else:  # the slot order (a, a^-1, c) with |a| != 1 and |c| = 1
+            pair = next((p for p in _PAIR_ORDERS if unit[p[2]] and not unit[p[0]]
+                         and reps[p[1]].isclose(reps[p[0]].inverse_class(), 1e3 * tol)), None)
+            skew = _placed(pair, _SKEW_PAIR)
+        if pair is not None and not _boundary_angle(reps[pair[2]], tol):
+            pair = None
+        # the first order is the identity, taken when all are in [i]
+        negative = next((p for p in _ALL_ORDERS if all(in_i) or (
+            in_i[p[2]] and reps[p[1]].isclose(reps[p[0]].negated_inverse_class(), 1e3 * tol))),
+            None)
+        return skew, _placed(pair, _INVOLUTION_PAIR), _placed(negative, _NEGATIVE_PAIR)
+    if not all(unit):
+        return None, None, None
+    theta = reps[0].angle()
+    strong = all(_boundary_angle(rep, tol) for rep in reps)
     if data.shape_id == "j2":
-        return _ID, QMatrix3(_FLIP, _ZERO)
-    # complex(0.0, -1.0), not -1j, whose real part -0.0 would flip zero signs in g
-    return _ID, QMatrix3([[1.0, complex(0.0, -1.0), 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
-                         _ZERO)
+        skew = QMatrix3(_ZERO, np.diag([-cmath.exp(-2j * theta), 1.0, 1.0]))
+        involution = QMatrix3(_FLIP, _ZERO)
+    else:
+        skew = QMatrix3(_ZERO, [[cmath.exp(-4j * theta), cmath.exp(-3j * theta), 0.0],
+                                [0.0, -cmath.exp(-2j * theta), 0.0], [0.0, 0.0, 1.0]])
+        sign = 1.0 if abs(theta) <= math.pi / 2 else -1.0
+        involution = QMatrix3([[1.0, sign, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]], _ZERO)
+    return skew, involution if strong else None, True if all(in_i) else None
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +162,12 @@ _SKEW = ("reverser", 1.0, -1.0)
 _INVOLUTION = ("involution", 1.0, 1.0)
 _NEGATIVE = ("negative-reverser", -1.0, 1.0)
 
-# the permutation matrix P of each slot order and its transpose as complex
-# blocks; g = S P g0 P^T S^-1 multiplies by them as real matrices
-_ORDER = {p: k for k, p in enumerate(_ALL_ORDERS)}
-_P = np.array([np.eye(3)[:, list(p)] for p in _ALL_ORDERS], dtype=complex)
-_PT = _P.transpose(0, 2, 1).copy()
-_NO_J = np.zeros((3, 3), dtype=complex)
 
-
-def _witnesses(As, datas, matches, relations, tol: float, pair: bool) -> list:
+def _witnesses(As, datas, g0s, relations, tol: float, pair: bool) -> list:
     """Per member, ((g, s1), residuals) with its witness checked, or the QprojError it raises.
 
-    Member k has input As[k], Jordan data datas[k], match (perm, g0) and
-    relation (what, t, s): g = S P g0 P^T S^-1 with P of perm, certified by
+    Member k has input As[k], Jordan data datas[k], closed form g0s[k] in
+    its Jordan slots and relation (what, t, s): g = S g0 S^-1, certified by
     the residuals of A g A = t g and g^2 = s I.  Once g^2 = s I is certified,
     g is invertible and A g A = t g says g A g^-1 = t A^-1, with no A^-1.
     With pair, s1 = -t A g, so that s1 g = -t s A = A, and the residuals of
@@ -206,11 +178,7 @@ def _witnesses(As, datas, matches, relations, tol: float, pair: bool) -> list:
     """
     n = len(As)
     ma, mb = _stack(As)
-    # g = S P g0 P^T S^-1, multiplied left to right
-    order = [_ORDER[perm] for perm, _ in matches]
-    ga, gb = _qmul(*_stack([data.S for data in datas]), _P[order], _NO_J)
-    ga, gb = _qmul(ga, gb, *_stack([g0 for _, g0 in matches]))
-    ga, gb = _qmul(ga, gb, _PT[order], _NO_J)
+    ga, gb = _qmul(*_stack([data.S for data in datas]), *_stack(g0s))
     ga, gb = _qmul(ga, gb, *_stack([data.S_inv for data in datas]))
     what, t, s = zip(*relations)
     # the members with t = -1, negated through np.where: a product by t could
@@ -247,15 +215,15 @@ def _witnesses(As, datas, matches, relations, tol: float, pair: bool) -> list:
     return out
 
 
-def _witnessed(A: QMatrix3, tol: float, matcher, relation, missing: QprojError) -> QMatrix3:
-    """The witness g of A that matcher finds, checked as by _witnesses; raises
-    missing when it finds none."""
+def _witnessed(A: QMatrix3, tol: float, which: int, relation, missing: QprojError) -> QMatrix3:
+    """The witness g of A from _matches' entry which, checked as by
+    _witnesses; raises missing when that entry is None."""
     require_unimodular(A, tol)
     data = jordan_form(A, tol)
-    match = matcher(data, tol)
-    if match is None:
+    g0 = _matches(data, tol)[which]
+    if g0 is None:
         raise missing
-    (result,) = _witnesses([A], [data], [match], [relation], tol, pair=False)
+    (result,) = _witnesses([A], [data], [g0], [relation], tol, pair=False)
     if isinstance(result, QprojError):
         raise result
     return result[0][0]
@@ -270,23 +238,23 @@ _NOT_REVERSIBLE = "Jordan blocks do not pair into a reversible shape"
 def is_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
     """True iff A is conjugate to A^-1 in SL(3,H)."""
     require_unimodular(A, tol)
-    return _match_skew_involution(jordan_form(A, tol), tol) is not None
+    return _matches(jordan_form(A, tol), tol)[0] is not None
 
 
 def reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     """A skew-involution g with g A g^-1 = A^-1, certificate-checked."""
-    return _witnessed(A, tol, _match_skew_involution, _SKEW, NotReversible(_NOT_REVERSIBLE))
+    return _witnessed(A, tol, 0, _SKEW, NotReversible(_NOT_REVERSIBLE))
 
 
 def is_strongly_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
     """True iff some involution reverses A (boundary-angle shapes)."""
     require_unimodular(A, tol)
-    return _match_involution(jordan_form(A, tol), tol) is not None
+    return _matches(jordan_form(A, tol), tol)[1] is not None
 
 
 def involution_reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
     """An involution g with g A g^-1 = A^-1, certificate-checked."""
-    return _witnessed(A, tol, _match_involution, _INVOLUTION, NotStronglyReversible(
+    return _witnessed(A, tol, 1, _INVOLUTION, NotStronglyReversible(
         "no involution reverses this conjugacy class (interior angle present)"))
 
 
@@ -331,29 +299,28 @@ def psl_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> ReversibilityReport:
 def _psls_from_data(As, datas, tol: float) -> list:
     """The ReversibilityReport of each A in As given its Jordan data, or the QprojError it raises.
 
-    The matchers decide the flags of each member.  A member with a
-    skew-involution reverser is witnessed by it, one with only the twisted
-    relation by its involution; the witnesses of the whole batch and their
-    pairs are built and checked by one _witnesses call.
+    One reading of each member's shape (_matches) decides its flags.  A
+    member with a skew-involution reverser is witnessed by it, one with only
+    the twisted relation by its involution; the witnesses of the whole batch
+    and their pairs are built and checked by one _witnesses call.
     """
     out, members = [], []
-    for k, (A, data) in enumerate(zip(As, datas)):
-        skew = _match_skew_involution(data, tol)
-        neg = _match_negative_involution(data, tol)
+    for k, data in enumerate(datas):
+        skew, involution, negative = _matches(data, tol)
         out.append(ReversibilityReport(
             reversible_sl=skew is not None,
-            strongly_reversible_sl=_match_involution(data, tol) is not None,
-            negative_reversible=neg is not None,
-            reversible_psl=skew is not None or neg is not None,
+            strongly_reversible_sl=involution is not None,
+            negative_reversible=negative is not None,
+            reversible_psl=skew is not None or negative is not None,
         ))
         if skew is not None:
             members.append((k, skew, _SKEW))
-        elif neg is not None:
-            members.append((k, neg, _NEGATIVE))
+        elif negative is not None:
+            members.append((k, negative, _NEGATIVE))
     if not members:
         return out
-    ks, matches, relations = zip(*members)
-    witnesses = _witnesses([As[k] for k in ks], [datas[k] for k in ks], matches, relations,
+    ks, g0s, relations = zip(*members)
+    witnesses = _witnesses([As[k] for k in ks], [datas[k] for k in ks], g0s, relations,
                            tol, pair=True)
     for k, relation, witness in zip(ks, relations, witnesses):
         if isinstance(witness, QprojError):

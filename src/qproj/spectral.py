@@ -329,8 +329,8 @@ def _single_block(alg, N, floor):
     """True when a class can only be one block of size 1.
 
     The chain construction would then return the size list (1,) and the lead
-    e0, up to a sign that _normalize_similarity removes, so the class takes
-    the first column of its Schur basis directly.
+    e0, up to a sign that _gauged removes, so the class takes the first
+    column of its Schur basis directly.
     """
     return alg == 1 and not np.linalg.norm(N) > floor
 
@@ -489,12 +489,6 @@ def _gauged(sa, sb, sizes):
     return sa * scale, sb * scale.conj()
 
 
-def _normalize_similarity(S: QMatrix3, blocks) -> QMatrix3:
-    """_gauged on one similarity."""
-    sa, sb = _gauged(S.a[None], S.b[None], [[size for _, size in blocks]])
-    return QMatrix3(sa[0], sb[0])
-
-
 # ---------------------------------------------------------------------------
 # Sylvester polish
 
@@ -563,10 +557,12 @@ def _sylvester_polish(A: QMatrix3, data: JordanData):
             folded_blocks, s_candidate = _fold_negative_classes(
                 new_blocks, best.S @ (QMatrix3.identity() + fraction * X)
             )
-            S = _normalize_similarity(s_candidate, folded_blocks)
+            sa, sb = _gauged(s_candidate.a[None], s_candidate.b[None],
+                             [[size for _, size in folded_blocks]])
             (residual,), (s_inv,) = _conjugation_residuals(
-                *_stack([S]), *_stack([_assemble_jordan(folded_blocks)]), *_stack([A]))
-            return JordanData(blocks=folded_blocks, S=S, S_inv=QMatrix3.from_adjoint(s_inv),
+                sa, sb, *_stack([_assemble_jordan(folded_blocks)]), *_stack([A]))
+            return JordanData(blocks=folded_blocks, S=QMatrix3(sa[0], sb[0]),
+                              S_inv=QMatrix3.from_adjoint(s_inv),
                               shape_id=best.shape_id, residual=float(residual))
 
         # Gauss-Newton overshoots near the defective orbit; backtrack

@@ -12,8 +12,7 @@ import numpy as np
 from qproj import Minor, QMatrix3, Quaternion
 from qproj.matrix import (_build_gate, check_certificate, inverse, product_residual,
                           square_residual)
-from qproj.reversibility import (ReversibilityReport, _match_involution,
-                                 _match_negative_involution, _match_skew_involution)
+from qproj.reversibility import ReversibilityReport, _matches
 
 
 def quaternion_left_mult_matrix(q: Quaternion) -> np.ndarray:
@@ -254,7 +253,7 @@ def scale_columns_loop(m: QMatrix3, scalars) -> QMatrix3:
 def normalize_similarity_loop(S: QMatrix3, blocks) -> QMatrix3:
     """Per-block gauge of the similarity, one eigenvector column at a time.
 
-    The reference for spectral._normalize_similarity: each block's chain is
+    The reference for spectral._gauged: each block's chain is
     scaled by h with |h| = 1 / |eigenvector| that puts the lead coordinate,
     the first of at least half the largest modulus, on the positive real
     axis.  (u + w j) h = u h + w conj(h) j, so h has the phase of conj(lead)
@@ -306,27 +305,25 @@ def conditioned_conjugator(c: float, rng):
 def psl_report_per_member(A: QMatrix3, data, tol: float):
     """The reversibility report of one input, its witness built and checked alone.
 
-    The reference for reversibility._psls_from_data: g = S P g0 P^T S^-1
-    from QMatrix3 products, S^-1 from its own inverse() call, each residual
-    from its one-member function (g A g^-1 = t A^-1 as A g A = t g, with no
-    A^-1), s1 = -t A g, and the gates in the order Singular S^-1, reverser
-    conjugation, reverser square, pair product, pair square 1.
+    The reference for reversibility._psls_from_data: g = S g0 S^-1 from
+    QMatrix3 products, with g0 in the Jordan slots and S^-1 from its own
+    inverse() call, each residual from its one-member function
+    (g A g^-1 = t A^-1 as A g A = t g, with no A^-1), s1 = -t A g, and the
+    gates in the order Singular S^-1, reverser conjugation, reverser square,
+    pair product, pair square 1.
     """
-    def witness(match, t, sign, what):
-        perm, g0 = match
-        p = np.eye(3)[:, list(perm)]
-        g = data.S @ QMatrix3.from_real(p) @ g0 @ QMatrix3.from_real(p.T) @ inverse(data.S)
+    def witness(g0, t, sign, what):
+        g = data.S @ g0 @ inverse(data.S)
         conj = check_certificate(product_residual([A, g, A], t * g), f"{what} conjugation", gate)
         # -t A g, negated exactly: a product by 1.0 or -1.0 may flip the sign of a zero
         s1 = A @ g if t < 0 else -(A @ g)
         return g, s1, conj, check_certificate(square_residual(g, sign), f"{what} square", gate)
 
     gate = _build_gate(tol)
-    skew = _match_skew_involution(data, tol)
-    neg = _match_negative_involution(data, tol)
+    skew, involution, neg = _matches(data, tol)
     report = ReversibilityReport(
         reversible_sl=skew is not None,
-        strongly_reversible_sl=_match_involution(data, tol) is not None,
+        strongly_reversible_sl=involution is not None,
         negative_reversible=neg is not None,
         reversible_psl=skew is not None or neg is not None,
     )

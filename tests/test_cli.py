@@ -622,6 +622,30 @@ def unflagged_psl(rep):
     rep["reversible_psl"] = False
 
 
+def no_input(rep):
+    del rep["input"]
+
+
+def relabelled(rep):
+    rep.update(major="Loxodromic", minor="Homothety")
+
+
+def five_factors(rep):
+    # two identity factors, each certified by its own real conjugate: only the count fails
+    identity = QMatrix3.identity().to_json_dict()
+    rep["factors"] += [identity, identity]
+    rep["certificates"] += [{"B": np.eye(3).tolist(), "T": identity, "residual": 0.0}] * 2
+
+
+def unflagged_simple(rep):
+    assert rep["simple"] and rep["certificate"] is not None
+    rep["simple"] = False
+
+
+def bogus_kind(rep):
+    rep["kind"] = "bogus"
+
+
 def edited_block_re(rep):
     rep["jordan"]["blocks"][0]["re"] += 0.5
 
@@ -656,6 +680,15 @@ TAMPERED_BATCH_MEMBERS = {
     # the witness still checks out; only the flags contradict each other
     "unflagged-psl": ("reversibility", "regular-elliptic", unflagged_psl,
                       ("reversibility flags break the rule reversible_psl == ",)),
+    "no-input": ("classify", "regular-elliptic", no_input,
+                 ("report of kind 'classification' carries no input matrix",)),
+    "relabelled": ("classify", "regular-elliptic", relabelled, (
+        "classification Loxodromic/Homothety reclassified as Elliptic/RegularElliptic",)),
+    "five-factors": ("decompose", "regular-elliptic", five_factors,
+                     ("5 factors exceed the bound of four",)),
+    "unflagged-simple": ("simple-check", "vertical-translation", unflagged_simple,
+                         ("simple-check flag False recomputed as True",)),
+    "bogus-kind": ("classify", "regular-elliptic", bogus_kind, ("unknown report kind 'bogus'",)),
     "edited-block-re": ("classify", "regular-loxodromic", edited_block_re,
                         ("jordan reconstruction residual",)),
     "edited-block-size": ("classify", "loxo-parabolic", edited_block_sizes,
@@ -774,6 +807,51 @@ def test_verify_stops_at_a_malformed_or_non_unimodular_report_mid_batch(runner):
     res = runner.invoke(main, ["verify", "-"], input=json.dumps(reports[:2] + [off] + reports[2:]))
     assert res.exit_code == 3 and res.stdout == ""
     assert res.stderr == "report 0: ok\nreport 1: ok\n" + alone.stderr
+
+
+# (command, generated type, flag, the value that replaces it)
+NON_BOOLEAN_FLAGS = {
+    "sl-string": ("reversibility", "regular-elliptic", "reversible_sl", "no"),
+    "strong-string": ("reversibility", "regular-elliptic", "strongly_reversible_sl", "no"),
+    "psl-int": ("reversibility", "regular-elliptic", "reversible_psl", 1),
+    "simple-int": ("simple-check", "vertical-translation", "simple", 1),
+    "simple-float": ("simple-check", "vertical-translation", "simple", 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_BOOLEAN_FLAGS))
+def test_verify_rejects_a_flag_that_is_not_a_boolean_alone_and_mid_batch(runner, name):
+    cmd, type_name, flag, value = NON_BOOLEAN_FLAGS[name]
+    rep = report_of(runner, cmd, generate(type_name, seed=1).matrix)
+    assert verified(runner, [rep])[3] == 0
+    rep[flag] = value
+    message = f"malformed report: {flag} is {value!r}, not a boolean\n"
+    res = runner.invoke(main, ["verify", "-"], input=json.dumps(rep))
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", "error: entry 0: " + message)
+    neighbours = [report_of(runner, c, generate("screw-loxodromic", seed=2).matrix)
+                  for c in ("reversibility", "simple-check")]
+    batch = json.dumps([neighbours[0], rep, neighbours[1]])
+    res = runner.invoke(main, ["verify", "-"], input=batch)
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", "report 0: ok\nerror: entry 1: " + message)
+
+
+def test_verify_reclassifies_a_generated_label(runner):
+    res = runner.invoke(main, ["gen", "--type", "regular-elliptic", "--seed", "1"])
+    rep = json.loads(res.stdout)
+    assert verified(runner, [rep])[3] == 0
+    rep["type"] = "homothety"
+    stdout, statuses, failures, code, _ = verified(runner, [rep])
+    assert (stdout, statuses, code) == ("", ["report 0: FAIL"], 4)
+    assert failures == [
+        "verification failure: generated label homothety reclassified as RegularElliptic"]
+
+
+def test_verify_stops_at_an_entry_that_is_not_a_report_object(runner):
+    rep = report_of(runner, "classify", generate("regular-elliptic", seed=1).matrix)
+    res = runner.invoke(main, ["verify", "-"], input=json.dumps([rep, 3]))
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == "report 0: ok\nerror: entry 1 is not a report object\n"
 
 
 def test_verify_replays_the_library_residuals_bitwise():

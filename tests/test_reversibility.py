@@ -31,7 +31,7 @@ from qproj.generate import (
 )
 from qproj import decompose, reversibility
 from qproj.matrix import conjugation_residual, replay_gate, square_residual
-from qproj.reversibility import _match_negative_involution, _psls_from_data, _reverser_null_rows
+from qproj.reversibility import _matches, _psls_from_data, _reverser_null_rows
 from qproj.spectral import _unvec36, jordan_form
 from oracles import conditioned_conjugator, psl_report_per_member
 
@@ -145,17 +145,19 @@ def test_nonstrong_shapes_rejected(rng):
 
 def test_negative_reversible_examples():
     assert psl_report(QMatrix3.diag(e(np.pi / 3), e(2 * np.pi / 3), 1j)).negative_reversible
-    assert psl_report(j3(1j)).negative_reversible
-    # the closed form g0 with g0 J g0^-1 = -J^-1 of the canonical J = J3(i)
-    _, g = _match_negative_involution(jordan_form(j3(1j)), 1e-9)
-    assert g.isclose(QMatrix3.from_complex([[1, -1j, 0], [0, -1, 0], [0, 0, 1]]))
+    # J3(i) has unit moduli: its skew-involution is the witness, and the
+    # twisted relation is a bare flag
+    rep = psl_report(j3(1j))
+    assert rep.negative_reversible and rep.reverser_kind == "skew-involution"
+    skew, _, negative = _matches(jordan_form(j3(1j)), 1e-9)
+    assert skew is not None and negative is True
     rep = psl_report(QMatrix3.diag(e(np.pi / 3), e(np.pi / 4), e(np.pi / 5)))
     assert not rep.negative_reversible
     # every class in [i]: the pair order is the identity and the witness exact
     a = QMatrix3.diag(1j, 1j, 1j)
     assert psl_report(a).negative_reversible
-    perm, g = _match_negative_involution(jordan_form(a), 1e-9)
-    assert perm == (0, 1, 2)
+    g = _matches(jordan_form(a), 1e-9)[2]
+    assert same_bits(g, QMatrix3.from_real([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
     assert conjugation_residual(g, a, -inverse(a)) == 0.0
     assert square_residual(g, 1.0) == 0.0
 

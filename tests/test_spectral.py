@@ -478,6 +478,12 @@ def test_cluster_summaries_match_numpy(rng):
     assert readings == {(True,), (True, False), (False,)}
 
 
+def gauged(S, sizes):
+    """spectral._gauged on a batch of one similarity with block sizes sizes."""
+    sa, sb = spectral._gauged(S.a[None], S.b[None], [sizes])
+    return QMatrix3(sa[0], sb[0])
+
+
 def test_gauge_and_fold_match_column_loop(rng):
     j_unit = Quaternion(0.0, 0.0, 1.0, 0.0)
     for t in range(300):
@@ -489,7 +495,7 @@ def test_gauge_and_fold_match_column_loop(rng):
             a.a[:, 0] = a.b[:, 0] = 0.0
         sizes = ([1, 1, 1], [2, 1], [1, 2], [3])[t % 4]
         blocks = [(ClassRep(*rng.standard_normal(2)), size) for size in sizes]
-        got = spectral._normalize_similarity(a, blocks)
+        got = gauged(a, sizes)
         want = normalize_similarity_loop(a, blocks)
         assert got.a.tobytes() == want.a.tobytes() and got.b.tobytes() == want.b.tobytes()
         folded, got = spectral._fold_negative_classes(blocks, a)
@@ -510,8 +516,8 @@ def test_gauge_ignores_the_phase_of_each_block(rng):
         blocks = [(ClassRep(1.0, 0.5), size) for size in sizes]
         phases = np.exp(1j * rng.uniform(-np.pi, np.pi, len(sizes)))
         turned = s.scale_columns(np.repeat(phases, sizes), np.zeros(3, dtype=complex))
-        want = spectral._normalize_similarity(s, blocks)
-        got = spectral._normalize_similarity(turned, blocks)
+        want = gauged(s, sizes)
+        got = gauged(turned, sizes)
         assert (got - want).norm() <= 1e-14 * want.norm()
         head = np.concatenate([s.a[:, 0], s.b[:, 0]])
         leads.add(int(np.argmax(np.abs(head) >= 0.5 * np.max(np.abs(head)))) < 3)
