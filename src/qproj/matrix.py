@@ -194,9 +194,12 @@ def _json_entries(data) -> np.ndarray:
     """The (3, 3, 4) entries [w, x, y, z] of a QMatrix3 JSON object, checked."""
     entries = np.array(data["matrix"])
     # a JSON null or string would become NaN or parse as a number under
-    # dtype=float, so only an all-numeric array is accepted
+    # dtype=float, so only an all-numeric array is accepted; Python's json
+    # reads NaN and Infinity, which JSON itself has no tokens for
     if entries.shape != (3, 3, 4) or entries.dtype.kind not in "iuf":
         raise ValueError("matrix must be 3x3 with [w, x, y, z] number entries")
+    if not np.isfinite(entries).all():
+        raise ValueError("matrix entries must be finite numbers")
     return entries
 
 
@@ -236,10 +239,6 @@ class CharPoly6:
         if coeffs.shape != (7,):
             raise ValueError("expected 7 coefficients c0..c6")
         self.coeffs = coeffs
-
-    @property
-    def c(self):
-        return self.coeffs
 
     def __call__(self, x):
         # alternating-sign storage: coefficient of x^k is (-1)^(6-k) * c_k

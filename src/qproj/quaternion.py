@@ -121,12 +121,6 @@ class Quaternion:
         return f"Quaternion({self.w:g}, {self.x:g}, {self.y:g}, {self.z:g})"
 
 
-ONE = Quaternion(1.0)
-I = Quaternion(0.0, 1.0)
-J = Quaternion(0.0, 0.0, 1.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
 class ClassRep(NamedTuple):
     """Unique complex representative (re, im) of a similarity class, im >= 0.
 

@@ -18,20 +18,20 @@ the nilpotency index of the class's nilpotent part N, found while judging
 the class.  The one candidate builds each class's chains with those sizes,
 and is polished when its residual needs it.
 
-Both stages run on a whole batch at once: the CLI passes its batch to
-_jordan_forms, and jordan_form is a batch of one.  The first stage
-(_generic_jordan) decides by one stacked eig, which picks the members with
-three non-real classes, each a conjugate pair within the base level, more than
-_MERGE_CAP * scale apart and clear of the ambiguous band (_one_candidate).
-Their candidate is built directly from the upper eigenvectors, and kept only
-when its residual needs no polish.  Every other member goes to the read
-(_read_jordan), which makes the singular check, the 2-norm, the gauge and the
-residual of all its members in one stacked call each, and runs Schur, the read
-and the chains per member; each member gets the answer it would get alone.
-jordan_form applies the first stage's test to its Schur diagonal first, so an
-input that goes to the read pays no eig; _jordan_forms does not test again a
-member its stacked stage rejected, since that test would decide bitwise the
-same.  Either stage keeps, with S, the S^-1 its residual was measured with.
+Both stages run on a whole batch behind one entry, _jordan_forms, which
+makes one stacked singular check per input: the CLI passes it its batch, and
+jordan_form is a batch of one.  The first stage (_generic_jordan) decides by
+one stacked eig, which picks the members with three non-real classes, each a
+conjugate pair within the base level, more than _MERGE_CAP * scale apart and
+clear of the ambiguous band (_one_candidate).  Their candidate is built
+directly from the upper eigenvectors, and kept only when its residual needs no
+polish.  Every other member goes to the read (_read_jordan), which makes the
+2-norm, the gauge and the residual of all its members in one stacked call
+each, and runs Schur, the read and the chains per member.  A batch of one
+applies the first stage's test to its Schur diagonal first, so an input that
+goes to the read pays no eig; a larger batch does not test again a member its
+stacked stage rejected, since that test would decide bitwise the same.  Either
+stage keeps, with S, the S^-1 its residual was measured with.
 """
 
 from __future__ import annotations
@@ -184,10 +184,6 @@ def _partitions_from_points(pts, tol_abs, scale):
 # chains within one class's invariant subspace
 
 
-class _CandidateFailed(Exception):
-    pass
-
-
 def _orth_columns(cols):
     if not cols:
         return np.zeros((0, 0), dtype=complex)
@@ -200,14 +196,14 @@ def _orth_columns(cols):
 def _pick_independent(pool, forbidden_cols):
     """Unit vector in span(pool columns) farthest from span(forbidden_cols)."""
     if pool.shape[1] == 0:
-        raise _CandidateFailed("empty candidate pool")
+        raise SpectralFailure("no Jordan structure read: empty candidate pool")
     if forbidden_cols.size:
         resid = pool - forbidden_cols @ (forbidden_cols.conj().T @ pool)
     else:
         resid = pool
     _, s, vh = np.linalg.svd(resid, full_matrices=False)
     if s[0] < 1e-8:
-        raise _CandidateFailed("no independent vector available")
+        raise SpectralFailure("no Jordan structure read: no independent vector available")
     v = pool @ vh[0].conj()
     return v / np.linalg.norm(v)
 
@@ -227,7 +223,7 @@ def _chain_from_lead(N, lead, size):
     nrm_head = np.linalg.norm(chain[0])
     nrm_tail = np.linalg.norm(chain[-1])
     if nrm_head < 1e-14 * max(1.0, nrm_tail):
-        raise _CandidateFailed("degenerate chain")
+        raise SpectralFailure("no Jordan structure read: degenerate chain")
     scale = 1.0 / math.sqrt(nrm_head * nrm_tail)
     return [c * scale for c in chain]
 
@@ -247,7 +243,7 @@ def _class_chains(N, power, sizes, real_class, tau, floor):
         for lead in np.linalg.svd(power)[2].conj():  # candidate leads, dominant image first
             try:
                 chain = _chain_from_lead(N, lead, sizes[0])
-            except _CandidateFailed:
+            except SpectralFailure:
                 continue
             cols = chain + [tau(c) for c in chain] if real_class else chain
             s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
@@ -255,7 +251,7 @@ def _class_chains(N, power, sizes, real_class, tau, floor):
                 chains.append(chain)
                 break
         else:
-            raise _CandidateFailed("no usable chain lead")
+            raise SpectralFailure("no Jordan structure read: no usable chain lead")
     dim = N.shape[0]
     for _ in sizes[len(chains):]:
         pool = _kernel_basis(N, floor) if np.linalg.norm(N) > floor else np.eye(dim, dtype=complex)
@@ -283,7 +279,7 @@ def _reorder_schur(T0, Z0, mask):
     select[list(mask)] = 1
     ts, qs, _, m, _, _, info = sla.lapack.ztrsen(select, T0, Z0, job=b"N", lwork=1)
     if info != 0 or m != len(mask):
-        raise _CandidateFailed(f"schur reordering failed (info={info})")
+        raise SpectralFailure(f"no Jordan structure read: schur reordering failed (info={info})")
     return ts, qs
 
 
@@ -417,7 +413,8 @@ def _read(eigs, partitions, pts, scale, tol_abs, backward, front):
                 break
         else:
             return floor, classes
-    raise _CandidateFailed("no cluster partition reads as one class per cluster")
+    raise SpectralFailure(
+        "no Jordan structure read: no cluster partition reads as one class per cluster")
 
 
 def _build_candidate(floor, classes):
@@ -608,14 +605,14 @@ def _one_candidate(eigs, tol):
 def _generic_jordan(phis: np.ndarray, tol: float) -> list:
     """Jordan data of each adjoint in an (N, 6, 6) stack, or None.
 
-    The first stage of jordan_form, run on a whole stack at once.  One
-    stacked eig decides: a member goes on only when the read has three
-    simple non-real classes (_one_candidate).  For those, its candidate is
-    built here: each class is the lift of its upper eigenvector, in
-    canonical block order and per-block gauge.  A member whose adjoint or
-    Phi(S) fails the singular rule, or whose residual is above 1e-12 (the
-    read would polish it) or above 1e3 * tol, gets None, and jordan_form
-    then runs the read.
+    The first stage of the Jordan stage, run on a stack of adjoints that
+    pass the singular rule.  One stacked eig decides: a member goes on only
+    when the read has three simple non-real classes (_one_candidate).  For
+    those, its candidate is built here: each class is the lift of its upper
+    eigenvector, in canonical block order and per-block gauge.  A member
+    whose Phi(S) fails the singular rule, or whose residual is above 1e-12
+    (the read would polish it) or above 1e3 * tol, gets None, and goes to
+    the read.
     """
     out = [None] * len(phis)
     try:
@@ -645,16 +642,15 @@ def _generic_jordan(phis: np.ndarray, tol: float) -> list:
     sa = np.ascontiguousarray((u * gauge).transpose(0, 2, 1))
     sb = np.ascontiguousarray((w * gauge.conj()).transpose(0, 2, 1))
     phi_a, phi_s = phis[live], _adjoint(sa, sb)
-    # one singular rule for Phi(A) and Phi(S) together
-    inverses, ok = _invert_adjoints(np.concatenate([phi_a, phi_s]))
+    inverses, ok = _invert_adjoints(phi_s)
     phi_j = np.concatenate([lam, lam.conj()], axis=-1)
-    recon = (phi_s * phi_j[:, None, :]) @ inverses[len(live):] - phi_a
+    recon = (phi_s * phi_j[:, None, :]) @ inverses - phi_a
     residual = np.sqrt((np.abs(recon) ** 2).sum(axis=(1, 2)) / (np.abs(phi_a) ** 2).sum(axis=(1, 2)))
-    keep = ok[:len(live)] & ok[len(live):] & (residual <= min(1e-12, 1e3 * tol))
+    keep = ok & (residual <= min(1e-12, 1e3 * tol))
     for k in np.flatnonzero(keep).tolist():
         blocks = [(reps[3 * k + i], 1) for i in order[k]]
         out[live[k]] = JordanData(blocks=blocks, S=QMatrix3(sa[k], sb[k]),
-                                  S_inv=QMatrix3.from_adjoint(inverses[len(live) + k]),
+                                  S_inv=QMatrix3.from_adjoint(inverses[k]),
                                   shape_id="diag", residual=float(residual[k]))
     return out
 
@@ -685,10 +681,7 @@ def _candidate(T0, Z0, backward, tol):
     # Schur forms with a class in front, each reordered once however many
     # partitions the read tries its cluster in
     front = functools.cache(lambda mask: _reorder_schur(T0, Z0, mask))
-    try:
-        return _build_candidate(*_read(eigs, partitions, pts, scale, tol_abs, backward, front))
-    except _CandidateFailed as exc:
-        raise SpectralFailure(f"no Jordan structure read: {exc}") from exc
+    return _build_candidate(*_read(eigs, partitions, pts, scale, tol_abs, backward, front))
 
 
 def _accepted(A: QMatrix3, data: JordanData, tol: float) -> JordanData:
@@ -706,38 +699,24 @@ def _accepted(A: QMatrix3, data: JordanData, tol: float) -> JordanData:
 
 
 def _read_jordan(As, phis, tol, schurs=None) -> list:
-    """Jordan data of each input in As, or the exception jordan_form raises on it.
+    """Jordan data of each input in As, or the exception the read raises on it.
 
-    The structure read of jordan_form, run on a whole batch at once, without
-    the first stage; phis is the (N, 6, 6) stack of the inputs' adjoints.
-    One _invert_adjoints over the stack makes the singular check (a member
-    that fails gets the Singular of _invert_adjoint on it alone), and one
-    stacked SVD gives ||Phi(A)||_2 of the members that pass.  Schur, the
-    read and the lift of its chains run per member; then one _gauged covers
-    the chain heads of every candidate and one _conjugation_residuals their
-    residuals and the S^-1 each keeps.  Each member is then polished when
-    needed and gated by itself.  Any exception, a QprojError or not, is kept in its member's
-    slot, for the caller to raise when it reaches that member.
+    The structure read, run on a non-empty batch of inputs that pass the
+    singular rule; phis is the (N, 6, 6) stack of their adjoints.  One
+    stacked SVD gives ||Phi(A)||_2 of every member.  Schur, the read and the
+    lift of its chains run per member; then one _gauged covers the chain
+    heads of every candidate and one _conjugation_residuals their residuals
+    and the S^-1 each keeps.  Each member is then polished when needed and
+    gated by itself.  Any exception, a QprojError or not, is kept in its
+    member's slot, for the caller to raise when it reaches that member.
 
     schurs, when given, holds the complex Schur form (T, Z) of each
-    member's adjoint; its caller has made the singular check before them.
+    member's adjoint.
     """
-    if not As:
-        return []
     out = [None] * len(As)
-    if schurs is None:
-        _, ok = _invert_adjoints(phis)
-        for k in np.flatnonzero(~ok).tolist():
-            try:
-                _invert_adjoint(phis[k])
-            except Singular as exc:
-                out[k] = exc
-        live = np.flatnonzero(ok)
-    else:  # a Schur form is made after the singular check
-        live = np.arange(len(As))
-    backward = 1e4 * _EPS * np.linalg.svd(phis[live], compute_uv=False)[:, 0]
+    backward = 1e4 * _EPS * np.linalg.svd(phis, compute_uv=False)[:, 0]
     built = []  # (member, blocks, raw S)
-    for k, bound in zip(live.tolist(), backward):
+    for k, bound in enumerate(backward):
         try:
             built.append((k, *_candidate(*(schurs[k] if schurs else _schur(phis[k])), bound, tol)))
         except Exception as exc:
@@ -767,46 +746,61 @@ def _read_jordan(As, phis, tol, schurs=None) -> list:
 # public operations
 
 
+def _jordan_forms(As, tol: float) -> list:
+    """The JordanData of each A in As, or the exception it raises, in its slot.
+
+    One stacked singular check covers the batch; a member that fails it gets
+    the Singular of _invert_adjoint on it alone.  A batch of one then takes
+    its Schur form first and applies the first stage's test to the diagonal
+    the read needs anyway, so an input bound for the read pays no eig.  A
+    larger batch runs one _generic_jordan over the members that pass and one
+    _read_jordan over those it rejects: alone, such a member would go to the
+    read as well, since the Schur diagonal's test decides as the stacked eig
+    does.  So every member gets the data a batch of one gives it, provided a
+    member whose stacked eig passes _one_candidate and whose Schur diagonal
+    fails it misses the stage's residual bound.
+    """
+    phis = _adjoint(*_stack(As))
+    out = [None] * len(As)
+    _, ok = _invert_adjoints(phis)
+    live = np.flatnonzero(ok)
+    if live.size < len(As):
+        for k in np.flatnonzero(~ok).tolist():
+            try:
+                _invert_adjoint(phis[k])
+            except Singular as exc:
+                out[k] = exc
+    schurs = None
+    if len(As) == 1 and live.size:
+        try:
+            schurs = [_schur(phis[0])]
+        except SpectralFailure as exc:
+            return [exc]
+        if _one_candidate(np.diag(schurs[0][0])[None], tol)[0]:
+            out = _generic_jordan(phis, tol)
+    elif live.size:
+        for k, data in zip(live.tolist(), _generic_jordan(phis[live], tol)):
+            out[k] = data
+    read = [k for k in live.tolist() if out[k] is None]
+    if read:
+        for k, data in zip(read, _read_jordan([As[k] for k in read], phis[read], tol, schurs)):
+            out[k] = data
+    return out
+
+
 def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     """Jordan data of an invertible A: blocks, similarity S and shape tag.
 
-    Raises IllConditioned when the one candidate of the structure read does
-    not reconstruct A within 1e3 * tol relative residual (the residual is
-    reported), and SpectralFailure when the read finds no structure or its
-    chains cannot be built.
+    A batch of one of _jordan_forms.  Raises Singular when Phi(A) fails the
+    singular rule, IllConditioned when the one candidate of the structure
+    read does not reconstruct A within 1e3 * tol relative residual (the
+    residual is reported), and SpectralFailure when the read finds no
+    structure or its chains cannot be built.
     """
-    phi = A.adjoint()
-    _invert_adjoint(phi)  # raises Singular
-    T0, Z0 = _schur(phi)
-    # the first stage's test, read off the Schur diagonal the read needs
-    # anyway, spares every other input the stage's eig
-    if _one_candidate(np.diag(T0)[None], tol)[0]:
-        data = _generic_jordan(phi[None], tol)[0]
-        if data is not None:
-            return data
-    data = _read_jordan([A], phi[None], tol, [(T0, Z0)])[0]
+    (data,) = _jordan_forms([A], tol)
     if isinstance(data, Exception):
         raise data
     return data
-
-
-def _jordan_forms(As, tol: float) -> list:
-    """The JordanData of each A in As, or the exception jordan_form raises on it.
-
-    One _generic_jordan call covers the whole stack, and one _read_jordan
-    call every member it leaves out: jordan_form alone would send such a
-    member to the read as well, since its first stage decides bitwise as the
-    stacked one does.  So every member gets the data jordan_form alone gives
-    it, provided a member whose stacked eig passes _one_candidate and whose
-    Schur diagonal fails it misses the stage's residual bound.
-    """
-    phis = _adjoint(*_stack(As))
-    datas = _generic_jordan(phis, tol)
-    rejected = [k for k, data in enumerate(datas) if data is None]
-    read = _read_jordan([As[k] for k in rejected], phis[rejected], tol)
-    for k, data in zip(rejected, read):
-        datas[k] = data
-    return datas
 
 
 def eigenvector_lift(u, v, lam, A: QMatrix3 | None = None, tol: float = DEFAULT_TOL):

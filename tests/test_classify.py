@@ -116,6 +116,17 @@ def test_classify_sl3r_errors():
         classify_sl3r(QMatrix3.diag(1j, -1j, 1))
 
 
+def test_classify_sl3r_reads_a_real_qmatrix3_or_a_nearly_real_complex_array():
+    a = np.array([[1.0, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert classify_sl3r(QMatrix3.from_real(a)).minor is Minor.VERTICAL_TRANSLATION
+    # imaginary parts within 1e3 * tol of the largest entry are dropped
+    assert classify_sl3r(a + 1e-8j).minor is Minor.VERTICAL_TRANSLATION
+    with pytest.raises(NotReal):
+        classify_sl3r(a + 1e-5j)
+    with pytest.raises(ValueError, match="3x3"):
+        classify_sl3r(np.eye(2))
+
+
 def test_classify_sl3r_table2(rng):
     for label in REAL_TYPES:
         for _ in range(25):

@@ -17,6 +17,7 @@ from qproj.generate import (
     reversible_shape,
 )
 from oracles import conditioned_conjugator
+from test_conditioning import conjugated_samples
 from test_decompose import after_stage_samples
 
 
@@ -284,6 +285,69 @@ def test_file_that_is_not_utf8_is_a_parse_error(runner, tmp_path, cmd):
     res = runner.invoke(main, [cmd, str(bad)])
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith(f"error: {bad} is not UTF-8 text")
+
+
+@pytest.mark.parametrize("cmd", ["classify", "verify"])
+def test_unreadable_path_is_a_parse_error(runner, tmp_path, cmd):
+    missing = tmp_path / "missing.json"
+    res = runner.invoke(main, [cmd, str(missing)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.startswith(f"error: cannot read {missing}: ")
+
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity"]
+NOT_FINITE = "matrix entries must be finite numbers\n"
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+@pytest.mark.parametrize("cmd", ["classify", "reversibility", "decompose", "simple-check"])
+def test_non_finite_input_entry_is_a_parse_error_alone_and_mid_batch(runner, cmd, token):
+    # Python's json reads the NaN and Infinity tokens JSON itself lacks; the
+    # entry is refused before any determinant is taken, so no numpy warning
+    bad = generate("regular-elliptic", seed=1).matrix.to_json_dict()
+    bad["matrix"][0][0][0] = float(token)
+    assert token in json.dumps(bad)
+    message = "not a QMatrix3 JSON object: " + NOT_FINITE
+    res = runner.invoke(main, [cmd, "-"], input=json.dumps(bad))
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", "error: entry 0: " + message)
+    good = [generate(t, seed=1).matrix.to_json_dict()
+            for t in ("screw-loxodromic", "loxo-parabolic")]
+    res = runner.invoke(main, [cmd, "-"], input=json.dumps([good[0], bad, good[1]]))
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", "error: entry 1: " + message)
+
+
+# (command making the report, keys leading to the QMatrix3 JSON that is edited)
+REPORT_MATRICES = {
+    "input": ("classify", ("input",)),
+    "similarity": ("classify", ("jordan", "S")),
+    "reverser": ("reversibility", ("reverser",)),
+    "factor": ("decompose", ("factors", 1)),
+    "generated": ("gen", ()),
+}
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+@pytest.mark.parametrize("where", list(REPORT_MATRICES))
+def test_non_finite_report_entry_is_malformed_alone_and_mid_batch(runner, where, token):
+    cmd, keys = REPORT_MATRICES[where]
+    if cmd == "gen":
+        rep = json.loads(runner.invoke(main, ["gen", "--type", "regular-elliptic"]).stdout)
+    else:
+        rep = report_of(runner, cmd, generate("regular-elliptic", seed=1).matrix)
+    assert verified(runner, [rep])[3] == 0
+    edited = rep
+    for key in keys:
+        edited = edited[key]
+    edited["matrix"][2][1][3] = float(token)
+    message = "malformed report: " + NOT_FINITE
+    res = runner.invoke(main, ["verify", "-"], input=json.dumps(rep))
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", "error: entry 0: " + message)
+    neighbours = [report_of(runner, c, generate("screw-loxodromic", seed=2).matrix)
+                  for c in ("reversibility", "simple-check")]
+    batch = json.dumps([neighbours[0], rep, neighbours[1]])
+    res = runner.invoke(main, ["verify", "-"], input=batch)
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", "report 0: ok\nerror: entry 1: " + message)
 
 
 def test_precondition_exit_code(runner, tmp_path):
@@ -845,6 +909,22 @@ def test_verify_reclassifies_a_generated_label(runner):
     assert (stdout, statuses, code) == ("", ["report 0: FAIL"], 4)
     assert failures == [
         "verification failure: generated label homothety reclassified as RegularElliptic"]
+
+
+def test_verify_stops_at_a_verdict_whose_jordan_stage_raises(runner):
+    # a unimodular input whose structure read finds no chain lead: replaying
+    # its simple-check flag or its generated label ends verify with the error
+    # the commands that analyse it raise (exit 3)
+    a, label = conjugated_samples(1e5, np.random.default_rng(11))[17]
+    error = "error: SpectralFailure: no Jordan structure read: no usable chain lead\n"
+    res = runner.invoke(main, ["simple-check", "-"], input=json.dumps(a.to_json_dict()))
+    assert (res.exit_code, res.stdout, res.stderr) == (3, "", error)
+    simple = {"kind": "simple-check", "input": a.to_json_dict(), "simple": False,
+              "certificate": None, "tolerance": 1e-9}
+    generated = {"kind": "generated", **a.to_json_dict(), "type": label, "seed": 0}
+    for rep in (simple, generated):
+        res = runner.invoke(main, ["verify", "-"], input=json.dumps(rep))
+        assert (res.exit_code, res.stdout, res.stderr) == (3, "", error)
 
 
 def test_verify_stops_at_an_entry_that_is_not_a_report_object(runner):

@@ -12,7 +12,7 @@ from qproj import (
     jordan_form,
     minimal_poly_structure,
 )
-from qproj import spectral
+from qproj import matrix, spectral
 from qproj.classify import _classify_from_jordan
 from qproj.decompose import _decompositions_from_data
 from qproj.generate import (
@@ -41,6 +41,7 @@ from qproj.spectral import (
 from oracles import (cluster_readings_numpy, cluster_summary_numpy, conditioned_conjugator,
                      normalize_similarity_loop, partitions_per_level, scale_columns_loop,
                      sylvester_matrix)
+from test_cli import counted_everywhere
 from test_matrix import random_qmatrix
 
 J = Quaternion(0, 0, 1)
@@ -577,3 +578,67 @@ def test_first_stage_leaves_the_rest_to_the_read():
     generic = generate("regular-elliptic", seed=1).matrix
     assert spectral._generic_jordan(generic.adjoint()[None], 1e-30) == [None]
     assert spectral._generic_jordan(np.zeros((0, 6, 6), dtype=complex), 1e-9) == []
+
+
+def counted_eigs(monkeypatch):
+    """The stack length of every np.linalg.eig call."""
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(len(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return calls
+
+
+def test_a_batch_of_one_bound_for_the_read_runs_no_eig(monkeypatch):
+    # a batch of one applies the first stage's test to its Schur diagonal
+    # first, so an input the stage would reject never reaches the stacked
+    # eig; a larger batch runs one eig over all its members
+    translations = [generate("vertical-translation", seed=seed).matrix for seed in (1, 2)]
+    calls = counted_eigs(monkeypatch)
+    for a in translations:
+        (data,) = spectral._jordan_forms([a], 1e-9)
+        assert isinstance(data, spectral.JordanData)
+        jordan_form(a)
+    assert calls == []
+    spectral._jordan_forms(translations, 1e-9)
+    assert calls == [2]
+    # an input that passes the test on its Schur diagonal goes on to the eig
+    spectral._jordan_forms([generate("regular-elliptic", seed=1).matrix], 1e-9)
+    assert calls == [2, 1]
+
+
+def test_each_input_gets_one_singular_check(monkeypatch):
+    # the adjoint of an input is inverted once, by the stacked check at the
+    # entry; neither the first stage nor the read inverts it again
+    mats = [generate(t, seed=1).matrix
+            for t in ("regular-elliptic", "vertical-translation", "loxo-parabolic")]
+    stacks = counted_everywhere(monkeypatch, matrix, "_invert_adjoints")
+    singles = counted_everywhere(monkeypatch, matrix, "_invert_adjoint")
+
+    def inverted(run):
+        stacks.clear()
+        singles.clear()
+        run()
+        return [phi.tobytes() for args in stacks + singles
+                for phi in np.reshape(args[0], (-1, 6, 6))]
+
+    for a in mats:
+        assert inverted(lambda: jordan_form(a)).count(a.adjoint().tobytes()) == 1
+    batch = inverted(lambda: spectral._jordan_forms(mats, 1e-9))
+    assert [batch.count(a.adjoint().tobytes()) for a in mats] == [1, 1, 1]
+
+    # a member that fails the check gets the Singular of that member alone,
+    # and leaves the others their data alone
+    singular = QMatrix3.diag(1e7, 1e-7, 1.0)
+    with pytest.raises(Singular) as alone:
+        jordan_form(singular)
+    datas = spectral._jordan_forms([mats[0], singular, mats[1]], 1e-9)
+    assert type(datas[1]) is Singular and str(datas[1]) == str(alone.value)
+    for data, a in zip(datas[::2], mats):
+        want = jordan_form(a)
+        assert (data.S.a.tobytes(), data.S_inv.b.tobytes(), data.residual) == (
+            want.S.a.tobytes(), want.S_inv.b.tobytes(), want.residual)
