@@ -198,6 +198,9 @@ def _json_entries(data) -> np.ndarray:
     # reads NaN and Infinity, which JSON itself has no tokens for
     if entries.shape != (3, 3, 4) or entries.dtype.kind not in "iuf":
         raise ValueError("matrix must be 3x3 with [w, x, y, z] number entries")
+    # a true or false among numbers has become 1.0 or 0.0 above
+    if bool in {type(x) for row in data["matrix"] for entry in row for x in entry}:
+        raise ValueError("matrix must be 3x3 with [w, x, y, z] number entries")
     if not np.isfinite(entries).all():
         raise ValueError("matrix entries must be finite numbers")
     return entries

@@ -18,20 +18,16 @@ the nilpotency index of the class's nilpotent part N, found while judging
 the class.  The one candidate builds each class's chains with those sizes,
 and is polished when its residual needs it.
 
-Both stages run on a whole batch behind one entry, _jordan_forms, which
-makes one stacked singular check per input: the CLI passes it its batch, and
-jordan_form is a batch of one.  The first stage (_generic_jordan) decides by
-one stacked eig, which picks the members with three non-real classes, each a
-conjugate pair within the base level, more than _MERGE_CAP * scale apart and
-clear of the ambiguous band (_one_candidate).  Their candidate is built
-directly from the upper eigenvectors, and kept only when its residual needs no
-polish.  Every other member goes to the read (_read_jordan), which makes the
-2-norm, the gauge and the residual of all its members in one stacked call
-each, and runs Schur, the read and the chains per member.  A batch of one
-applies the first stage's test to its Schur diagonal first, so an input that
-goes to the read pays no eig; a larger batch does not test again a member its
-stacked stage rejected, since that test would decide bitwise the same.  Either
-stage keeps, with S, the S^-1 its residual was measured with.
+Both stages run on a whole batch, the CLI's or jordan_form's batch of one,
+behind one entry, _jordan_forms: one stacked singular check, then one Schur
+form Phi(A) = Z T Z^H per input, which both stages share.  The first stage
+(_generic_jordan) takes, by one test of the stacked Schur diagonals
+(_one_candidate), the members with three simple non-real classes, builds
+their candidate from the upper eigenvectors Z X of the triangular T, and
+keeps it only when its residual needs no polish.  Every other member goes to
+the read (_read_jordan).  No eig runs on an adjoint, and a batch and a batch
+of one run the same code.  Either stage keeps, with S, the S^-1 its residual
+was measured with.
 """
 
 from __future__ import annotations
@@ -602,27 +598,36 @@ def _one_candidate(eigs, tol):
     return go & apart & ((near.sum(axis=2) == 2) & partner).all(axis=1)
 
 
-def _generic_jordan(phis: np.ndarray, tol: float) -> list:
+def _triangular_eigenvectors(T):
+    """Unit upper-triangular X with T X = X diag(T), for an (N, 6, 6) stack of
+    upper-triangular T with distinct diagonals, by back substitution one row
+    of the stack at a time: X[j, i] (lam_i - lam_j) = T[j, j+1:] X[j+1:, i]."""
+    lam = np.diagonal(T, axis1=1, axis2=2)
+    gaps = lam[:, None, :] - lam[:, :, None]
+    X = np.eye(6, dtype=complex) * np.ones((len(T), 1, 1))
+    for j in range(4, -1, -1):
+        X[:, j, j + 1:] = (T[:, j, None, j + 1:] @ X[:, j + 1:, j + 1:])[:, 0] / gaps[:, j, j + 1:]
+    return X
+
+
+def _generic_jordan(phis: np.ndarray, T: np.ndarray, Z: np.ndarray, tol: float) -> list:
     """Jordan data of each adjoint in an (N, 6, 6) stack, or None.
 
-    The first stage of the Jordan stage, run on a stack of adjoints that
-    pass the singular rule.  One stacked eig decides: a member goes on only
-    when the read has three simple non-real classes (_one_candidate).  For
-    those, its candidate is built here: each class is the lift of its upper
-    eigenvector, in canonical block order and per-block gauge.  A member
-    whose Phi(S) fails the singular rule, or whose residual is above 1e-12
-    (the read would polish it) or above 1e3 * tol, gets None, and goes to
-    the read.
+    The first stage, on adjoints that pass the singular rule and their
+    stacked Schur forms phis = Z T Z^H.  A member goes on only when the read
+    of its Schur diagonal is three simple non-real classes (_one_candidate);
+    each class is then the lift of its upper eigenvector, in canonical block
+    order and per-block gauge.  A member whose Phi(S) fails the singular
+    rule, or whose residual is above 1e-12 (the read would polish it) or
+    1e3 * tol, gets None, and goes to the read.
     """
     out = [None] * len(phis)
-    try:
-        eigs, vecs = np.linalg.eig(phis)
-    except np.linalg.LinAlgError:  # not finite, or no convergence
-        return out
+    eigs = np.diagonal(T, axis1=1, axis2=2)
     live = np.flatnonzero(_one_candidate(eigs, tol))
     if not live.size:
         return out
-    eigs, vecs = eigs[live], vecs[live]
+    eigs = eigs[live]
+    vecs = Z[live] @ _triangular_eigenvectors(T[live])
 
     rows, cols = np.nonzero(eigs.imag > 0)
     upper = eigs[rows, cols]
@@ -647,10 +652,12 @@ def _generic_jordan(phis: np.ndarray, tol: float) -> list:
     recon = (phi_s * phi_j[:, None, :]) @ inverses - phi_a
     residual = np.sqrt((np.abs(recon) ** 2).sum(axis=(1, 2)) / (np.abs(phi_a) ** 2).sum(axis=(1, 2)))
     keep = ok & (residual <= min(1e-12, 1e3 * tol))
+    # S^-1 is the top blocks of Phi(S)^-1, taken for the stack at once
+    ia, ib = np.ascontiguousarray(inverses[:, :3, :3]), np.ascontiguousarray(inverses[:, :3, 3:])
     for k in np.flatnonzero(keep).tolist():
         blocks = [(reps[3 * k + i], 1) for i in order[k]]
         out[live[k]] = JordanData(blocks=blocks, S=QMatrix3(sa[k], sb[k]),
-                                  S_inv=QMatrix3.from_adjoint(inverses[k]),
+                                  S_inv=QMatrix3(ia[k], ib[k]),
                                   shape_id="diag", residual=float(residual[k]))
     return out
 
@@ -660,11 +667,14 @@ def _generic_jordan(phis: np.ndarray, tol: float) -> list:
 
 
 def _schur(phi):
-    """Complex Schur form (T, Z) of one adjoint; raises SpectralFailure."""
-    try:
-        return sla.schur(phi, output="complex")
-    except sla.LinAlgError as exc:
-        raise SpectralFailure(f"Schur decomposition of the adjoint failed: {exc}") from exc
+    """Complex Schur form (T, Z) of one adjoint; raises SpectralFailure.
+
+    Unsorted zgees with its default workspace: bitwise the (T, Z) of
+    sla.schur(phi, output="complex"), less its workspace query and checks."""
+    T, _, _, Z, _, info = sla.lapack.zgees(lambda lam: False, phi)
+    if info != 0:
+        raise SpectralFailure(f"Schur decomposition of the adjoint failed (info={info})")
+    return T, Z
 
 
 def _candidate(T0, Z0, backward, tol):
@@ -698,27 +708,24 @@ def _accepted(A: QMatrix3, data: JordanData, tol: float) -> JordanData:
     return data
 
 
-def _read_jordan(As, phis, tol, schurs=None) -> list:
+def _read_jordan(As, phis, T, Z, tol) -> list:
     """Jordan data of each input in As, or the exception the read raises on it.
 
-    The structure read, run on a non-empty batch of inputs that pass the
-    singular rule; phis is the (N, 6, 6) stack of their adjoints.  One
-    stacked SVD gives ||Phi(A)||_2 of every member.  Schur, the read and the
-    lift of its chains run per member; then one _gauged covers the chain
-    heads of every candidate and one _conjugation_residuals their residuals
-    and the S^-1 each keeps.  Each member is then polished when needed and
-    gated by itself.  Any exception, a QprojError or not, is kept in its
-    member's slot, for the caller to raise when it reaches that member.
-
-    schurs, when given, holds the complex Schur form (T, Z) of each
-    member's adjoint.
+    The structure read, on a non-empty batch of inputs that pass the singular
+    rule, with the stacks of their adjoints phis and Schur forms (T, Z).  One
+    stacked SVD gives ||Phi(A)||_2 of every member.  The read and the lift of
+    its chains run per member; then one _gauged covers the chain heads of
+    every candidate and one _conjugation_residuals their residuals and the
+    S^-1 each keeps.  Each member is then polished when needed and gated by
+    itself.  Any exception, a QprojError or not, is kept in its member's
+    slot, for the caller to raise when it reaches that member.
     """
     out = [None] * len(As)
     backward = 1e4 * _EPS * np.linalg.svd(phis, compute_uv=False)[:, 0]
     built = []  # (member, blocks, raw S)
     for k, bound in enumerate(backward):
         try:
-            built.append((k, *_candidate(*(schurs[k] if schurs else _schur(phis[k])), bound, tol)))
+            built.append((k, *_candidate(T[k], Z[k], bound, tol)))
         except Exception as exc:
             out[k] = exc
     if not built:
@@ -750,41 +757,33 @@ def _jordan_forms(As, tol: float) -> list:
     """The JordanData of each A in As, or the exception it raises, in its slot.
 
     One stacked singular check covers the batch; a member that fails it gets
-    the Singular of _invert_adjoint on it alone.  A batch of one then takes
-    its Schur form first and applies the first stage's test to the diagonal
-    the read needs anyway, so an input bound for the read pays no eig.  A
-    larger batch runs one _generic_jordan over the members that pass and one
-    _read_jordan over those it rejects: alone, such a member would go to the
-    read as well, since the Schur diagonal's test decides as the stacked eig
-    does.  So every member gets the data a batch of one gives it, provided a
-    member whose stacked eig passes _one_candidate and whose Schur diagonal
-    fails it misses the stage's residual bound.
+    the Singular of _invert_adjoint on it alone.  Every other member is put in
+    Schur form once (a failure stays in its slot); one _generic_jordan takes
+    the members it can, and one _read_jordan reads the rest from the same
+    Schur forms.  A batch of one runs the same code, so a member gets the
+    data it gets alone.
     """
     phis = _adjoint(*_stack(As))
     out = [None] * len(As)
     _, ok = _invert_adjoints(phis)
-    live = np.flatnonzero(ok)
-    if live.size < len(As):
-        for k in np.flatnonzero(~ok).tolist():
-            try:
-                _invert_adjoint(phis[k])
-            except Singular as exc:
-                out[k] = exc
-    schurs = None
-    if len(As) == 1 and live.size:
+    live, schurs = [], []
+    for k, (phi, passed) in enumerate(zip(phis, ok.tolist())):
         try:
-            schurs = [_schur(phis[0])]
-        except SpectralFailure as exc:
-            return [exc]
-        if _one_candidate(np.diag(schurs[0][0])[None], tol)[0]:
-            out = _generic_jordan(phis, tol)
-    elif live.size:
-        for k, data in zip(live.tolist(), _generic_jordan(phis[live], tol)):
-            out[k] = data
-    read = [k for k in live.tolist() if out[k] is None]
-    if read:
-        for k, data in zip(read, _read_jordan([As[k] for k in read], phis[read], tol, schurs)):
-            out[k] = data
+            if not passed:
+                _invert_adjoint(phi)
+            schurs.append(_schur(phi))
+            live.append(k)
+        except (Singular, SpectralFailure) as exc:
+            out[k] = exc
+    T = np.array([t for t, _ in schurs], dtype=complex).reshape(-1, 6, 6)
+    Z = np.array([z for _, z in schurs], dtype=complex).reshape(-1, 6, 6)
+    first = _generic_jordan(phis[live], T, Z, tol)
+    read = [m for m, data in enumerate(first) if data is None]
+    members = [live[m] for m in read]
+    rest = (_read_jordan([As[k] for k in members], phis[members], T[read], Z[read], tol)
+            if read else [])
+    for k, data in zip(live + members, first + rest):  # the read fills the Nones
+        out[k] = data
     return out
 
 

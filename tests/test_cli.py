@@ -350,6 +350,26 @@ def test_non_finite_report_entry_is_malformed_alone_and_mid_batch(runner, where,
         2, "", "report 0: ok\nerror: entry 1: " + message)
 
 
+NOT_NUMBERS = "matrix must be 3x3 with [w, x, y, z] number entries\n"
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_entry_is_a_parse_error_for_input_and_in_a_report(runner, flag):
+    # a JSON true or false among numbers is no number: as command input it
+    # is a parse error, not a determinant that fails to normalize, and inside
+    # a report it makes the report malformed
+    bad = generate("vertical-translation", seed=1).matrix.to_json_dict()
+    bad["matrix"][2][2][1] = flag
+    res = runner.invoke(main, ["classify", "-"], input=json.dumps(bad))
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", "error: entry 0: not a QMatrix3 JSON object: " + NOT_NUMBERS)
+    rep = report_of(runner, "classify", generate("regular-elliptic", seed=1).matrix)
+    rep["input"]["matrix"][0][1][2] = flag
+    res = runner.invoke(main, ["verify", "-"], input=json.dumps(rep))
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", "error: entry 0: malformed report: " + NOT_NUMBERS)
+
+
 def test_precondition_exit_code(runner, tmp_path):
     path = write_matrix(tmp_path, QMatrix3.diag(2.0, 2.0, 2.0))
     res = runner.invoke(main, ["classify", str(path)])
@@ -1029,11 +1049,11 @@ DEFECTIVE_TYPES = ("vertical-translation", "non-vertical-translation", "ellipto-
 
 def test_defective_batch_tests_the_first_stage_once(runner, monkeypatch):
     # every member of a defective batch goes to the structure read, which
-    # takes it as the stacked first stage left it: no member is tested again
-    # on its Schur diagonal, and each is put in Schur form once
+    # takes it as the stacked first stage left it: one test covers the Schur
+    # diagonals of the batch, and each member is put in Schur form once
     batch = [generate(t, seed=seed).matrix for t in DEFECTIVE_TYPES for seed in (1, 2)]
     tests = counted_everywhere(monkeypatch, spectral, "_one_candidate")
-    schurs = counted_everywhere(monkeypatch, spectral.sla, "schur")
+    schurs = counted_everywhere(monkeypatch, spectral, "_schur")
     text = json.dumps([m.to_json_dict() for m in batch])
     res = runner.invoke(main, ["classify", "-"], input=text)
     assert res.exit_code == 0, res.output

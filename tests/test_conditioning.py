@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from qproj import (QprojError, Singular, classification_report, decompose_simple, is_simple,
                    psl_report)
 from qproj.generate import DYNAMICAL_TYPES
 from qproj.matrix import inverse
-from qproj.spectral import _jordan_forms, jordan_form
+from qproj.spectral import _jordan_forms, _schur, jordan_form
 from oracles import conditioned_conjugator
 
 _LOXODROMIC = ("RegularLoxodromic", "ScrewLoxodromic", "Homothety", "LoxoParabolic")
@@ -123,6 +124,21 @@ def test_workload_jordan_data_carries_the_inverse_of_its_similarity(workload):
     mats = [item["matrix"] for item in workloads().build_corpus(workload, 1)[0]]
     datas = [*_jordan_forms(mats, 1e-9), *(jordan_form(a, 1e-9) for a in mats)]
     assert all(carries_its_inverse(data) for data in datas)
+
+
+def test_schur_equals_scipy_schur_on_the_workload_corpora():
+    # the Jordan stage calls LAPACK's zgees with its default workspace; on
+    # every seed-1 input of the three workloads that gives bitwise the Schur
+    # form scipy.linalg.schur gives
+    module = workloads()
+    mats = [item["matrix"] for workload in ("generic", "defective", "shapes")
+            for chunk in module.build_corpus(workload, 1) for item in chunk]
+    assert len(mats) == 1744
+    for a in mats:
+        phi = a.adjoint()
+        T, Z = _schur(phi)
+        want_T, want_Z = sla.schur(phi, output="complex")
+        assert (T.tobytes(), Z.tobytes()) == (want_T.tobytes(), want_Z.tobytes())
 
 
 @pytest.mark.parametrize("c", [1e2, 1e3])

@@ -241,6 +241,21 @@ def test_serialization_keeps_signed_zeros_and_entry_layout(rng):
     assert np.signbit(back.b.imag[2, 2])
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_entry_is_refused(rng, flag):
+    # a JSON true or false among numbers would read as 1.0 or 0.0
+    d = random_qmatrix(rng).to_json_dict()
+    d["matrix"][2][2][1] = flag
+    with pytest.raises(ValueError, match=r"number entries"):
+        QMatrix3.from_json_dict(d)
+    d["matrix"] = [[[flag] * 4] * 3] * 3
+    with pytest.raises(ValueError, match=r"number entries"):
+        QMatrix3.from_json_dict(d)
+    # integers are numbers
+    d["matrix"] = [[[1, 0, 0, 0] if i == j else [0] * 4 for j in range(3)] for i in range(3)]
+    assert QMatrix3.from_json_dict(d).isclose(QMatrix3.identity())
+
+
 def signed_zero_matrix(rng):
     """A random matrix with a +0.0 and a -0.0 in every one of the four real parts."""
     m = random_qmatrix(rng)

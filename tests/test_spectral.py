@@ -7,6 +7,7 @@ from qproj import (
     QMatrix3,
     Quaternion,
     Singular,
+    SpectralFailure,
     eigenvector_lift,
     inverse,
     jordan_form,
@@ -247,7 +248,7 @@ def test_jordan_canonical_order(rng):
     # classes of one modulus come out in angle order, whatever rounding
     # noise their moduli carry, through the first stage and the read alike
     for a in [generate("regular-elliptic", rng=rng).matrix for _ in range(20)]:
-        for data in (jordan_form(a), spectral._generic_jordan(a.adjoint()[None], 1e-9)[0]):
+        for data in (jordan_form(a), first_stage([a])[0]):
             angles = [rep.angle() for rep, _ in data.blocks]
             assert angles == sorted(angles)
 
@@ -333,7 +334,16 @@ def type_and_shape_samples():
 
 def read_only(monkeypatch):
     """Switch off jordan_form's first stage, so every input goes through the structure read."""
-    monkeypatch.setattr(spectral, "_generic_jordan", lambda phis, tol: [None] * len(phis))
+    monkeypatch.setattr(spectral, "_generic_jordan", lambda phis, T, Z, tol: [None] * len(phis))
+
+
+def first_stage(mats, tol=1e-9):
+    """spectral._generic_jordan on the adjoints of mats and their Schur forms."""
+    phis = np.array([m.adjoint() for m in mats], dtype=complex).reshape(-1, 6, 6)
+    schurs = [spectral._schur(phi) for phi in phis]
+    T = np.array([t for t, _ in schurs], dtype=complex).reshape(-1, 6, 6)
+    Z = np.array([z for _, z in schurs], dtype=complex).reshape(-1, 6, 6)
+    return spectral._generic_jordan(phis, T, Z, tol)
 
 
 def test_single_block_shortcut_matches_chain_construction(monkeypatch):
@@ -546,7 +556,7 @@ def verdicts(a, data):
 
 def test_first_stage_matches_the_read(monkeypatch):
     samples = first_stage_samples()
-    first = spectral._generic_jordan(np.stack([m.adjoint() for m in samples]), 1e-9)
+    first = first_stage(samples)
     fast = [jordan_form(m) for m in samples]
     read_only(monkeypatch)
     read = [jordan_form(m) for m in samples]
@@ -573,20 +583,19 @@ def test_first_stage_leaves_the_rest_to_the_read():
     others = [generate(t, rng=rng).matrix for t in DYNAMICAL_TYPES
               if t not in ("regular-elliptic", "regular-loxodromic", "screw-loxodromic")]
     others.append(QMatrix3.diag(1e7, 1e-7, 1.0))
-    phis = np.stack([m.adjoint() for m in others])
-    assert spectral._generic_jordan(phis, 1e-9) == [None] * len(others)
+    assert first_stage(others) == [None] * len(others)
     generic = generate("regular-elliptic", seed=1).matrix
-    assert spectral._generic_jordan(generic.adjoint()[None], 1e-30) == [None]
-    assert spectral._generic_jordan(np.zeros((0, 6, 6), dtype=complex), 1e-9) == []
+    assert first_stage([generic], 1e-30) == [None]
+    assert first_stage([]) == []
 
 
 def counted_eigs(monkeypatch):
-    """The stack length of every np.linalg.eig call."""
+    """The argument of every np.linalg.eig call."""
     calls = []
     eig = np.linalg.eig
 
     def counted(a):
-        calls.append(len(a))
+        calls.append(a)
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counted)
@@ -594,21 +603,90 @@ def counted_eigs(monkeypatch):
 
 
 def test_a_batch_of_one_bound_for_the_read_runs_no_eig(monkeypatch):
-    # a batch of one applies the first stage's test to its Schur diagonal
-    # first, so an input the stage would reject never reaches the stacked
-    # eig; a larger batch runs one eig over all its members
+    # no eig of an adjoint at any batch size, nor any eig at all: every live
+    # member is put in Schur form once, the first stage decides on the Schur
+    # diagonals, and a member it keeps takes its eigenvectors from its own
+    # Schur factors
     translations = [generate("vertical-translation", seed=seed).matrix for seed in (1, 2)]
+    generic = [generate(t, seed=1).matrix for t in ("regular-elliptic", "regular-loxodromic")]
     calls = counted_eigs(monkeypatch)
-    for a in translations:
-        (data,) = spectral._jordan_forms([a], 1e-9)
-        assert isinstance(data, spectral.JordanData)
+    schurs = counted_everywhere(monkeypatch, spectral, "_schur")
+    for batch in ([translations[0]], [generic[0]], translations, generic, translations + generic):
+        schurs.clear()
+        datas = spectral._jordan_forms(batch, 1e-9)
+        assert all(isinstance(data, spectral.JordanData) for data in datas)
+        assert len(schurs) == len(batch)
+    for a in translations + generic:
         jordan_form(a)
     assert calls == []
-    spectral._jordan_forms(translations, 1e-9)
-    assert calls == [2]
-    # an input that passes the test on its Schur diagonal goes on to the eig
-    spectral._jordan_forms([generate("regular-elliptic", seed=1).matrix], 1e-9)
-    assert calls == [2, 1]
+
+
+def test_triangular_eigenvectors_solve_the_schur_forms():
+    # X is unit upper triangular with T X = X diag(T), to rounding, for the
+    # Schur forms of the generic types, whose diagonals are distinct
+    mats = [generate(t, seed=seed).matrix for seed in range(4)
+            for t in ("regular-elliptic", "regular-loxodromic", "screw-loxodromic")]
+    T = np.array([spectral._schur(m.adjoint())[0] for m in mats])
+    X = spectral._triangular_eigenvectors(T)
+    assert not np.tril(X, -1).any()
+    assert (np.diagonal(X, axis1=1, axis2=2) == 1.0).all()
+    lam = np.diagonal(T, axis1=1, axis2=2)
+    assert np.abs(T @ X - X * lam[:, None, :]).max() <= 1e-13 * np.abs(X).max()
+
+
+def test_schur_failure_stays_in_its_member_slot(monkeypatch):
+    # a Schur form LAPACK does not find (info != 0) is the SpectralFailure of
+    # that member alone; the others get the data they get alone
+    mats = [generate(t, seed=1).matrix
+            for t in ("regular-elliptic", "loxo-parabolic", "screw-loxodromic")]
+    alone = [jordan_form(a) for a in mats]
+    failing = mats[1].adjoint().tobytes()
+    zgees = spectral.sla.lapack.zgees
+
+    def flaky(select, phi):
+        T, sdim, w, Z, work, info = zgees(select, phi)
+        return T, sdim, w, Z, work, 3 if phi.tobytes() == failing else info
+
+    monkeypatch.setattr(spectral.sla.lapack, "zgees", flaky)
+    datas = spectral._jordan_forms(mats, 1e-9)
+    assert type(datas[1]) is SpectralFailure
+    assert str(datas[1]) == "Schur decomposition of the adjoint failed (info=3)"
+    with pytest.raises(SpectralFailure):
+        jordan_form(mats[1])
+    for data, want in zip(datas[::2], alone[::2]):
+        assert (data.S.a.tobytes(), data.S.b.tobytes(), data.residual) == (
+            want.S.a.tobytes(), want.S.b.tobytes(), want.residual)
+
+
+def test_a_member_the_first_stage_drops_is_read_from_its_schur_form(monkeypatch):
+    # conjugated regular-elliptic inputs at cond Phi(g) = 1e4 pass the first
+    # stage's test on their Schur diagonal, but some miss its residual bound
+    # of 1e-12; such a member goes to the read, which builds its candidate
+    # from the one Schur form the member already has
+    sampler, _ = DYNAMICAL_TYPES["regular-elliptic"]
+    rng = np.random.default_rng(11)
+    mats = []
+    for _ in range(6):
+        g, g_inv = conditioned_conjugator(1e4, rng)
+        mats.append(g @ sampler(rng) @ g_inv)
+    schur, built = spectral._schur, spectral._candidate
+    made, read = {}, []
+
+    def recorded(phi):
+        T, Z = made[phi.tobytes()] = schur(phi)
+        return T, Z
+
+    def candidate(T0, Z0, backward, tol):
+        read.append((T0.tobytes(), Z0.tobytes()))
+        return built(T0, Z0, backward, tol)
+
+    monkeypatch.setattr(spectral, "_schur", recorded)
+    monkeypatch.setattr(spectral, "_candidate", candidate)
+    datas = spectral._jordan_forms(mats, 1e-9)
+    assert len(made) == len(mats) and 0 < len(read) < len(mats)
+    assert all(spectral._one_candidate(np.diag(T)[None], 1e-9)[0] for T, _ in made.values())
+    assert set(read) <= {(T.tobytes(), Z.tobytes()) for T, Z in made.values()}
+    assert all(isinstance(data, spectral.JordanData) and data.residual <= 1e-12 for data in datas)
 
 
 def test_each_input_gets_one_singular_check(monkeypatch):
