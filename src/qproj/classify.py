@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import _is_simple_data, _real_matrix
+from .decompose import _is_simple_data, _real_conjugate
 from .errors import NotReal, NotSimple, NotUnimodular
 from .matrix import QMatrix3, is_unimodular, require_unimodular, unimodular_gate
 from .quaternion import DEFAULT_TOL
@@ -243,7 +243,7 @@ def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
     data = jordan_form(A, tol)
     if not _is_simple_data(data, tol):
         raise NotSimple("matrix is not conjugate to a real matrix")
-    b = _real_matrix(A, data, tol)
+    b = _real_conjugate(A, data, tol)[1]
     flipped = False
     if np.linalg.det(b) < 0:
         b = -b
@@ -270,7 +270,7 @@ def _classifications_from_data(As, datas, tol: float) -> list:
         report = {**_classify_from_jordan(data, tol).to_json_dict(), "f": None, "x": None,
                   "y": None, "d": _minimal_poly_from_data(data, tol)[1], "jordan": jordan}
         if _is_simple_data(data, tol):
-            b = _real_matrix(A, data, tol)
+            b = _real_conjugate(A, data, tol)[1]
             pair = TracePair.from_real_matrix(b if np.linalg.det(b) > 0 else -b)
             report.update(x=pair.x, y=pair.y, f=discriminant_f(pair.x, pair.y))
         out.append(report)

@@ -140,7 +140,7 @@ def _emit(reports, was_batch, as_json, text_fn):
             click.echo(text_fn(rep))
 
 
-def _run_command(path, tol, as_json, worker, text_fn):
+def _run_command(path, tol, as_json, kind, worker, text_fn):
     """Run worker(inputs, jordan_data, tol) on the batch, report in input order.
 
     The Jordan data comes from one _jordan_forms call over the inputs up to
@@ -151,7 +151,8 @@ def _run_command(path, tol, as_json, worker, text_fn):
     per input, in order, and may stop after the first error.  All of this
     runs silently; then the inputs are replayed in order, each printing its
     warning and raising its error, so the first error ends the command just
-    as if the inputs had come one at a time.
+    as if the inputs had come one at a time.  Each report is stamped with
+    its kind, its input and the tolerance.
     """
     payload = _read_payload(path)
     matrices, was_batch = _parse_matrices(payload)
@@ -183,6 +184,7 @@ def _run_command(path, tol, as_json, worker, text_fn):
             click.echo(note, err=True)
         if isinstance(rep, Exception):
             raise rep
+        rep["kind"] = kind
         rep["input"] = encoded_input
         rep["tolerance"] = tol
         reports.append(rep)
@@ -216,91 +218,57 @@ def main():
     """Classify, test reversibility, and decompose 3x3 quaternionic matrices."""
 
 
-@main.command("classify")
-@_tol_option
-@_json_flag
-@_path_argument
-def classify_cmd(tol, as_json, path):
-    """Dynamical-type classification report."""
+def _analysis_command(name, help_text, kind, worker, text_fn):
+    """Declare `qproj <name>`: worker(inputs, jordan_data, tol) over the batch
+    through _run_command, its reports of kind `kind`, text_fn(report) the
+    line --text prints for each."""
 
-    def worker(inputs, datas, tol):
-        return [{**rep, "kind": "classification"}
-                for rep in _classifications_from_data(inputs, datas, tol)]
-
-    def text(rep):
-        extras = ""
-        if rep["f"] is not None:
-            extras = f"  f={rep['f']:.6g} x={rep['x']:.6g} y={rep['y']:.6g} d={rep['d']}"
-        return f"{rep['major']} / {rep['minor']}{extras}"
-
-    _wrap_errors(lambda: _run_command(path, tol, as_json, worker, text))
+    @main.command(name, help=help_text)
+    @_tol_option
+    @_json_flag
+    @_path_argument
+    def command(tol, as_json, path):
+        _wrap_errors(lambda: _run_command(path, tol, as_json, kind, worker, text_fn))
 
 
-@main.command("reversibility")
-@_tol_option
-@_json_flag
-@_path_argument
-def reversibility_cmd(tol, as_json, path):
-    """Reversibility flags and certified witnesses."""
-
-    def worker(inputs, datas, tol):
-        return [rep if isinstance(rep, QprojError) else {**rep, "kind": "reversibility"}
-                for rep in _reversibility_dicts(_psls_from_data(inputs, datas, tol))]
-
-    def text(rep):
-        return (
-            f"reversible_sl={rep['reversible_sl']} "
-            f"strongly_reversible_sl={rep['strongly_reversible_sl']} "
-            f"negative_reversible={rep['negative_reversible']} "
-            f"reversible_psl={rep['reversible_psl']}"
-        )
-
-    _wrap_errors(lambda: _run_command(path, tol, as_json, worker, text))
+def _classification_line(rep):
+    extras = ""
+    if rep["f"] is not None:
+        extras = f"  f={rep['f']:.6g} x={rep['x']:.6g} y={rep['y']:.6g} d={rep['d']}"
+    return f"{rep['major']} / {rep['minor']}{extras}"
 
 
-@main.command("decompose")
-@_tol_option
-@_json_flag
-@_path_argument
-def decompose_cmd(tol, as_json, path):
-    """Decomposition into at most four simple factors with certificates."""
-
-    def worker(inputs, datas, tol):
-        return [rep if isinstance(rep, QprojError) else {**rep, "kind": "decomposition"}
-                for rep in _decomposition_dicts(_decompositions_from_data(inputs, datas, tol))]
-
-    def text(rep):
-        return f"{len(rep['factors'])} simple factors, residual {rep['residual']:.2e}"
-
-    _wrap_errors(lambda: _run_command(path, tol, as_json, worker, text))
+def _simple_checks(inputs, datas, tol):
+    """The simple-check report of each input, or the QprojError of its certificate."""
+    simple = [_is_simple_data(data, tol) for data in datas]
+    # a simple input is its own one-factor decomposition, certified by realify
+    decs = iter(_decomposition_dicts(_decompositions_from_data(
+        list(itertools.compress(inputs, simple)), list(itertools.compress(datas, simple)), tol)))
+    results = []
+    for flag in simple:
+        dec = next(decs) if flag else None
+        results.append(dec if isinstance(dec, QprojError) else
+                       {"simple": flag, "certificate": dec and dec["certificates"][0]})
+    return results
 
 
-@main.command("simple-check")
-@_tol_option
-@_json_flag
-@_path_argument
-def simple_check_cmd(tol, as_json, path):
-    """Simplicity test plus real-conjugate certificate when simple."""
-
-    def worker(inputs, datas, tol):
-        simple = [_is_simple_data(data, tol) for data in datas]
-        # a simple input is its own one-factor decomposition, certified by realify
-        decs = iter(_decomposition_dicts(_decompositions_from_data(
-            list(itertools.compress(inputs, simple)), list(itertools.compress(datas, simple)), tol)))
-        results = []
-        for flag in simple:
-            dec = next(decs) if flag else None
-            if isinstance(dec, QprojError):
-                results.append(dec)
-                continue
-            cert = dec["certificates"][0] if flag else None
-            results.append({"kind": "simple-check", "simple": flag, "certificate": cert})
-        return results
-
-    def text(rep):
-        return "simple" if rep["simple"] else "not simple"
-
-    _wrap_errors(lambda: _run_command(path, tol, as_json, worker, text))
+_analysis_command("classify", "Dynamical-type classification report.", "classification",
+                  _classifications_from_data, _classification_line)
+_analysis_command(
+    "reversibility", "Reversibility flags and certified witnesses.", "reversibility",
+    lambda inputs, datas, tol: _reversibility_dicts(_psls_from_data(inputs, datas, tol)),
+    lambda rep: (f"reversible_sl={rep['reversible_sl']} "
+                 f"strongly_reversible_sl={rep['strongly_reversible_sl']} "
+                 f"negative_reversible={rep['negative_reversible']} "
+                 f"reversible_psl={rep['reversible_psl']}"))
+_analysis_command(
+    "decompose", "Decomposition into at most four simple factors with certificates.",
+    "decomposition",
+    lambda inputs, datas, tol: _decomposition_dicts(_decompositions_from_data(inputs, datas, tol)),
+    lambda rep: f"{len(rep['factors'])} simple factors, residual {rep['residual']:.2e}")
+_analysis_command("simple-check", "Simplicity test plus real-conjugate certificate when simple.",
+                  "simple-check", _simple_checks,
+                  lambda rep: "simple" if rep["simple"] else "not simple")
 
 
 @main.command("gen")
@@ -366,7 +334,7 @@ class _Replay:
         before that point already appended.
         """
         kind = rep.get("kind")
-        report_tol = float(rep.get("tolerance", self.tol))
+        report_tol = float(_field(rep, "tolerance", "a number")) if "tolerance" in rep else self.tol
         if not _usable_tol(report_tol):
             raise ValueError(f"tolerance {report_tol!r} is not a finite number above zero")
 
@@ -390,7 +358,8 @@ class _Replay:
         if kind == "classification":
             jd = rep["jordan"]
             S = self._matrix(jd["S"])
-            blocks = [(ClassRep(b["re"], b["im"]), b["size"]) for b in jd["blocks"]]
+            blocks = [(ClassRep(_field(b, "re", "a number"), _field(b, "im", "a number")),
+                       _field(b, "size", "an integer")) for b in jd["blocks"]]
             J = self._matrix(_assemble_jordan(blocks))
             steps.append(self._checked("conjugation", "jordan reconstruction", S, J, a))
             jordan = self._verdict(a, report_tol)
@@ -439,7 +408,7 @@ class _Replay:
                 for k, (f, cert) in enumerate(zip(factors, certificates))
             ]
         elif kind == "simple-check":
-            _flag(rep, "simple")
+            _field(rep, "simple")
             jordan = self._verdict(a, report_tol)
 
             def recomputed(failures):
@@ -552,17 +521,24 @@ class _Replay:
                 for kind in _CERTIFICATE_KINDS if kind in found]
 
 
-def _flag(rep, name):
-    """rep[name]; a TypeError, so a malformed report, unless it is a JSON boolean."""
-    if not isinstance(rep[name], bool):
-        raise TypeError(f"{name} is {rep[name]!r}, not a boolean")
-    return rep[name]
+# the Python types json gives each JSON type of a report field
+_JSON_TYPES = {"a boolean": bool, "a number": (int, float), "an integer": int}
+
+
+def _field(rep, name, json_type="a boolean"):
+    """rep[name]; a TypeError, so a malformed report, unless it is of json_type,
+    a key of _JSON_TYPES.  JSON true and false are no number or integer."""
+    value = rep[name]
+    if isinstance(value, bool) != (json_type == "a boolean") or not isinstance(
+            value, _JSON_TYPES[json_type]):
+        raise TypeError(f"{name} is {value!r}, not {json_type}")
+    return value
 
 
 def _broken_flag_rule(rep):
     """The first rule that the flags and witness of a reversibility report
     break, or None; read off the report alone, as the library sets them."""
-    sl, strong, negative, psl = (_flag(rep, flag) for flag in (
+    sl, strong, negative, psl = (_field(rep, flag) for flag in (
         "reversible_sl", "strongly_reversible_sl", "negative_reversible", "reversible_psl"))
     kind = rep["reverser_kind"]
     rules = (

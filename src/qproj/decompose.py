@@ -17,7 +17,10 @@ factorization routes on the Jordan shape:
 
 Every factor ships with a certificate (T, B): a conjugator T and the real
 matrix B = T^-1 (factor) T it exhibits, both read off the factor's
-construction rather than extracted from the factor again.
+construction rather than extracted from the factor again.  A simple input is
+its own one factor, certified by its real conjugate (_real_conjugate): the
+real Jordan form, or for diag(λ, λ, μ) the same pair factor (_pair_row) that
+the routes above use, in the frame of S.
 
 The after-stage that follows jordan_form runs per batch
 (_decompositions_from_data): the CLI passes a whole batch, decompose_simple
@@ -143,8 +146,8 @@ def realify(A: QMatrix3, tol: float = DEFAULT_TOL) -> SimpleCertificate:
 
     Real inputs return (I3, A) directly.  A real-spectrum A returns its real
     Jordan form; the remaining simple shape diag(λ, λ, μ) with λ non-real is
-    realified by the 2x2 conjugators mapping diag(r e^{it}, r e^{it}) to the
-    rotation block [[r cos t, r sin t], [-r sin t, r cos t]].  This is the
+    the pair factor of _pair_row, whose B holds the rotation block
+    [[Re λ, Im λ], [-Im λ, Re λ]] in the slots of the pair.  This is the
     certificate of the one-factor decomposition [A].
     """
     data = None if A.is_real(tol) else jordan_form(A, tol)
@@ -154,51 +157,6 @@ def realify(A: QMatrix3, tol: float = DEFAULT_TOL) -> SimpleCertificate:
     if isinstance(result, QprojError):
         raise result
     return result.certificates[0]
-
-
-def _realify_data(data: JordanData, tol: float):
-    """(s0, B) for a non-real A with simple Jordan data: A = T B T^-1 with B
-    real, for T = S when every class is real (s0 None), else for
-    T = S _pair_conjugator(s0, True), the equal pair in slots s0, s0 + 1.
-
-    data must pass _is_simple_data.  A non-real class then has blocks
-    diag(λ, λ) and the third class μ is real; the two λ blocks share one
-    ClassRep, so they sort next to each other.
-    """
-    reps = [rep for rep, _ in data.blocks]
-    if all(rep.is_real(tol) for rep in reps):
-        return None, data.jordan_matrix().real_part()
-
-    # diag(λ, λ, μ) with λ non-real: the pair leads unless μ does
-    pair_pos = 1 if reps[0].is_real(tol) else 0
-    other = 2 if pair_pos == 0 else 0
-    lam = reps[pair_pos]
-    mu = reps[other]
-    r = lam.modulus()
-    theta = lam.angle()
-    s0, s1 = (pair_pos, pair_pos + 1)
-
-    B = np.zeros((3, 3))
-    B[s0, s0] = r * math.cos(theta)
-    B[s0, s1] = r * math.sin(theta)
-    B[s1, s0] = -r * math.sin(theta)
-    B[s1, s1] = r * math.cos(theta)
-    B[other, other] = mu.re
-    return pair_pos, B
-
-
-def _real_conjugate(A: QMatrix3, data: JordanData | None, tol: float):
-    """(T, B) with A = T B T^-1 for a simple A: (I, Re A) for an A real within
-    tol, else read off _realify_data."""
-    if A.is_real(tol):
-        return QMatrix3.identity(), A.real_part()
-    pair_pos, B = _realify_data(data, tol)
-    return (data.S if pair_pos is None else data.S @ _pair_conjugator(pair_pos, True)), B
-
-
-def _real_matrix(A: QMatrix3, data: JordanData | None, tol: float) -> np.ndarray:
-    """The B of _real_conjugate alone, with no conjugator built."""
-    return A.real_part() if A.is_real(tol) else _realify_data(data, tol)[1]
 
 
 def _pair_conjugator(s0: int, same: bool) -> QMatrix3:
@@ -250,6 +208,21 @@ def _pair_row(s0: int, d):
     if s0 == 0:
         return d, _NO_SUPER, 1 + (not same), (c, s, 0.0, -s, c, 0.0, 0.0, 0.0, d[2].real)
     return d, _NO_SUPER, 3 + (not same), (d[0].real, 0.0, 0.0, 0.0, c, s, 0.0, -s, c)
+
+
+def _real_conjugate(A: QMatrix3, data: JordanData | None, tol: float):
+    """(T, B) with A = T B T^-1 for a simple A: (I, Re A) for an A real within
+    tol, (S, Re J) when every class is real, else, for diag(λ, λ, μ) with λ
+    non-real and μ real, S times the pair factor of _pair_row; the two λ
+    blocks share one ClassRep, so they sort next to each other."""
+    if A.is_real(tol):
+        return QMatrix3.identity(), A.real_part()
+    reps = [rep for rep, _ in data.blocks]
+    if all(rep.is_real(tol) for rep in reps):
+        return data.S, data.jordan_matrix().real_part()
+    # diag(λ, λ, μ) with λ non-real: the pair leads unless μ does
+    _, _, t, B = _pair_row(1 if reps[0].is_real(tol) else 0, [rep.as_complex() for rep in reps])
+    return data.S @ QMatrix3(_CONJUGATOR_A[t], _CONJUGATOR_B[t]), np.reshape(B, (3, 3))
 
 
 def _unit_diag_rows(t: float, p: float, s: float):

@@ -68,6 +68,38 @@ def test_gen_classify_roundtrip(runner, tmp_path):
         assert rep["minor"] == gen_payload["type"]
 
 
+COMMAND_LIST = """\
+Commands:
+  classify       Dynamical-type classification report.
+  decompose      Decomposition into at most four simple factors with...
+  gen            Emit a random conjugate of a canonical type with its...
+  reversibility  Reversibility flags and certified witnesses.
+  simple-check   Simplicity test plus real-conjugate certificate when simple.
+  verify         Re-check every certificate in a report file; exit 0 iff...
+"""
+ANALYSIS_HELP = {
+    "classify": "Dynamical-type classification report.",
+    "reversibility": "Reversibility flags and certified witnesses.",
+    "decompose": "Decomposition into at most four simple factors with certificates.",
+    "simple-check": "Simplicity test plus real-conjugate certificate when simple.",
+}
+ANALYSIS_OPTIONS = """\
+Options:
+  --tol FLOAT      Tolerance, finite and > 0 (default 1e-9 or QPROJ_TOL).
+  --json / --text  Output format (default JSON).
+  --help           Show this message and exit.
+"""
+
+
+def test_help_lists_the_commands_and_the_options_of_each_analysis_command(runner):
+    res = runner.invoke(main, ["--help"], terminal_width=80)
+    assert res.exit_code == 0 and res.stdout.endswith("\n\n" + COMMAND_LIST)
+    for cmd, line in ANALYSIS_HELP.items():
+        res = runner.invoke(main, [cmd, "--help"], terminal_width=80)
+        assert res.exit_code == 0
+        assert res.stdout.endswith(f" {cmd} [OPTIONS] [PATH]\n\n  {line}\n\n" + ANALYSIS_OPTIONS)
+
+
 def test_gen_negative_seed_is_usage_error(runner):
     res = runner.invoke(main, ["gen", "--type", "identity", "--seed", "-1"])
     assert res.exit_code == 2, res.output
@@ -909,7 +941,12 @@ def test_verify_rejects_a_flag_that_is_not_a_boolean_alone_and_mid_batch(runner,
     rep = report_of(runner, cmd, generate(type_name, seed=1).matrix)
     assert verified(runner, [rep])[3] == 0
     rep[flag] = value
-    message = f"malformed report: {flag} is {value!r}, not a boolean\n"
+    assert_malformed_alone_and_mid_batch(runner, rep, f"{flag} is {value!r}, not a boolean")
+
+
+def assert_malformed_alone_and_mid_batch(runner, rep, what):
+    """verify exits 2 on rep alone and as the middle of three reports, saying what."""
+    message = f"malformed report: {what}\n"
     res = runner.invoke(main, ["verify", "-"], input=json.dumps(rep))
     assert (res.exit_code, res.stdout, res.stderr) == (2, "", "error: entry 0: " + message)
     neighbours = [report_of(runner, c, generate("screw-loxodromic", seed=2).matrix)
@@ -918,6 +955,30 @@ def test_verify_rejects_a_flag_that_is_not_a_boolean_alone_and_mid_batch(runner,
     res = runner.invoke(main, ["verify", "-"], input=batch)
     assert (res.exit_code, res.stdout, res.stderr) == (
         2, "", "report 0: ok\nerror: entry 1: " + message)
+
+
+# (edit of a classification report, what verify says of the edited field):
+# each field is read as the JSON type the report writes, and a boolean is
+# no number
+WRONG_JSON_TYPES = {
+    "tolerance-true": (lambda rep: rep.update(tolerance=True), "tolerance is True, not a number"),
+    "tolerance-string": (lambda rep: rep.update(tolerance="1e-9"),
+                         "tolerance is '1e-9', not a number"),
+    "size-true": (lambda rep: rep["jordan"]["blocks"][0].update(size=True),
+                  "size is True, not an integer"),
+    "re-true": (lambda rep: rep["jordan"]["blocks"][0].update(re=True), "re is True, not a number"),
+    "im-false": (lambda rep: rep["jordan"]["blocks"][1].update(im=False),
+                 "im is False, not a number"),
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_JSON_TYPES))
+def test_verify_rejects_a_field_of_the_wrong_json_type_alone_and_mid_batch(runner, name):
+    edit, what = WRONG_JSON_TYPES[name]
+    rep = report_of(runner, "classify", generate("regular-elliptic", seed=1).matrix)
+    assert verified(runner, [rep])[3] == 0
+    edit(rep)
+    assert_malformed_alone_and_mid_batch(runner, rep, what)
 
 
 def test_verify_reclassifies_a_generated_label(runner):

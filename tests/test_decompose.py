@@ -12,7 +12,8 @@ from qproj import (
     realify,
 )
 from qproj.decompose import (Decomposition, _canonical_rows, _canonical_stacks,
-                             _decompositions_from_data, _split_phases)
+                             _decompositions_from_data, _pair_conjugator, _real_conjugate,
+                             _split_phases)
 from qproj.errors import CertificateError, QprojError
 from qproj.generate import (conjugated, generate, negative_shape, nonreversible_shape,
                             nonstrong_shape, reversible_shape, strong_shape)
@@ -326,3 +327,38 @@ def test_pair_rotation_split_matches_the_assembled_pair_diagonals(angles):
     e_mu, e_nu, e_minus_nu = _split_phases(t, p + s)
     assert ca[0].diagonal().tobytes() == np.array([e_mu, e_mu, 1.0]).tobytes()
     assert ca[1].diagonal().tobytes() == np.array([e_nu, e_minus_nu, 1.0]).tobytes()
+
+
+# diag(λ, λ, μ) with λ non-real: the classes sort by modulus, so the pair
+# leads (slot 0) when |λ| > |μ| and trails (slot 1) when |λ| < |μ|
+PAIR_INPUTS = {0: QMatrix3.diag(2 * e(0.9), 2 * e(0.9), 0.25),
+               1: QMatrix3.diag(0.5 * e(0.9), 0.5 * e(0.9), 4.0)}
+
+
+@pytest.mark.parametrize("s0", PAIR_INPUTS)
+def test_real_conjugate_of_a_pair_is_its_pair_factor(s0, rng):
+    a, _ = conjugated(PAIR_INPUTS[s0], rng)
+    data = jordan_form(a)
+    (lam, _), (mu, _) = data.blocks[s0], data.blocks[2 - 2 * s0]
+    T, B = _real_conjugate(a, data, 1e-9)
+    # the rotation block of the class itself, not r cos t and r sin t
+    want = np.zeros((3, 3))
+    want[s0:s0 + 2, s0:s0 + 2] = [[lam.re, lam.im], [-lam.im, lam.re]]
+    want[2 - 2 * s0, 2 - 2 * s0] = mu.re
+    assert B.tobytes() == want.tobytes()
+    P = data.S @ _pair_conjugator(s0, True)
+    assert T.a.tobytes() == P.a.tobytes() and T.b.tobytes() == P.b.tobytes()
+    assert realify(a).residual < 1e-12
+
+
+def test_real_conjugate_of_a_real_input_and_of_real_classes(rng):
+    real = QMatrix3.from_real(rng.standard_normal((3, 3)))
+    T, B = _real_conjugate(real, None, 1e-9)
+    assert T.a.tobytes() == QMatrix3.identity().a.tobytes() and not T.b.any()
+    assert B.tobytes() == real.real_part().tobytes()
+    # a non-real input whose classes are all real: (S, Re J) as they are
+    a, _ = conjugated(j2(2, 0.25), rng)
+    data = jordan_form(a)
+    T, B = _real_conjugate(a, data, 1e-9)
+    assert T is data.S
+    assert B.tobytes() == data.jordan_matrix().real_part().tobytes()
