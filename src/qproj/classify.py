@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import _is_simple_data, _real_conjugate
+from .decompose import _is_simple_data, _real_form
 from .errors import NotReal, NotSimple, NotUnimodular
-from .matrix import QMatrix3, is_unimodular, require_unimodular, unimodular_gate
+from .matrix import QMatrix3, is_unimodular, unimodular_gate
 from .quaternion import DEFAULT_TOL
-from .spectral import _jordan_dicts, _minimal_poly_from_data, jordan_form, minimal_poly_structure
+from .spectral import _analysed, _jordan_dicts, _minimal_poly_from_data, minimal_poly_structure
 
 
 class Major(str, enum.Enum):
@@ -149,8 +149,7 @@ def dynamical_type(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
     diagonalizable with unit-modulus classes -> elliptic; any non-unit
     modulus -> loxodromic; otherwise parabolic.
     """
-    require_unimodular(A, tol)
-    return _classify_from_jordan(jordan_form(A, tol), tol)
+    return _classify_from_jordan(_analysed(A, tol), tol)
 
 
 def _as_real_sl3(a, tol):
@@ -239,11 +238,10 @@ def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
     classified instead; that negation preserves all minors except the
     unipotent ones, which map to their ellipto counterparts.
     """
-    require_unimodular(A, tol)
-    data = jordan_form(A, tol)
+    data = _analysed(A, tol)
     if not _is_simple_data(data, tol):
         raise NotSimple("matrix is not conjugate to a real matrix")
-    b = _real_conjugate(A, data, tol)[1]
+    b = _real_form(A, data, tol)[2]
     flipped = False
     if np.linalg.det(b) < 0:
         b = -b
@@ -258,8 +256,7 @@ def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
 
 def classification_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> dict:
     """JSON-ready classification report for the CLI."""
-    require_unimodular(A, tol)
-    return _classifications_from_data([A], [jordan_form(A, tol)], tol)[0]
+    return _classifications_from_data([A], [_analysed(A, tol)], tol)[0]
 
 
 def _classifications_from_data(As, datas, tol: float) -> list:
@@ -270,7 +267,7 @@ def _classifications_from_data(As, datas, tol: float) -> list:
         report = {**_classify_from_jordan(data, tol).to_json_dict(), "f": None, "x": None,
                   "y": None, "d": _minimal_poly_from_data(data, tol)[1], "jordan": jordan}
         if _is_simple_data(data, tol):
-            b = _real_conjugate(A, data, tol)[1]
+            b = _real_form(A, data, tol)[2]
             pair = TracePair.from_real_matrix(b if np.linalg.det(b) > 0 else -b)
             report.update(x=pair.x, y=pair.y, f=discriminant_f(pair.x, pair.y))
         out.append(report)

@@ -360,6 +360,8 @@ class _Replay:
             S = self._matrix(jd["S"])
             blocks = [(ClassRep(_field(b, "re", "a number"), _field(b, "im", "a number")),
                        _field(b, "size", "an integer")) for b in jd["blocks"]]
+            for name in ("d", "f", "x", "y"):  # typed; the values are not replayed
+                _field(rep, name, "an integer" if name == "d" else "a number or null")
             J = self._matrix(_assemble_jordan(blocks))
             steps.append(self._checked("conjugation", "jordan reconstruction", S, J, a))
             jordan = self._verdict(a, report_tol)
@@ -522,7 +524,8 @@ class _Replay:
 
 
 # the Python types json gives each JSON type of a report field
-_JSON_TYPES = {"a boolean": bool, "a number": (int, float), "an integer": int}
+_JSON_TYPES = {"a boolean": bool, "a number": (int, float), "an integer": int,
+               "a number or null": (int, float, type(None))}
 
 
 def _field(rep, name, json_type="a boolean"):

@@ -42,10 +42,9 @@ import numpy as np
 
 from .errors import CertificateError, NotSimple, QprojError
 from .matrix import (QMatrix3, _build_gate, _conjugation_residuals, _json_matrices, _norms,
-                     _product_residuals, _qmul, _stack, check_certificate, conjugation_residual,
-                     require_unimodular)
+                     _product_residuals, _qmul, _stack, check_certificate, conjugation_residual)
 from .quaternion import DEFAULT_TOL
-from .spectral import JordanData, jordan_form
+from .spectral import JordanData, _analysed, jordan_form
 
 
 @dataclass
@@ -126,8 +125,7 @@ def _decomposition_dicts(decs) -> list:
 
 def is_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
     """True iff A is conjugate to a real matrix (non-real blocks pair up by size)."""
-    require_unimodular(A, tol)
-    return _is_simple_data(jordan_form(A, tol), tol)
+    return _is_simple_data(_analysed(A, tol), tol)
 
 
 def _is_simple_data(data: JordanData, tol: float) -> bool:
@@ -210,19 +208,25 @@ def _pair_row(s0: int, d):
     return d, _NO_SUPER, 3 + (not same), (d[0].real, 0.0, 0.0, 0.0, c, s, 0.0, -s, c)
 
 
-def _real_conjugate(A: QMatrix3, data: JordanData | None, tol: float):
-    """(T, B) with A = T B T^-1 for a simple A: (I, Re A) for an A real within
-    tol, (S, Re J) when every class is real, else, for diag(λ, λ, μ) with λ
-    non-real and μ real, S times the pair factor of _pair_row; the two λ
-    blocks share one ClassRep, so they sort next to each other."""
+def _real_form(A: QMatrix3, data: JordanData | None, tol: float):
+    """(F, t, B) with A = T B T^-1 for a simple A, T = F C_t for conjugator t > 0
+    of the stacks, else F: (I, 0, Re A) for an A real within tol, (S, 0, Re J) when
+    every class is real, else, for diag(λ, λ, μ) with λ non-real and μ real, S and
+    the pair factor of _pair_row, whose λ blocks sort together (one ClassRep)."""
     if A.is_real(tol):
-        return QMatrix3.identity(), A.real_part()
+        return QMatrix3.identity(), 0, A.real_part()
     reps = [rep for rep, _ in data.blocks]
     if all(rep.is_real(tol) for rep in reps):
-        return data.S, data.jordan_matrix().real_part()
+        return data.S, 0, data.jordan_matrix().real_part()
     # diag(λ, λ, μ) with λ non-real: the pair leads unless μ does
     _, _, t, B = _pair_row(1 if reps[0].is_real(tol) else 0, [rep.as_complex() for rep in reps])
-    return data.S @ QMatrix3(_CONJUGATOR_A[t], _CONJUGATOR_B[t]), np.reshape(B, (3, 3))
+    return data.S, t, np.reshape(B, (3, 3))
+
+
+def _real_conjugate(A: QMatrix3, data: JordanData | None, tol: float):
+    """(T, B) with A = T B T^-1 for a simple A, from _real_form."""
+    F, t, B = _real_form(A, data, tol)
+    return (F @ QMatrix3(_CONJUGATOR_A[t], _CONJUGATOR_B[t]) if t else F), B
 
 
 def _unit_diag_rows(t: float, p: float, s: float):
@@ -335,8 +339,7 @@ def decompose_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> Decomposition:
     (boundary angles) are dropped.  A factor S C S^-1 carries the certificate
     (S T, B) of its canonical factor C = T B T^-1.
     """
-    require_unimodular(A, tol)
-    (result,) = _decompositions_from_data([A], [jordan_form(A, tol)], tol)
+    (result,) = _decompositions_from_data([A], [_analysed(A, tol)], tol)
     if isinstance(result, QprojError):
         raise result
     return result

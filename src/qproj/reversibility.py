@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import NotReversible, NotStronglyReversible, QprojError
 from .matrix import (QMatrix3, _build_gate, _json_matrices, _product_residuals, _qmul,
-                     _square_residuals, _stack, check_certificate, inverse, require_unimodular)
+                     _square_residuals, _stack, check_certificate, inverse)
 from .quaternion import DEFAULT_TOL, ClassRep
-from .spectral import JordanData, _sylvester_op, _unvec36, jordan_form
+from .spectral import JordanData, _analysed, _sylvester_op, _unvec36
 
 
 @dataclass
@@ -218,8 +218,7 @@ def _witnesses(As, datas, g0s, relations, tol: float, pair: bool) -> list:
 def _witnessed(A: QMatrix3, tol: float, which: int, relation, missing: QprojError) -> QMatrix3:
     """The witness g of A from _matches' entry which, checked as by
     _witnesses; raises missing when that entry is None."""
-    require_unimodular(A, tol)
-    data = jordan_form(A, tol)
+    data = _analysed(A, tol)
     g0 = _matches(data, tol)[which]
     if g0 is None:
         raise missing
@@ -237,8 +236,7 @@ _NOT_REVERSIBLE = "Jordan blocks do not pair into a reversible shape"
 
 def is_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
     """True iff A is conjugate to A^-1 in SL(3,H)."""
-    require_unimodular(A, tol)
-    return _matches(jordan_form(A, tol), tol)[0] is not None
+    return _matches(_analysed(A, tol), tol)[0] is not None
 
 
 def reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
@@ -248,8 +246,7 @@ def reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
 
 def is_strongly_reversible_sl(A: QMatrix3, tol: float = DEFAULT_TOL) -> bool:
     """True iff some involution reverses A (boundary-angle shapes)."""
-    require_unimodular(A, tol)
-    return _matches(jordan_form(A, tol), tol)[1] is not None
+    return _matches(_analysed(A, tol), tol)[1] is not None
 
 
 def involution_reverser(A: QMatrix3, tol: float = DEFAULT_TOL) -> QMatrix3:
@@ -289,8 +286,7 @@ def psl_report(A: QMatrix3, tol: float = DEFAULT_TOL) -> ReversibilityReport:
     two-skew-involution factorization (-A g, g), or (A g, g) from the twisted
     relation), and both project to involutions in PSL(3,H).
     """
-    require_unimodular(A, tol)
-    (report,) = _psls_from_data([A], [jordan_form(A, tol)], tol)
+    (report,) = _psls_from_data([A], [_analysed(A, tol)], tol)
     if isinstance(report, QprojError):
         raise report
     return report

@@ -35,14 +35,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditioned, LiftFailure, Singular, SpectralFailure
 from .matrix import (QMatrix3, _adjoint, _blocks36, _conjugation_residuals, _invert_adjoint,
-                     _invert_adjoints, _json_matrices, _qmul, _stack, _unvec36, _vec36)
+                     _invert_adjoints, _json_matrices, _qmul, _stack, _unvec36, _vec36,
+                     require_unimodular)
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 
 # Gauss-Newton steps of the Sylvester polish at most.
@@ -50,9 +51,10 @@ _POLISH_ITERATIONS = 16
 # Largest eigenvalue-gap (relative to spectral scale) that clustering may bridge.
 _MERGE_CAP = 3e-2
 _EPS = np.finfo(float).eps
+_ANALYSED = 4  # inputs whose analysis _analysed keeps, the most recently used
 
 
-@dataclass
+@dataclass(frozen=True)
 class JordanData:
     """Jordan blocks, the similarity A = S J S^-1, the S^-1 its residual was
     measured with, and the shape tag."""
@@ -800,6 +802,25 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     if isinstance(data, Exception):
         raise data
     return data
+
+
+def _analysed(A: QMatrix3, tol: float) -> JordanData:
+    """require_unimodular(A, tol), then jordan_form(A, tol), kept for the last
+    _ANALYSED inputs the report functions saw, keyed on content, (A.a.tobytes(),
+    A.b.tobytes(), float(tol)), not on the mutable A.  _analysis rebuilds A from the
+    key alone: a pure, thread-safe function of it that keeps no error.  The data is
+    shared, so read-only (frozen, blocks a tuple, S, S^-1 unwritable); callers get copies."""
+    return _analysis(A.a.tobytes(), A.b.tobytes(), float(tol))
+
+
+@functools.lru_cache(maxsize=_ANALYSED)
+def _analysis(a: bytes, b: bytes, tol: float) -> JordanData:
+    A = QMatrix3(*(np.frombuffer(z, dtype=complex).reshape(3, 3) for z in (a, b)))
+    require_unimodular(A, tol)
+    data = jordan_form(A, tol)
+    for z in (data.S.a, data.S.b, data.S_inv.a, data.S_inv.b):
+        z.flags.writeable = False
+    return replace(data, blocks=tuple(data.blocks))
 
 
 def eigenvector_lift(u, v, lam, A: QMatrix3 | None = None, tol: float = DEFAULT_TOL):

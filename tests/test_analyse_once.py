@@ -1,24 +1,32 @@
-"""Each report function extracts the Jordan data of its input exactly once.
+"""Each report function extracts the Jordan data of its input exactly once,
+and the report functions share that extraction for the inputs they saw last.
 
 ``jordan_form`` is replaced in every ``qproj`` namespace that binds it, so a
 call made through any module's import is counted.
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qproj import (QMatrix3, classification_report, decompose, decompose_simple, psl_report,
+from qproj import (QMatrix3, classification_report, classify_via_simple, decompose,
+                   decompose_simple, dynamical_type, involution_reverser, is_reversible_sl,
+                   is_simple, is_strongly_reversible_sl, matrix, psl_report, reverser,
                    reversibility, spectral)
 from qproj.cli import main
-from qproj.generate import conjugated, generate, negative_shape, reversible_shape
+from qproj.errors import QprojError
+from qproj.generate import DYNAMICAL_TYPES, conjugated, generate, negative_shape, reversible_shape
 from test_cli import counted_everywhere
 
 
 @pytest.fixture
 def jordan_calls(monkeypatch):
+    # no analysis is kept from an earlier test, so each test starts cold
+    spectral._analysis.cache_clear()
     return counted_everywhere(monkeypatch, spectral, "jordan_form")
 
 
@@ -89,3 +97,112 @@ def test_after_stages_take_the_inverse_of_s_from_the_jordan_data(monkeypatch):
     for cmd, stdout in want.items():
         res = runner.invoke(main, [cmd, "-"], input=text)
         assert (res.exit_code, res.stdout) == (0, stdout), res.output
+
+
+def answers(a):
+    """The three reports of a as JSON, or the type of the error each raises."""
+    out = []
+    for report in (classification_report, psl_report, decompose_simple):
+        try:
+            rep = report(a)
+        except QprojError as exc:
+            out.append(type(exc).__name__)
+            continue
+        out.append(rep if isinstance(rep, dict) else rep.to_json_dict())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_three_reports_in_a_row_analyse_once(jordan_calls, monkeypatch, name):
+    dets = counted_everywhere(monkeypatch, matrix, "det_h")
+    answers(INPUTS[name])
+    assert len(jordan_calls) == len(dets) == 1
+
+
+def test_every_entry_point_shares_the_analysis(jordan_calls, monkeypatch):
+    # a simple input with a reverser and an involution reverser, whose real
+    # conjugate classify_sl3r decides without a Jordan form of its own
+    a, _ = conjugated(QMatrix3.diag(1j, 1j, 1), np.random.default_rng(3))
+    dets = counted_everywhere(monkeypatch, matrix, "det_h")
+    for entry in (classification_report, psl_report, decompose_simple, dynamical_type,
+                  classify_via_simple, is_reversible_sl, is_strongly_reversible_sl, reverser,
+                  involution_reverser, is_simple):
+        entry(a)
+    assert len(jordan_calls) == len(dets) == 1
+
+
+def test_an_input_changed_in_place_is_analysed_afresh(jordan_calls):
+    first = generate("regular-elliptic", seed=3).matrix
+    second = generate("loxo-parabolic", seed=3).matrix
+    a = QMatrix3(first.a.copy(), first.b.copy())
+    before = answers(a)
+    a.a[...], a.b[...] = second.a, second.b
+    after = answers(a)
+    assert len(jordan_calls) == 2
+    spectral._analysis.cache_clear()
+    assert after == answers(second) != before
+
+
+def scribble(obj):
+    """Write into every array, list and dict reachable from obj; an array that
+    refuses the write must be read-only."""
+    if isinstance(obj, np.ndarray):
+        try:
+            obj[...] = 7.0
+        except ValueError:
+            assert not obj.flags.writeable
+    elif isinstance(obj, QMatrix3):
+        scribble(obj.a)
+        scribble(obj.b)
+    elif isinstance(obj, (list, dict)):
+        for key in (range(len(obj)) if isinstance(obj, list) else list(obj)):
+            scribble(obj[key])
+            obj[key] = 7.0
+    elif isinstance(obj, tuple):
+        for item in obj:
+            scribble(item)
+    elif hasattr(obj, "__dict__"):
+        scribble(vars(obj))
+
+
+def test_writing_into_what_a_call_returns_changes_no_later_answer(jordan_calls):
+    # the second round is served by the kept analyses, so a write into
+    # anything the first round returned must not reach them
+    mats = list(INPUTS.values())
+    want = [answers(a) for a in mats]
+    for a in mats:
+        returned = [classification_report(a), psl_report(a), decompose_simple(a),
+                    reverser(a) if is_reversible_sl(a) else None]
+        dec = returned[2]
+        returned += [dec.factors, dec.certificates]
+        for obj in returned:
+            scribble(obj)
+    assert [answers(a) for a in mats] == want
+    assert len(jordan_calls) == len(mats)
+
+
+def test_threads_get_the_serial_answers(jordan_calls):
+    # four threads ask the three questions of one chunk, each in its own
+    # order, so they meet on the same keys and evict each other's entries
+    rng = np.random.default_rng(1)
+    chunk = [generate(t, rng=rng).matrix for t in DYNAMICAL_TYPES for _ in range(2)]
+    want = [answers(a) for a in chunk]
+    got = [None] * 4
+
+    def worker(k):
+        order = chunk[k::4] + chunk if k % 2 else chunk[::-1]
+        got[k] = {id(a): answers(a) for a in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for answered in got:
+        assert [answered[id(a)] for a in chunk] == want

@@ -969,6 +969,10 @@ WRONG_JSON_TYPES = {
     "re-true": (lambda rep: rep["jordan"]["blocks"][0].update(re=True), "re is True, not a number"),
     "im-false": (lambda rep: rep["jordan"]["blocks"][1].update(im=False),
                  "im is False, not a number"),
+    "f-string": (lambda rep: rep.update(f="x"), "f is 'x', not a number or null"),
+    "d-float": (lambda rep: rep.update(d=7.5), "d is 7.5, not an integer"),
+    "d-true": (lambda rep: rep.update(d=True), "d is True, not an integer"),
+    "x-string": (lambda rep: rep.update(x="1"), "x is '1', not a number or null"),
 }
 
 
