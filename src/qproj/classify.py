@@ -176,6 +176,13 @@ def classify_sl3r(a, tol: float = DEFAULT_TOL) -> DynType:
     and screw loxodromic; f = 0 splits by d and by x = y = 3 / x = y != 3,
     with I3 mapped to the Identity minor.
     """
+    return _classify_sl3r(a, tol,
+                          lambda arr: minimal_poly_structure(QMatrix3.from_real(arr), tol)[1])
+
+
+def _classify_sl3r(a, tol, degree) -> DynType:
+    """classify_sl3r, taking d as degree(arr) of the real array arr of a, and
+    only when f is within its window of 0."""
     arr = _as_real_sl3(a, tol)
     d_real = float(np.linalg.det(arr))
     if not is_unimodular(d_real, tol):
@@ -197,7 +204,7 @@ def classify_sl3r(a, tol: float = DEFAULT_TOL) -> DynType:
             Minor.REGULAR_ELLIPTIC if abs(x - y) <= xy_tol else Minor.SCREW_LOXODROMIC
         )
 
-    _, d = minimal_poly_structure(QMatrix3.from_real(arr), tol)
+    d = degree(arr)
     if abs(x - y) > xy_tol:
         return DynType.of(Minor.HOMOTHETY if d == 1 else Minor.LOXO_PARABOLIC)
     if abs(x - 3.0) <= xy_tol:
@@ -246,7 +253,8 @@ def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
     if np.linalg.det(b) < 0:
         b = -b
         flipped = True
-    verdict = classify_sl3r(b, tol)
+    # d is a similarity invariant, and -B has the d of B: A's own data gives it
+    verdict = _classify_sl3r(b, tol, lambda _: _minimal_poly_from_data(data, tol)[1])
     if verdict.minor in _PAIR_COLLAPSE_REMAP:
         verdict = DynType.of(_PAIR_COLLAPSE_REMAP[verdict.minor])
     if flipped and verdict.minor in _NEGATION_REMAP:

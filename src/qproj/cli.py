@@ -18,9 +18,10 @@ JSON report.
 
 `qproj verify` judges every certificate by replay_gate of its own `--tol`.
 A report's `tolerance` only replays the verdicts made at it (the dynamical
-type, the simplicity flag).  It replays a whole payload in one stacked pass
-(_Replay) with the output of a replay one report at a time, then prints
-each certificate kind's worst residual next to its gate.
+type, d and which of f, x, y are null, the simplicity flag).  It replays a
+whole payload in one stacked pass (_Replay) with the output of a replay one
+report at a time, then prints each certificate kind's worst residual next to
+its gate.
 
 Exit codes: 0 success, 2 parse or usage error, 3 precondition failure,
 4 certificate verification failure.
@@ -45,11 +46,10 @@ from .errors import CertificateError, QprojError
 from .generate import DYNAMICAL_TYPES, generate
 from .matrix import (QMatrix3, _blocks36, _conjugation_residuals, _dets_h,
                      _json_entries, _json_matrices, _product_residuals, _square_residuals, _stack,
-                     _vec36, check_certificate, is_unimodular, normalize_to_sl, replay_gate,
-                     require_unimodular, unimodular_gate)
+                     _vec36, check_certificate, is_unimodular, normalize_to_sl, replay_gate)
 from .quaternion import DEFAULT_TOL, ClassRep
 from .reversibility import _psls_from_data, _reversibility_dicts
-from .spectral import _assemble_jordan, _jordan_forms
+from .spectral import _analyses, _assemble_jordan, _minimal_poly_from_data
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -143,40 +143,28 @@ def _emit(reports, was_batch, as_json, text_fn):
 def _run_command(path, tol, as_json, kind, worker, text_fn):
     """Run worker(inputs, jordan_data, tol) on the batch, report in input order.
 
-    The Jordan data comes from one _jordan_forms call over the inputs up to
-    the first one that fails the determinant check.  The inputs are then
-    taken in order up to the first that fails: a member's exception from
-    _jordan_forms is raised only when that member is reached, so an error of
-    a later member never shows.  The worker returns one report or QprojError
-    per input, in order, and may stop after the first error.  All of this
-    runs silently; then the inputs are replayed in order, each printing its
-    warning and raising its error, so the first error ends the command just
-    as if the inputs had come one at a time.  Each report is stamped with
-    its kind, its input and the tolerance.
+    One _analyses call gives each input up to the first one too far from
+    SL(3,H), auto-normalized where needed, its Jordan data or the error of
+    require_unimodular or jordan_form.  The inputs are then taken in order up
+    to the first that fails: a member's error is raised only when that member
+    is reached, so an error of a later member never shows.  The worker
+    returns one report or QprojError per input, in order, and may stop after
+    the first error.  All of this runs silently; then the inputs are replayed
+    in order, each printing its warning and raising its error, so the first
+    error ends the command just as if the inputs had come one at a time.
+    Each report is stamped with its kind, its input and the tolerance.
     """
     payload = _read_payload(path)
     matrices, was_batch = _parse_matrices(payload)
     inputs = [_unimodular_input(m, d, tol)
               for m, d in zip(matrices, _dets_h(*_stack(matrices)).tolist())]
     usable = [a for a, _ in itertools.takewhile(lambda item: item[0] is not None, inputs)]
-    jordan = _jordan_forms(usable, tol)
-    datas, failure = [], None
-    for a, note in inputs:
-        if a is None:
-            failure = _CliFailure(note, EXIT_PRECONDITION)
-            break
-        try:
-            if note is not None:
-                require_unimodular(a, tol)  # the normalized matrix, as the library checks it
-            data = jordan[len(datas)]
-            if isinstance(data, Exception):
-                raise data
-            datas.append(data)
-        except QprojError as exc:
-            failure = exc
-            break
-    analysed = [a for a, _ in inputs[:len(datas)]]
-    results = worker(analysed, datas, tol) + [failure]
+    analyses = _analyses(usable, tol)
+    if len(usable) < len(inputs):
+        analyses.append(_CliFailure(inputs[len(usable)][1], EXIT_PRECONDITION))
+    datas = list(itertools.takewhile(lambda data: not isinstance(data, Exception), analyses))
+    analysed = usable[:len(datas)]
+    results = worker(analysed, datas, tol) + analyses[len(datas):len(datas) + 1]
     encoded = _json_matrices(*_stack(analysed))
     reports = []
     for (a, note), rep, encoded_input in zip(inputs, results, encoded + [None]):
@@ -307,7 +295,8 @@ class _Replay:
     checked as the product A g A against t g, a pool row of its own, so no
     check inverts A.  compute() then finds every residual of the payload in
     one stacked call per relation, and every verdict's Jordan data through
-    _jordan_forms, one per report tolerance.  Run in order, the steps of a
+    one _analyses call per report tolerance, so an input that fails its
+    det_h gate gets no Jordan stage.  Run in order, the steps of a
     report append its failures and raise its error at the point a replay of
     that report alone would: a parse error after the checks before it, the
     QprojError of a verdict before the checks after it.  Certificates are
@@ -323,7 +312,7 @@ class _Replay:
         self.rows = {"conjugation": [], "product": [], "square": []}
         self.residuals = {relation: [] for relation in self.rows}
         self.verdicts = {}  # report tolerance -> pool rows of the inputs of its verdicts
-        self.jordan = {}  # report tolerance -> (unimodular, datas)
+        self.jordan = {}  # report tolerance -> the _analyses of its verdicts' inputs
 
     # -- reading ---------------------------------------------------------
 
@@ -360,19 +349,29 @@ class _Replay:
             S = self._matrix(jd["S"])
             blocks = [(ClassRep(_field(b, "re", "a number"), _field(b, "im", "a number")),
                        _field(b, "size", "an integer")) for b in jd["blocks"]]
-            for name in ("d", "f", "x", "y"):  # typed; the values are not replayed
+            for name in ("d", "f", "x", "y"):  # typed; the values of f, x, y are not replayed
                 _field(rep, name, "an integer" if name == "d" else "a number or null")
             J = self._matrix(_assemble_jordan(blocks))
             steps.append(self._checked("conjugation", "jordan reconstruction", S, J, a))
             jordan = self._verdict(a, report_tol)
 
             def reclassified(failures):
-                verdict = _classify_from_jordan(jordan(), report_tol).to_json_dict()
+                data = jordan()
+                verdict = _classify_from_jordan(data, report_tol).to_json_dict()
                 if (verdict["major"], verdict["minor"]) != (rep["major"], rep["minor"]):
                     failures.append(
                         f"classification {rep['major']}/{rep['minor']} reclassified as "
                         f"{verdict['major']}/{verdict['minor']}"
                     )
+                d = _minimal_poly_from_data(data, report_tol)[1]
+                if rep["d"] != d:
+                    failures.append(f"classification d {rep['d']} recomputed as {d}")
+                # f, x and y come from the real conjugate, which only a simple input has
+                simple = _is_simple_data(data, report_tol)
+                if any((rep[name] is None) == simple for name in ("f", "x", "y")):
+                    failures.append(f"classification f, x, y must be "
+                                    f"{'numbers' if simple else 'null'} on an input "
+                                    f"recomputed as {'' if simple else 'not '}simple")
 
             steps.append(reclassified)
         elif kind == "reversibility":
@@ -464,10 +463,7 @@ class _Replay:
         return lambda: self._jordan_of(report_tol, row)
 
     def _jordan_of(self, report_tol, row):
-        unimodular, datas = self.jordan[report_tol]
-        if not unimodular[row]:
-            require_unimodular(self.matrix(self.verdicts[report_tol][row]), report_tol)
-        data = datas[row]
+        data = self.jordan[report_tol][row]
         if isinstance(data, Exception):
             raise data
         return data
@@ -504,12 +500,7 @@ class _Replay:
             self.residuals["square"] = _square_residuals(*self.stacked(g), np.array(signs)).tolist()
 
         for report_tol, rows in self.verdicts.items():
-            dets = _dets_h(*self.stacked(rows))
-            # a member that fails require_unimodular ends the walk before its
-            # Jordan data is asked for
-            self.jordan[report_tol] = (
-                (np.abs(dets - 1.0) <= unimodular_gate(report_tol)).tolist(),
-                _jordan_forms([self.matrix(a) for a in rows], report_tol))
+            self.jordan[report_tol] = _analyses([self.matrix(a) for a in rows], report_tol)
 
     def worst(self):
         """(kind, largest residual) of each certificate kind of the payload; the

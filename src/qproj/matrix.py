@@ -434,11 +434,16 @@ def is_unimodular(d: float, tol: float) -> bool:
     return abs(d - 1.0) <= unimodular_gate(tol)
 
 
+def _not_unimodular(d: float, tol: float) -> NotUnimodular:
+    """The NotUnimodular of an input with det_h = d that fails is_unimodular at tol."""
+    return NotUnimodular(f"det_h = {d:.9f}, expected 1 (within {unimodular_gate(tol):.1e})")
+
+
 def require_unimodular(m: QMatrix3, tol: float = DEFAULT_TOL) -> None:
     """Raise NotUnimodular unless is_unimodular(det_h(m), tol)."""
     d = det_h(m)
     if not is_unimodular(d, tol):
-        raise NotUnimodular(f"det_h = {d:.9f}, expected 1 (within {unimodular_gate(tol):.1e})")
+        raise _not_unimodular(d, tol)
 
 
 def self_dual_check(m: QMatrix3, tol: float = DEFAULT_TOL) -> bool:

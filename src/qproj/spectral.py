@@ -41,9 +41,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditioned, LiftFailure, Singular, SpectralFailure
-from .matrix import (QMatrix3, _adjoint, _blocks36, _conjugation_residuals, _invert_adjoint,
-                     _invert_adjoints, _json_matrices, _qmul, _stack, _unvec36, _vec36,
-                     require_unimodular)
+from .matrix import (QMatrix3, _adjoint, _blocks36, _conjugation_residuals, _dets_h,
+                     _invert_adjoint, _invert_adjoints, _json_matrices, _not_unimodular, _qmul,
+                     _stack, _unvec36, _vec36, is_unimodular, require_unimodular)
 from .quaternion import DEFAULT_TOL, ClassRep, Quaternion
 
 # Gauss-Newton steps of the Sylvester polish at most.
@@ -484,6 +484,20 @@ def _gauged(sa, sb, sizes):
     return sa * scale, sb * scale.conj()
 
 
+def _jordan_datas(block_lists, sa, sb, ma, mb) -> list:
+    """The JordanData of each candidate: blocks from block_lists, S the
+    similarity of the stacks (sa, sb) after one _gauged, and its residual
+    against the input of the stacks (ma, mb), with the S^-1 it was measured
+    with, from one _conjugation_residuals."""
+    sa, sb = _gauged(sa, sb, [[size for _, size in blocks] for blocks in block_lists])
+    J = _jordan_matrices(block_lists)
+    residuals, inverses = _conjugation_residuals(sa, sb, J, np.zeros_like(J), ma, mb)
+    return [JordanData(blocks=blocks, S=QMatrix3(sa[m], sb[m]),
+                       S_inv=QMatrix3.from_adjoint(inverses[m]), shape_id=_shape_id(blocks),
+                       residual=residual)
+            for m, (blocks, residual) in enumerate(zip(block_lists, residuals.tolist()))]
+
+
 # ---------------------------------------------------------------------------
 # Sylvester polish
 
@@ -544,24 +558,16 @@ def _sylvester_polish(A: QMatrix3, data: JordanData):
         X = _unvec36(sol[:36])
         shifts = sol[36:].reshape(-1, 2)
 
-        def stepped(fraction):
-            new_blocks = []
-            for (rep, size), c in zip(best.blocks, block_class):
-                d_re, d_im = shifts[c] * fraction
-                new_blocks.append((ClassRep(rep.re + float(d_re), rep.im + float(d_im)), size))
-            folded_blocks, s_candidate = _fold_negative_classes(
-                new_blocks, best.S @ (QMatrix3.identity() + fraction * X)
-            )
-            sa, sb = _gauged(s_candidate.a[None], s_candidate.b[None],
-                             [[size for _, size in folded_blocks]])
-            (residual,), (s_inv,) = _conjugation_residuals(
-                sa, sb, *_stack([_assemble_jordan(folded_blocks)]), *_stack([A]))
-            return JordanData(blocks=folded_blocks, S=QMatrix3(sa[0], sb[0]),
-                              S_inv=QMatrix3.from_adjoint(s_inv),
-                              shape_id=best.shape_id, residual=float(residual))
-
-        # Gauss-Newton overshoots near the defective orbit; backtrack
-        cand = min((stepped(f) for f in (1.0, 0.5, 0.25)), key=lambda c: c.residual)
+        # Gauss-Newton overshoots near the defective orbit; backtrack, judging
+        # the three step lengths as one stack
+        steps = [_fold_negative_classes(
+                     [(ClassRep(rep.re + float(d_re), rep.im + float(d_im)), size)
+                      for (rep, size), (d_re, d_im) in zip(best.blocks, shifts[block_class] * f)],
+                     best.S @ (QMatrix3.identity() + f * X))
+                 for f in (1.0, 0.5, 0.25)]
+        cand = min(_jordan_datas([blocks for blocks, _ in steps], *_stack([S for _, S in steps]),
+                                 *_stack([A] * len(steps))),
+                   key=lambda c: c.residual)
         if cand.residual < best.residual * 0.9:
             best = cand
             if best.residual < 1e-13:
@@ -716,9 +722,8 @@ def _read_jordan(As, phis, T, Z, tol) -> list:
     The structure read, on a non-empty batch of inputs that pass the singular
     rule, with the stacks of their adjoints phis and Schur forms (T, Z).  One
     stacked SVD gives ||Phi(A)||_2 of every member.  The read and the lift of
-    its chains run per member; then one _gauged covers the chain heads of
-    every candidate and one _conjugation_residuals their residuals and the
-    S^-1 each keeps.  Each member is then polished when needed and gated by
+    its chains run per member; then one _jordan_datas builds the data of
+    every candidate.  Each member is then polished when needed and gated by
     itself.  Any exception, a QprojError or not, is kept in its member's
     slot, for the caller to raise when it reaches that member.
     """
@@ -734,16 +739,9 @@ def _read_jordan(As, phis, T, Z, tol) -> list:
         return out
 
     members = [k for k, _, _ in built]
-    block_lists = [blocks for _, blocks, _ in built]
-    sa, sb = _gauged(*_stack([S for _, _, S in built]),
-                     [[size for _, size in blocks] for blocks in block_lists])
-    J = _jordan_matrices(block_lists)
-    residuals, inverses = _conjugation_residuals(sa, sb, J, np.zeros_like(J),
-                                                 phis[members, :3, :3], phis[members, :3, 3:])
-    for m, ((k, blocks, _), residual) in enumerate(zip(built, residuals.tolist())):
-        data = JordanData(blocks=blocks, S=QMatrix3(sa[m], sb[m]),
-                          S_inv=QMatrix3.from_adjoint(inverses[m]), shape_id=_shape_id(blocks),
-                          residual=residual)
+    datas = _jordan_datas([blocks for _, blocks, _ in built], *_stack([S for _, _, S in built]),
+                          phis[members, :3, :3], phis[members, :3, 3:])
+    for k, data in zip(members, datas):
         try:
             out[k] = _accepted(As[k], data, tol)
         except Exception as exc:
@@ -802,6 +800,19 @@ def jordan_form(A: QMatrix3, tol: float = DEFAULT_TOL) -> JordanData:
     if isinstance(data, Exception):
         raise data
     return data
+
+
+def _analyses(As, tol: float) -> list:
+    """What require_unimodular and then jordan_form give each A in As, its
+    JordanData or the exception, in its slot: one stacked det_h gate, then one
+    _jordan_forms on the members that pass it.  The batch entry of the CLI and
+    of verify; _analysis is its batch of one, written out."""
+    out = [None if is_unimodular(d, tol) else _not_unimodular(d, tol)
+           for d in _dets_h(*_stack(As)).tolist()]
+    live = [k for k, failure in enumerate(out) if failure is None]
+    for k, data in zip(live, _jordan_forms([As[k] for k in live], tol)):
+        out[k] = data
+    return out
 
 
 def _analysed(A: QMatrix3, tol: float) -> JordanData:

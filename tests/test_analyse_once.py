@@ -131,6 +131,18 @@ def test_every_entry_point_shares_the_analysis(jordan_calls, monkeypatch):
     assert len(jordan_calls) == len(dets) == 1
 
 
+@pytest.mark.parametrize("type_name", ["identity", "vertical-translation",
+                                       "non-vertical-translation"])
+def test_classify_via_simple_takes_d_from_the_shared_analysis(jordan_calls, type_name):
+    # the real conjugate of these simple inputs has its discriminant within
+    # its window, so d decides the verdict; it is read from the input's own
+    # Jordan data, not from a Jordan form of the real conjugate
+    inst = generate(type_name, seed=1)
+    classification_report(inst.matrix)
+    assert classify_via_simple(inst.matrix).minor.value == inst.label
+    assert len(jordan_calls) == 1
+
+
 def test_an_input_changed_in_place_is_analysed_afresh(jordan_calls):
     first = generate("regular-elliptic", seed=3).matrix
     second = generate("loxo-parabolic", seed=3).matrix

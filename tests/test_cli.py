@@ -800,6 +800,12 @@ TAMPERED_BATCH_MEMBERS = {
                  ("report of kind 'classification' carries no input matrix",)),
     "relabelled": ("classify", "regular-elliptic", relabelled, (
         "classification Loxodromic/Homothety reclassified as Elliptic/RegularElliptic",)),
+    # three non-real classes of one block each: d = 2, and the input is not
+    # simple, so it has no real conjugate to give f, x, y
+    "replaced-d": ("classify", "regular-elliptic", lambda rep: rep.update(d=7),
+                   ("classification d 7 recomputed as 2",)),
+    "f-of-a-non-simple-input": ("classify", "regular-elliptic", lambda rep: rep.update(f=0.5), (
+        "classification f, x, y must be null on an input recomputed as not simple",)),
     "five-factors": ("decompose", "regular-elliptic", five_factors,
                      ("5 factors exceed the bound of four",)),
     "unflagged-simple": ("simple-check", "vertical-translation", unflagged_simple,
@@ -906,7 +912,7 @@ def test_verify_batch_equals_its_reports_alone(runner, tampered):
     assert all(line.endswith(" (gate 1.0e-06)") for line in rest)
 
 
-def test_verify_stops_at_a_malformed_or_non_unimodular_report_mid_batch(runner):
+def test_verify_stops_at_a_malformed_or_non_unimodular_report_mid_batch(runner, monkeypatch):
     reports = mixed_reports(runner)[:6]
     malformed = dict(reports[1])
     del malformed["jordan"]
@@ -918,11 +924,16 @@ def test_verify_stops_at_a_malformed_or_non_unimodular_report_mid_batch(runner):
 
     off = dict(reports[1])  # det_h = 2: verify refuses to reclassify it
     off["input"] = (QMatrix3.from_json_dict(off["input"]) * 2.0 ** (1 / 6)).to_json_dict()
+    handed = counted_everywhere(monkeypatch, spectral, "_jordan_forms")
     alone = runner.invoke(main, ["verify", "-"], input=json.dumps(off))
     assert alone.exit_code == 3 and alone.stderr.startswith("error: NotUnimodular: det_h = 2.0")
     res = runner.invoke(main, ["verify", "-"], input=json.dumps(reports[:2] + [off] + reports[2:]))
     assert res.exit_code == 3 and res.stdout == ""
     assert res.stderr == "report 0: ok\nreport 1: ok\n" + alone.stderr
+    # the Jordan stage runs on the four other verdict inputs, never on the
+    # one that fails the det_h gate
+    members = [a for args in handed for a in args[0]]
+    assert len(members) == 4 and all(matrix.is_unimodular(matrix.det_h(a), 1e-9) for a in members)
 
 
 # (command, generated type, flag, the value that replaces it)

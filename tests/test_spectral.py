@@ -4,7 +4,9 @@ import pytest
 from qproj import (
     ClassRep,
     LiftFailure,
+    NotUnimodular,
     QMatrix3,
+    QprojError,
     Quaternion,
     Singular,
     SpectralFailure,
@@ -720,3 +722,50 @@ def test_each_input_gets_one_singular_check(monkeypatch):
         want = jordan_form(a)
         assert (data.S.a.tobytes(), data.S_inv.b.tobytes(), data.residual) == (
             want.S.a.tobytes(), want.S_inv.b.tobytes(), want.residual)
+
+
+def test_analyses_give_each_member_what_the_gate_and_jordan_form_give_it_alone(monkeypatch):
+    # one batch of an input off SL(3,H), one with det_h 1 that fails the
+    # singular rule, a generic input the first stage takes and a defective
+    # one the read takes
+    mats = [generate("regular-elliptic", seed=1).matrix * 2.0 ** (1 / 6),
+            QMatrix3.diag(1e5, 1e5, 1e-10), generate("regular-loxodromic", seed=1).matrix,
+            generate("loxo-parabolic", seed=1).matrix]
+    read = counted_everywhere(monkeypatch, spectral, "_read_jordan")
+    got = spectral._analyses(mats, 1e-9)
+    assert [len(args[0]) for args in read] == [1]
+    assert [type(slot) for slot in got] == [NotUnimodular, Singular, spectral.JordanData,
+                                            spectral.JordanData]
+    for slot, a in zip(got, mats):
+        try:
+            matrix.require_unimodular(a, 1e-9)
+            want = jordan_form(a, 1e-9)
+        except QprojError as exc:
+            assert (type(slot), str(slot)) == (type(exc), str(exc))
+            continue
+        assert slot.blocks == want.blocks and slot.shape_id == want.shape_id
+        assert [z.tobytes() for z in (slot.S.a, slot.S.b, slot.S_inv.a, slot.S_inv.b)] == [
+            z.tobytes() for z in (want.S.a, want.S.b, want.S_inv.a, want.S_inv.b)]
+        assert np.float64(slot.residual).tobytes() == np.float64(want.residual).tobytes()
+
+
+def test_a_polish_iteration_judges_its_three_step_lengths_in_one_stack(monkeypatch):
+    # conjugated regular-elliptic inputs at cond Phi(g) = 1e4 reach the
+    # polish; each Gauss-Newton iteration (one _sylvester_op) measures its
+    # steps of length 1, 1/2 and 1/4 by one _conjugation_residuals of three
+    sampler, _ = DYNAMICAL_TYPES["regular-elliptic"]
+    rng = np.random.default_rng(11)
+    mats = []
+    for _ in range(6):
+        g, g_inv = conditioned_conjugator(1e4, rng)
+        mats.append(g @ sampler(rng) @ g_inv)
+    polish, polished = spectral._sylvester_polish, []
+    monkeypatch.setattr(spectral, "_sylvester_polish",
+                        lambda A, data: polished.append((A, data)) or polish(A, data))
+    spectral._jordan_forms(mats, 1e-9)
+    assert polished
+    iterations = counted_everywhere(monkeypatch, spectral, "_sylvester_op")
+    residuals = counted_everywhere(monkeypatch, matrix, "_conjugation_residuals")
+    for A, data in polished:
+        polish(A, data)
+    assert iterations and [len(args[0]) for args in residuals] == [3] * len(iterations)
