@@ -10,6 +10,7 @@ refined by the maximum degree d among minimal-polynomial factors.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .decompose import _is_simple_data, _real_form
 from .errors import NotReal, NotSimple, NotUnimodular
 from .matrix import QMatrix3, is_unimodular, unimodular_gate
-from .quaternion import DEFAULT_TOL
+from .quaternion import DEFAULT_TOL, ClassRep
 from .spectral import _analysed, _jordan_dicts, _minimal_poly_from_data, minimal_poly_structure
 
 
@@ -92,53 +93,32 @@ def discriminant_f(x: float, y: float) -> float:
 
 
 def _classify_from_jordan(data, tol):
-    cls_tol = 1e3 * tol
-    blocks = data.blocks
-    reps = [rep for rep, _ in blocks]
+    """The DynType of Jordan data; unit modulus, real and same class are the
+    windows of ClassRep.is_unit, is_real and isclose."""
+    reps = [rep for rep, _ in data.blocks]
+    unit = all(rep.is_unit(tol) for rep in reps)
+    top = max(size for _, size in data.blocks)
+
+    if top > 1:
+        # a Jordan block of size >= 2 is itself a repeated class
+        if not unit:
+            return DynType.of(Minor.LOXO_PARABOLIC)
+        if all(rep.isclose(ClassRep(1.0, 0.0), 1e3 * tol) for rep in reps):  # unipotent
+            return DynType.of(
+                Minor.VERTICAL_TRANSLATION if top == 2 else Minor.NON_VERTICAL_TRANSLATION)
+        return DynType.of(Minor.ELLIPTO_PARABOLIC if top == 2 else Minor.ELLIPTO_TRANSLATION)
+
+    # which of the pairs (0, 1), (0, 2), (1, 2) of blocks share a class
+    same = [a.isclose(b, 1e3 * tol) for a, b in itertools.combinations(reps, 2)]
+    if unit:
+        if all(same) and reps[0].is_real(tol):
+            return DynType.of(Minor.IDENTITY)
+        return DynType.of(Minor.ELLIPTIC_REFLECTION if any(same) else Minor.REGULAR_ELLIPTIC)
+    if any(same):
+        return DynType.of(Minor.HOMOTHETY)
     moduli = [rep.modulus() for rep in reps]
     scale = max(1.0, max(moduli))
-    unit = all(abs(m - 1.0) <= cls_tol * scale for m in moduli)
-    diagonalizable = all(size == 1 for _, size in blocks)
-
-    def same(r1, r2):
-        return r1.isclose(r2, cls_tol)
-
-    if unit and diagonalizable:
-        if all(same(rep, reps[0]) for rep in reps) and reps[0].im <= cls_tol and (
-            abs(reps[0].re - 1.0) <= cls_tol or abs(reps[0].re + 1.0) <= cls_tol
-        ):
-            return DynType.of(Minor.IDENTITY)
-        distinct = (
-            not same(reps[0], reps[1])
-            and not same(reps[0], reps[2])
-            and not same(reps[1], reps[2])
-        )
-        return DynType.of(Minor.REGULAR_ELLIPTIC if distinct else Minor.ELLIPTIC_REFLECTION)
-
-    if unit:
-        top = max(size for _, size in blocks)
-        unipotent = all(
-            rep.im <= cls_tol and abs(rep.re - 1.0) <= cls_tol for rep in reps
-        )
-        if unipotent:
-            return DynType.of(
-                Minor.VERTICAL_TRANSLATION if top == 2 else Minor.NON_VERTICAL_TRANSLATION
-            )
-        return DynType.of(
-            Minor.ELLIPTO_PARABOLIC if top == 2 else Minor.ELLIPTO_TRANSLATION
-        )
-
-    # loxodromic: a Jordan block of size >= 2 is itself a repeated class
-    if not diagonalizable:
-        return DynType.of(Minor.LOXO_PARABOLIC)
-    repeated = same(reps[0], reps[1]) or same(reps[0], reps[2]) or same(reps[1], reps[2])
-    if repeated:
-        return DynType.of(Minor.HOMOTHETY)
-    same_mod = any(
-        abs(moduli[i] - moduli[j]) <= cls_tol * scale
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
+    same_mod = any(abs(a - b) <= 1e3 * tol * scale for a, b in itertools.combinations(moduli, 2))
     return DynType.of(Minor.SCREW_LOXODROMIC if same_mod else Minor.REGULAR_LOXODROMIC)
 
 
@@ -238,12 +218,13 @@ _NEGATION_REMAP = {
 def classify_via_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> DynType:
     """Classify a simple element through its real conjugate.
 
-    Routes realify(A) -> classify_sl3r and lifts the verdict back.  Lifting
-    collapses conjugate pairs into one repeated class (regular elliptic ->
-    elliptic reflection, screw -> homothety).  When every real conjugate of A
-    has determinant -1 (an odd number of negative real eigenvalues), -B is
-    classified instead; that negation preserves all minors except the
-    unipotent ones, which map to their ellipto counterparts.
+    Routes the real conjugate B of A (_real_form, from A's Jordan data) to
+    classify_sl3r and lifts the verdict back.  Lifting collapses conjugate
+    pairs into one repeated class (regular elliptic -> elliptic reflection,
+    screw -> homothety).  When every real conjugate of A has determinant -1
+    (an odd number of negative real eigenvalues), -B is classified instead;
+    that negation preserves all minors except the unipotent ones, which map
+    to their ellipto counterparts.
     """
     data = _analysed(A, tol)
     if not _is_simple_data(data, tol):

@@ -229,7 +229,7 @@ def _classification_line(rep):
 def _simple_checks(inputs, datas, tol):
     """The simple-check report of each input, or the QprojError of its certificate."""
     simple = [_is_simple_data(data, tol) for data in datas]
-    # a simple input is its own one-factor decomposition, certified by realify
+    # a simple input is its own one-factor decomposition, certified by its real conjugate
     decs = iter(_decomposition_dicts(_decompositions_from_data(
         list(itertools.compress(inputs, simple)), list(itertools.compress(datas, simple)), tol)))
     results = []
@@ -295,13 +295,13 @@ class _Replay:
     checked as the product A g A against t g, a pool row of its own, so no
     check inverts A.  compute() then finds every residual of the payload in
     one stacked call per relation, and every verdict's Jordan data through
-    one _analyses call per report tolerance, so an input that fails its
-    det_h gate gets no Jordan stage.  Run in order, the steps of a
-    report append its failures and raise its error at the point a replay of
-    that report alone would: a parse error after the checks before it, the
-    QprojError of a verdict before the checks after it.  Certificates are
-    judged by replay_gate(tol), verify's own tolerance; a report's
-    `tolerance` only rebuilds its verdicts.
+    one _analyses call per report tolerance, one member per distinct input,
+    so an input that fails its det_h gate gets no Jordan stage.  Run in
+    order, the steps of a report append its failures and raise its error at
+    the point a replay of that report alone would: a parse error after the
+    checks before it, the QprojError of a verdict before the checks after
+    it.  Certificates are judged by replay_gate(tol), verify's own
+    tolerance; a report's `tolerance` only rebuilds its verdicts.
     """
 
     def __init__(self, tol):
@@ -311,8 +311,9 @@ class _Replay:
         # rows per relation, (failure label, pool rows ...); residuals after compute()
         self.rows = {"conjugation": [], "product": [], "square": []}
         self.residuals = {relation: [] for relation in self.rows}
-        self.verdicts = {}  # report tolerance -> pool rows of the inputs of its verdicts
-        self.jordan = {}  # report tolerance -> the _analyses of its verdicts' inputs
+        # report tolerance -> {coordinates of a verdict input: its first pool row}
+        self.verdicts = {}
+        self.jordan = {}  # report tolerance -> {coordinates: the _analyses of that input}
 
     # -- reading ---------------------------------------------------------
 
@@ -456,14 +457,14 @@ class _Replay:
 
     def _verdict(self, a, report_tol):
         """A function returning the Jordan data of pool row a at report_tol, or
-        raising the QprojError that require_unimodular or jordan_form raises."""
-        members = self.verdicts.setdefault(report_tol, [])
-        row = len(members)
-        members.append(a)
-        return lambda: self._jordan_of(report_tol, row)
+        raising the QprojError that require_unimodular or jordan_form raises.
+        The verdicts of one input, by its coordinates, share one member."""
+        key = np.asarray(self.pool[a], dtype=float).tobytes()
+        self.verdicts.setdefault(report_tol, {}).setdefault(key, a)
+        return lambda: self._jordan_of(report_tol, key)
 
-    def _jordan_of(self, report_tol, row):
-        data = self.jordan[report_tol][row]
+    def _jordan_of(self, report_tol, key):
+        data = self.jordan[report_tol][key]
         if isinstance(data, Exception):
             raise data
         return data
@@ -500,7 +501,8 @@ class _Replay:
             self.residuals["square"] = _square_residuals(*self.stacked(g), np.array(signs)).tolist()
 
         for report_tol, rows in self.verdicts.items():
-            self.jordan[report_tol] = _analyses([self.matrix(a) for a in rows], report_tol)
+            self.jordan[report_tol] = dict(zip(rows, _analyses(
+                [self.matrix(a) for a in rows.values()], report_tol)))
 
     def worst(self):
         """(kind, largest residual) of each certificate kind of the payload; the

@@ -348,8 +348,8 @@ def decompose_simple(A: QMatrix3, tol: float = DEFAULT_TOL) -> Decomposition:
 def _decompositions_from_data(As, datas, tol: float) -> list:
     """The Decomposition of each A in As given its Jordan data, or the QprojError it raises.
 
-    A simple member is its own one factor, certified by the real conjugate
-    of realify, (I, Re A) for a real one; that certificate is measured and
+    A simple member is its own one factor, certified by its real conjugate
+    (_real_conjugate), (I, Re A) for a real one; that certificate is measured and
     gated like the others, so an input real only within a loose tol can
     miss the build gate.  The factors of every other member are S C S^-1
     for its canonical factors C = T B T^-1, certified by (S T, B); one

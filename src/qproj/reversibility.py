@@ -93,12 +93,6 @@ _INVOLUTION_PAIR = QMatrix3([[0.0, 0.0, 0.0], [-0j, 0.0, 0.0], [0.0, 0.0, 1.0]],
                             [[0.0, 1.0, 0.0], [complex(-1.0, -0.0), 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
-def _boundary_angle(rep: ClassRep, tol: float) -> bool:
-    """True when the class angle lies in {0, pi} within tolerance."""
-    theta = rep.angle()
-    return min(abs(theta), abs(math.pi - theta)) <= 1e3 * tol
-
-
 def _placed(p, g0: QMatrix3):
     """g0 with its entry (k, l) moved to the Jordan slots (p[k], p[l]); None when p is."""
     if p is None:
@@ -113,11 +107,12 @@ def _matches(data: JordanData, tol: float):
 
     skew: g0 J g0^-1 = J^-1, g0^2 = -I (A ~ A^-1); blocks pair up as {a, a^-1}
     with |a| != 1 or stand alone with |a| = 1.  involution: the same with
-    g0^2 = I (strongly reversible); lone classes have angle 0 or pi, and two
-    equal unit classes may pair up.  negative: g0 J g0^-1 = -J^-1, g0^2 = I;
-    blocks pair up as {a, -a^-1} or stand alone in [i].  Only a diagonal
-    shape has room for a pair.  A J2 or J3 shape in [i] has unit moduli, so
-    skew witnesses it too, and its negative is True rather than a g0.
+    g0^2 = I (strongly reversible); lone classes have angle 0 or pi (a unit
+    class is_real), and two equal unit classes may pair up.  negative:
+    g0 J g0^-1 = -J^-1, g0^2 = I; blocks pair up as {a, -a^-1} or stand
+    alone in [i].  Only a diagonal shape has room for a pair.  A J2 or J3
+    shape in [i] has unit moduli, so skew witnesses it too, and its negative
+    is True rather than a g0.
     """
     reps = [rep for rep, _ in data.blocks]
     unit = [rep.is_unit(tol) for rep in reps]
@@ -126,12 +121,12 @@ def _matches(data: JordanData, tol: float):
         if all(unit):
             skew = QMatrix3(_ZERO, np.eye(3))  # diag(j, j, j)
             pair = next((p for p in _PAIR_ORDERS if reps[p[0]].isclose(reps[p[1]], 1e3 * tol)
-                         and _boundary_angle(reps[p[2]], tol)), None)
+                         and reps[p[2]].is_real(tol)), None)
         else:  # the slot order (a, a^-1, c) with |a| != 1 and |c| = 1
             pair = next((p for p in _PAIR_ORDERS if unit[p[2]] and not unit[p[0]]
                          and reps[p[1]].isclose(reps[p[0]].inverse_class(), 1e3 * tol)), None)
             skew = _placed(pair, _SKEW_PAIR)
-        if pair is not None and not _boundary_angle(reps[pair[2]], tol):
+        if pair is not None and not reps[pair[2]].is_real(tol):
             pair = None
         # the first order is the identity, taken when all are in [i]
         negative = next((p for p in _ALL_ORDERS if all(in_i) or (
@@ -141,7 +136,7 @@ def _matches(data: JordanData, tol: float):
     if not all(unit):
         return None, None, None
     theta = reps[0].angle()
-    strong = all(_boundary_angle(rep, tol) for rep in reps)
+    strong = all(rep.is_real(tol) for rep in reps)
     if data.shape_id == "j2":
         skew = QMatrix3(_ZERO, np.diag([-cmath.exp(-2j * theta), 1.0, 1.0]))
         involution = QMatrix3(_FLIP, _ZERO)

@@ -130,8 +130,14 @@ def _class_points(eigs):
 
 
 def _base_level(tol_abs, scale):
-    """The finest merge level: eigenvalues this close are one class."""
-    return max(10.0 * tol_abs, 1e4 * _EPS * scale)
+    """The finest merge level: eigenvalues this close are one class; broadcasts."""
+    return np.maximum(10.0 * tol_abs, 1e4 * _EPS * scale)
+
+
+def _ambiguous_band(level, scale):
+    """The |Im| up to which a cluster read at merge level level may be a real
+    class or a conjugate pair; broadcasts."""
+    return np.maximum(1e-3 * scale, 10.0 * level)
 
 
 def _partitions_from_points(pts, tol_abs, scale):
@@ -307,7 +313,7 @@ def _realness_options(summary, level, scale):
     small centroid imaginary part is ambiguous; both readings are produced,
     real first, the order _read tries them in.
     """
-    ambiguous_band = max(1e-3 * scale, 10.0 * level)
+    ambiguous_band = _ambiguous_band(level, scale)
     options = []
     for _, im, radius in summary:
         if im <= max(4.0 * radius, level):
@@ -591,8 +597,8 @@ def _one_candidate(eigs, tol):
     a single block).
     """
     scale = np.maximum(1.0, np.abs(eigs).max(axis=1))[:, None]
-    base = max(10.0 * tol, 1e4 * _EPS) * scale  # as in _partitions_from_points
-    band = np.maximum(1e-3 * scale, 10.0 * base)  # _realness_options at level base
+    base = _base_level(tol * scale, scale)
+    band = _ambiguous_band(base, scale)
     height = np.abs(eigs.imag)
     go = (height > band).all(axis=1)
     if not go.any():  # a real class, the common way out, costs no distances

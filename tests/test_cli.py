@@ -930,10 +930,22 @@ def test_verify_stops_at_a_malformed_or_non_unimodular_report_mid_batch(runner, 
     res = runner.invoke(main, ["verify", "-"], input=json.dumps(reports[:2] + [off] + reports[2:]))
     assert res.exit_code == 3 and res.stdout == ""
     assert res.stderr == "report 0: ok\nreport 1: ok\n" + alone.stderr
-    # the Jordan stage runs on the four other verdict inputs, never on the
-    # one that fails the det_h gate
+    # the Jordan stage runs once on each other verdict input at each report
+    # tolerance, here one input at 1e-9 and at 1e-7, never on the one that
+    # fails the det_h gate
     members = [a for args in handed for a in args[0]]
-    assert len(members) == 4 and all(matrix.is_unimodular(matrix.det_h(a), 1e-9) for a in members)
+    assert len(members) == 2 and all(matrix.is_unimodular(matrix.det_h(a), 1e-9) for a in members)
+
+
+def test_verify_runs_one_jordan_verdict_per_input_and_tolerance(runner, monkeypatch):
+    # 5 inputs, each with a generated, a classification and a simple-check
+    # report at 1e-9 and a classification report at 1e-7: the 20 verdicts
+    # share one Jordan member per input and tolerance
+    reports = mixed_reports(runner)
+    handed = counted_everywhere(monkeypatch, spectral, "_jordan_forms")
+    assert verified(runner, reports)[3] == 0
+    assert sorted(len(args[0]) for args in handed) == [5, 5]
+    assert sorted(args[1] for args in handed) == [1e-9, 1e-7]
 
 
 # (command, generated type, flag, the value that replaces it)
